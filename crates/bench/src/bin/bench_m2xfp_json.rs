@@ -25,8 +25,8 @@ use m2x_telemetry::alloc_probe::CountingAlloc;
 use m2x_tensor::{Matrix, Xoshiro};
 use m2xfp::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use m2xfp::gemm::{
-    qgemm, qgemm_packed, qgemm_packed_inreg, qgemm_packed_threaded, qgemm_reference, qgemv_packed,
-    GemmScratch, WeightPlane,
+    qgemm, qgemm_packed, qgemm_packed_threaded, qgemm_reference, qgemv_packed, GemmScratch,
+    WeightPlane,
 };
 use m2xfp::M2xfpConfig;
 use std::hint::black_box;
@@ -136,9 +136,7 @@ fn main() {
     // projection per layer per decode step. `speedup_gemv` (grouped PE
     // pipeline over the register-blocked GEMV fast path, both at m == 1,
     // both in this process) is the hardware-normalized ratio CI
-    // hard-gates; `speedup_planed_vs_inreg` records how much the cached
-    // WeightPlane + scratch route wins over the one-shot in-register
-    // nibble-decode kernel on the same shape.
+    // hard-gates.
     let x1 = Matrix::from_fn(1, k, |_, _| rng.laplace(1.0));
     let x1t = ActTensor::quantize(&x1, cfg);
     let x1p = PackedActTensor::from_grouped(&x1t);
@@ -154,11 +152,6 @@ fn main() {
             black_box(qgemv_packed(&x1p, &plane, &mut scratch));
         }
     }) / dk_iters as f64;
-    let t_dk_inreg = time(reps, || {
-        for _ in 0..dk_iters {
-            black_box(qgemm_packed_inreg(&x1p, &wp, 1));
-        }
-    }) / dk_iters as f64;
     let t_dk_grouped = time(reps, || {
         for _ in 0..dk_iters {
             black_box(qgemm(&x1t, &wt));
@@ -166,23 +159,20 @@ fn main() {
     }) / dk_iters as f64;
     let dk_want = qgemm_reference(&x1t, &wt);
     let dk_gemv = qgemv_packed(&x1p, &plane, &mut scratch);
-    let dk_inreg = qgemm_packed_inreg(&x1p, &wp, 1);
     let decode_exact = dk_want
         .as_slice()
         .iter()
         .zip(dk_gemv.as_slice())
-        .all(|(p, q)| p.to_bits() == q.to_bits())
-        && dk_want
-            .as_slice()
-            .iter()
-            .zip(dk_inreg.as_slice())
-            .all(|(p, q)| p.to_bits() == q.to_bits());
+        .all(|(p, q)| p.to_bits() == q.to_bits());
 
     // Whole-model §6 end-to-end section: fixed small dims (independent of
     // M2X_BENCH_DIM, so the committed baseline stays comparable across
-    // emitter dims). `speedup_packed` is the hardware-normalized
-    // grouped/packed whole-model ratio CI hard-gates; `gmacs` the absolute
-    // throughput it gates like the wall-times.
+    // emitter dims). `backends_exact` (the packed layer forward equals the
+    // grouped `qgemm` and f64 `qgemm_reference` over the model's seven
+    // projection shapes) and `speedup_packed` (grouped over packed time
+    // summed over those shapes) are the kernel-level checks CI
+    // hard-gates; `gmacs` the absolute whole-model throughput it gates
+    // like the wall-times.
     let e2e_cfg = E2eConfig {
         reps,
         ..E2eConfig::ci()
@@ -319,10 +309,8 @@ fn main() {
   "decode_kernel": {{
     "grouped_s": {t_dk_grouped:.6},
     "gemv_s": {t_dk_gemv:.6},
-    "inreg_s": {t_dk_inreg:.6},
     "gemv_melem_per_s": {dk_tput:.2},
     "speedup_gemv": {dk_sp:.3},
-    "speedup_planed_vs_inreg": {dk_pi:.3},
     "decode_exact": {decode_exact}
   }},
   "e2e_model": {{
@@ -331,7 +319,6 @@ fn main() {
     "tokens": {e2e_tokens},
     "quantize_s": {e2e_quant:.6},
     "forward_batch_packed_s": {e2e_fp:.6},
-    "forward_batch_grouped_s": {e2e_fg:.6},
     "gmacs": {e2e_gmacs:.4},
     "speedup_packed": {e2e_speedup:.3},
     "backends_exact": {e2e_exact},
@@ -477,7 +464,6 @@ fn main() {
         e2e_tokens = e2e.cfg.tokens,
         e2e_quant = e2e.quantize_s,
         e2e_fp = e2e.forward_packed_s,
-        e2e_fg = e2e.forward_grouped_s,
         e2e_gmacs = e2e.gmacs,
         e2e_speedup = e2e.speedup_packed,
         e2e_exact = e2e.backends_exact,
@@ -504,7 +490,6 @@ fn main() {
         enc_speedup = t_enc_grouped / t_enc_packed,
         dk_tput = (k * n) as f64 / t_dk_gemv / 1e6,
         dk_sp = t_dk_grouped / t_dk_gemv,
-        dk_pi = t_dk_inreg / t_dk_gemv,
         gemm_tput = macs / t_gemm_packed_mt / 1e9,
         g1 = t_gemm_grouped / t_gemm_packed_1t,
         gmt = t_gemm_grouped / t_gemm_packed_mt,
@@ -523,7 +508,7 @@ fn main() {
     assert!(exact, "packed qGEMM diverged from the grouped pipeline");
     assert!(
         decode_exact,
-        "a decode kernel (GEMV or in-register) diverged from the f64 reference"
+        "the GEMV decode kernel diverged from the f64 reference"
     );
     assert!(
         wq_exact.unwrap_or(true),
@@ -531,7 +516,7 @@ fn main() {
     );
     assert!(
         e2e.backends_exact,
-        "packed and grouped backends diverged on the whole-model forward"
+        "a packed projection diverged from the grouped or f64 oracle"
     );
     assert!(
         serve.batch_exact,

@@ -11,8 +11,9 @@
 //!   fault-tolerance flags `serve.chaos_exact` / `serve.zero_leak`, or
 //!   the observability flags `telemetry.trace_exact` /
 //!   `telemetry.zero_alloc`) is `false` in the current run, or
-//! * any within-run speedup ratio — per-kernel, the whole-model
-//!   `e2e_model.speedup_packed` or the serving `serve.speedup_batch`
+//! * any within-run speedup ratio — per-kernel, the e2e section's
+//!   `e2e_model.speedup_packed` (grouped over packed over the model's
+//!   seven projection shapes) or the serving `serve.speedup_batch`
 //!   (batched-over-solo) — dropped by more than the tolerance
 //!   (`M2X_GATE_TOLERANCE`, default 0.25 = 25%) relative to the baseline.
 //!
@@ -156,8 +157,8 @@ const GATED_TIMES: [&str; 9] = [
 
 /// Throughput metrics (higher is better). Hardware-dependent like the
 /// wall-times, so they share the advisory-by-default/`M2X_GATE_ABS_TIMES`
-/// treatment; the whole-model `e2e_model.speedup_packed` and serving
-/// `serve.speedup_batch` ratios below are the enforcing end-to-end gates.
+/// treatment; the projection-level `e2e_model.speedup_packed` and serving
+/// `serve.speedup_batch` ratios below are the enforcing gates.
 const GATED_THROUGHPUTS: [&str; 7] = [
     "decode_kernel.gemv_melem_per_s",
     "e2e_model.gmacs",
@@ -440,7 +441,7 @@ mod tests {
   "weight_search_exact": true,
   "qgemm": {"packed_threaded_s": 0.002, "speedup_1thread": 5.3},
   "quantize_plus_qgemm": {"packed_threaded_s": 0.003, "speedup_1thread": 3.2},
-  "decode_kernel": {"gemv_s": 0.0001, "gemv_melem_per_s": 650.0, "speedup_gemv": 6.0, "speedup_planed_vs_inreg": 1.8, "decode_exact": true},
+  "decode_kernel": {"gemv_s": 0.0001, "gemv_melem_per_s": 650.0, "speedup_gemv": 6.0, "decode_exact": true},
   "e2e_model": {"hidden": 128, "layers": 2, "tokens": 16, "gmacs": 2.1, "speedup_packed": 3.0, "backends_exact": true, "nrmse": 0.05},
   "serve": {"hidden": 128, "layers": 2, "requests": 6, "max_batch": 6, "batch_s": 0.05, "speedup_batch": 1.3, "req_per_s": 120.0, "decode_tok_per_s": 960.0, "solo_decode_tok_per_s": 740.0, "batch_exact": true, "chaos_exact": true, "zero_leak": true, "shed_rate": 0.5, "p99_step_us_churn": 900.0, "recovery_ticks": 2},
   "kv_pool": {"hidden": 128, "layers": 2, "requests": 8, "prefix_tokens": 32, "max_batch": 4, "reuse_exact": true, "zero_leak": true, "prefix_hits": 7, "prefix_misses": 3, "hit_rate": 0.4, "page_allocs": 12, "page_reuses": 8, "cow_clones": 0, "peak_pages": 9, "fragmentation": 0.2},
@@ -546,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn whole_model_ratio_is_hard_gated_and_gmacs_advisory() {
+    fn projection_ratio_is_hard_gated_and_gmacs_advisory() {
         let base = flatten_json(SAMPLE).unwrap();
         // 3.0 → 2.0 is a 33% drop: beyond the 25% floor.
         let dropped = SAMPLE.replace("\"speedup_packed\": 3.0", "\"speedup_packed\": 2.0");
@@ -778,7 +779,7 @@ mod tests {
     #[test]
     fn losing_a_hard_gated_key_fails_but_explicit_null_does_not() {
         let base = flatten_json(SAMPLE).unwrap();
-        // Emitter refactor drops the whole-model ratio and exactness flag:
+        // Emitter refactor drops the projection ratio and exactness flag:
         // the gate must notice the disarm, not silently pass.
         let dropped = SAMPLE.replace("\"speedup_packed\": 3.0, \"backends_exact\": true, ", "");
         let cur = flatten_json(&dropped).unwrap();

@@ -1,10 +1,11 @@
 //! Whole-model end-to-end driver — the paper's §6 setting: quantize every
 //! linear of a synthetic transformer to M2XFP (threaded integer-LUT Sg-EM
 //! search), then run batched inference through the engine API
-//! (`QuantizedModel` on the packed backend), cross-check the grouped
-//! backend bit for bit, time the prefill→decode serving loop (decode rides
-//! the appendable-plane KV path: O(1) per head per step, no cache
-//! re-decode), and report per-layer + whole-model throughput/NRMSE as JSON
+//! (`QuantizedModel`), cross-check the packed kernels against the grouped
+//! and f64 oracles bit for bit over the model's seven projection shapes,
+//! time the prefill→decode serving loop (decode rides the appendable-plane
+//! KV path: O(1) per head per step, no cache re-decode), and report
+//! per-layer + whole-model throughput/NRMSE as JSON
 //! (`results/BENCH_e2e_model.json`, gate-compatible schema).
 //!
 //! Environment:
@@ -39,13 +40,15 @@ fn main() {
 
     let r = run(cfg);
     eprintln!(
-        "quantize {:.3}s ({} weight bytes) | forward_batch packed {:.4}s = {:.2} GMAC/s \
-         (grouped {:.4}s, {:.2}x) | decode {:.1} tok/s | NRMSE {:.4} | backends_exact {}",
+        "quantize {:.3}s ({} weight bytes) | forward_batch {:.4}s = {:.2} GMAC/s \
+         | projections packed {:.6}s vs grouped {:.6}s ({:.2}x) | decode {:.1} tok/s \
+         | NRMSE {:.4} | backends_exact {}",
         r.quantize_s,
         r.weight_bytes,
         r.forward_packed_s,
         r.gmacs,
-        r.forward_grouped_s,
+        r.proj_packed_s,
+        r.proj_grouped_s,
         r.speedup_packed,
         r.decode_tokens_per_s,
         r.nrmse,
@@ -66,6 +69,6 @@ fn main() {
     }
     assert!(
         r.backends_exact,
-        "packed and grouped backends diverged on the whole-model forward"
+        "a packed projection diverged from the grouped or f64 oracle"
     );
 }

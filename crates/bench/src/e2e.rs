@@ -4,17 +4,22 @@
 //!
 //! Builds a scaled synthetic LLaMA3-8B stack through
 //! [`m2x_nn::model::ModelBuilder`], times offline quantization, batched
-//! forward throughput on the packed and grouped backends (verifying bit
-//! equality), the prefill→decode serving loop, and measures per-layer +
-//! whole-model NRMSE against the f32 reference path. The JSON it renders is
-//! array-free so `ci_perf_gate`'s flattener can gate every field.
+//! forward throughput and the prefill→decode serving loop, and measures
+//! per-layer + whole-model NRMSE against the f32 reference path. The
+//! engine is checked at kernel level over the model's seven projection
+//! shapes: the packed layer forward against the grouped `qgemm` and the
+//! f64 `qgemm_reference` oracles, bit for bit, with the grouped-over-packed
+//! time ratio. The JSON it renders is array-free so `ci_perf_gate`'s
+//! flattener can gate every field.
 
-use m2x_nn::model::{ModelBuilder, QuantizedModel};
+use m2x_nn::linear::QuantizedLinear;
+use m2x_nn::model::{ModelBuilder, ModelWeights, QuantizedModel};
 use m2x_nn::profile::ModelProfile;
-use m2x_nn::synth::activation_matrix;
+use m2x_nn::synth::{activation_matrix, weight_matrix, LayerKind};
 use m2x_tensor::stats::nmse;
 use m2x_tensor::Matrix;
-use m2xfp::backend::BackendKind;
+use m2xfp::format::ActTensor;
+use m2xfp::gemm::{qgemm, qgemm_reference, GemmScratch};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -61,18 +66,23 @@ pub struct E2eReport {
     pub intermediate: usize,
     /// Packed weight footprint (bytes).
     pub weight_bytes: usize,
-    /// Offline build: synthesize + Sg-EM quantize + backend prepare, all
+    /// Offline build: synthesize + Sg-EM quantize + plane decode, all
     /// layers (seconds).
     pub quantize_s: f64,
-    /// Best-of-reps batched forward on the packed backend (seconds).
+    /// Best-of-reps batched forward of the whole model (seconds).
     pub forward_packed_s: f64,
-    /// Best-of-reps batched forward on the grouped backend (seconds).
-    pub forward_grouped_s: f64,
-    /// Whole-model throughput of the packed batched forward (GMAC/s).
+    /// Whole-model throughput of the batched forward (GMAC/s).
     pub gmacs: f64,
-    /// Hardware-normalized whole-model ratio grouped/packed.
+    /// One call of each of the seven projections at the batch's token
+    /// count through the packed layer forward, summed (seconds).
+    pub proj_packed_s: f64,
+    /// The same calls through the grouped PE pipeline (`ActTensor`
+    /// encode + `qgemm`), summed (seconds).
+    pub proj_grouped_s: f64,
+    /// Hardware-normalized kernel ratio `proj_grouped_s / proj_packed_s`.
     pub speedup_packed: f64,
-    /// Packed and grouped backends produced bit-identical batch outputs.
+    /// Over all seven projection shapes, the packed layer forward, the
+    /// grouped `qgemm` and the f64 `qgemm_reference` agree bit for bit.
     pub backends_exact: bool,
     /// Decode throughput after a half-batch prefill (tokens/s).
     pub decode_tokens_per_s: f64,
@@ -82,6 +92,11 @@ pub struct E2eReport {
     /// trace vs reference trace, cumulative through the stack).
     pub per_layer_nmse: Vec<f64>,
 }
+
+/// Minimum duration of one timed kernel sample: single projection calls
+/// at CI dims take microseconds, far inside timer noise, and the ratio
+/// built from them is hard-gated.
+const KERNEL_SAMPLE_S: f64 = 0.003;
 
 fn time_best<O>(reps: usize, mut f: impl FnMut() -> O) -> (f64, O) {
     let mut best = f64::INFINITY;
@@ -100,12 +115,78 @@ pub fn token_embeddings(profile: &ModelProfile, tokens: usize, hidden: usize) ->
     activation_matrix(profile, 0, tokens, hidden).map(|v| (v * 0.25).tanh())
 }
 
-fn build(profile: &ModelProfile, cfg: &E2eConfig, backend: BackendKind) -> QuantizedModel {
+/// Best-of-`reps` time of one `f` call, where each sample loops `f` for
+/// at least [`KERNEL_SAMPLE_S`] and reports the per-call mean.
+fn time_per_call(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let t0 = Instant::now();
+        let mut calls = 0u32;
+        while calls == 0 || t0.elapsed().as_secs_f64() < KERNEL_SAMPLE_S {
+            f();
+            calls += 1;
+        }
+        best = best.min(t0.elapsed().as_secs_f64() / f64::from(calls));
+    }
+    best
+}
+
+fn build(profile: &ModelProfile, cfg: &E2eConfig) -> QuantizedModel {
     ModelBuilder::scaled(profile, cfg.hidden, cfg.layers)
-        .backend(backend)
-        .keep_reference(backend == BackendKind::Packed)
+        .keep_reference(true)
         .build()
         .expect("scaled dimensions are group-aligned")
+}
+
+/// The seven projections of one block: `(kind, out_features, in_features)`.
+fn projection_shapes(w: &ModelWeights) -> [(LayerKind, usize, usize); 7] {
+    let (h, i) = (w.hidden(), w.intermediate());
+    let kv = w.kv_heads() * w.head_dim();
+    [
+        (LayerKind::Q, h, h),
+        (LayerKind::K, kv, h),
+        (LayerKind::V, kv, h),
+        (LayerKind::O, h, h),
+        (LayerKind::Gate, i, h),
+        (LayerKind::Up, i, h),
+        (LayerKind::Down, h, i),
+    ]
+}
+
+/// Kernel-level engine check over the model's seven projection shapes at
+/// `tokens` rows: returns (bit-exact, summed packed s, summed grouped s).
+/// Both sides include their activation encode, as a layer forward does.
+fn projection_kernels(
+    profile: &ModelProfile,
+    w: &ModelWeights,
+    tokens: usize,
+    reps: usize,
+) -> (bool, f64, f64) {
+    let cfg = *w.config();
+    let mut scratch = GemmScratch::new();
+    let (mut exact, mut packed_s, mut grouped_s) = (true, 0.0, 0.0);
+    for (kind, n, k) in projection_shapes(w) {
+        let lin = QuantizedLinear::from_weights(&weight_matrix(profile, kind, 0, n, k), cfg)
+            .expect("projection widths are group-aligned");
+        let wg = lin.weights();
+        let x = activation_matrix(profile, 0, tokens, k);
+        let y = lin.forward_scratch(&x, &mut scratch).expect("aligned");
+        let xa = ActTensor::quantize(&x, cfg);
+        for oracle in [qgemm(&xa, &wg), qgemm_reference(&xa, &wg)] {
+            exact &= y
+                .as_slice()
+                .iter()
+                .zip(oracle.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        }
+        packed_s += time_per_call(reps, || {
+            black_box(lin.forward_scratch(&x, &mut scratch).expect("aligned"));
+        });
+        grouped_s += time_per_call(reps, || {
+            black_box(qgemm(&ActTensor::quantize(&x, cfg), &wg));
+        });
+    }
+    (exact, packed_s, grouped_s)
 }
 
 /// Runs the full measurement. Deterministic given the configuration.
@@ -113,22 +194,12 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
     let profile = ModelProfile::llama3_8b();
     let x = token_embeddings(&profile, cfg.tokens, cfg.hidden);
 
-    let (quantize_s, mut model) =
-        time_best(cfg.reps, || build(&profile, &cfg, BackendKind::Packed));
-    let (forward_packed_s, y_packed) =
-        time_best(cfg.reps, || model.forward_batch(&x).expect("aligned"));
-
-    let mut grouped = build(&profile, &cfg, BackendKind::Grouped);
-    let (forward_grouped_s, y_grouped) =
-        time_best(cfg.reps, || grouped.forward_batch(&x).expect("aligned"));
-    let backends_exact = y_packed
-        .as_slice()
-        .iter()
-        .zip(y_grouped.as_slice())
-        .all(|(a, b)| a.to_bits() == b.to_bits());
+    let (quantize_s, mut model) = time_best(cfg.reps, || build(&profile, &cfg));
+    let (forward_packed_s, _) = time_best(cfg.reps, || model.forward_batch(&x).expect("aligned"));
+    let weights = std::sync::Arc::clone(model.weights());
 
     // Serving loop: prefill half the batch, then single-token decodes on
-    // the decode-on-append KV path (each step grows the prepared K plane
+    // the decode-on-append KV path (each step grows the page's K plane
     // and cached V rows incrementally — O(1) per head per step).
     let prefill_rows = (cfg.tokens / 2).max(1);
     let decode_s = {
@@ -148,7 +219,7 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
         model.reset();
         model.forward_batch_traced(&x).expect("aligned")
     };
-    let (y_ref, trace_ref) = model.reference_traced(&x).expect("reference kept");
+    let (y_ref, trace_ref) = weights.reference_traced(&x).expect("reference kept");
     let per_layer_nmse: Vec<f64> = trace_q
         .iter()
         .zip(&trace_ref)
@@ -156,18 +227,21 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
         .collect();
     let nrmse = nmse(y_ref.as_slice(), y_q.as_slice()).sqrt();
 
-    let macs = model.forward_macs(cfg.tokens, 0) as f64;
+    let (backends_exact, proj_packed_s, proj_grouped_s) =
+        projection_kernels(&profile, &weights, cfg.tokens, cfg.reps);
+    let macs = weights.forward_macs(cfg.tokens, 0) as f64;
     E2eReport {
         cfg,
-        heads: model.heads(),
-        kv_heads: model.kv_heads(),
-        intermediate: model.intermediate(),
-        weight_bytes: model.weight_bytes(),
+        heads: weights.heads(),
+        kv_heads: weights.kv_heads(),
+        intermediate: weights.intermediate(),
+        weight_bytes: weights.weight_bytes(),
         quantize_s,
         forward_packed_s,
-        forward_grouped_s,
         gmacs: macs / forward_packed_s / 1e9,
-        speedup_packed: forward_grouped_s / forward_packed_s,
+        proj_packed_s,
+        proj_grouped_s,
+        speedup_packed: proj_grouped_s / proj_packed_s,
         backends_exact,
         decode_tokens_per_s: cfg.decode_steps as f64 / decode_s,
         nrmse,
@@ -195,7 +269,6 @@ impl E2eReport {
   "weight_bytes": {wb},
   "quantize_s": {qs:.6},
   "forward_batch_packed_s": {fp:.6},
-  "forward_batch_grouped_s": {fg:.6},
   "gmacs": {gm:.4},
   "speedup_packed": {sp:.3},
   "backends_exact": {ex},
@@ -213,7 +286,6 @@ impl E2eReport {
             wb = self.weight_bytes,
             qs = self.quantize_s,
             fp = self.forward_packed_s,
-            fg = self.forward_grouped_s,
             gm = self.gmacs,
             sp = self.speedup_packed,
             ex = self.backends_exact,
@@ -235,7 +307,10 @@ mod tests {
         cfg.reps = 1;
         cfg.decode_steps = 2;
         let r = run(cfg);
-        assert!(r.backends_exact, "packed and grouped diverged");
+        assert!(
+            r.backends_exact,
+            "packed projections diverged from the oracles"
+        );
         assert!(r.nrmse > 0.0 && r.nrmse < 0.3, "nrmse {}", r.nrmse);
         assert_eq!(r.per_layer_nmse.len(), cfg.layers);
         assert!(r.gmacs > 0.0 && r.speedup_packed > 0.0);

@@ -1222,8 +1222,7 @@ mod tests {
         assert_eq!(prompts.len(), cfg.requests);
         for (i, p) in prompts.iter().enumerate() {
             assert_eq!(p.rows(), cfg.prefix_tokens + cfg.suffix_tokens);
-            for j in i + 1..prompts.len() {
-                let q = &prompts[j];
+            for q in &prompts[i + 1..] {
                 for r in 0..cfg.prefix_tokens {
                     for c in 0..cfg.hidden {
                         assert_eq!(p[(r, c)].to_bits(), q[(r, c)].to_bits());

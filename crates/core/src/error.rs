@@ -1,18 +1,16 @@
 //! The single error type of the `m2xfp` engine API.
 //!
 //! Every fallible operation across the engine — tensor packing/unpacking,
-//! layer construction, backend forwards, model building — reports through
-//! [`Error`], replacing the per-module ad-hoc types (`LayoutError`,
-//! `LinearError`) that accumulated as the API grew. Variants carry the name
-//! of the tensor or layer involved so a failure deep inside a model forward
-//! still names its site; [`Error::for_tensor`] rewrites that context as an
-//! error propagates outward (e.g. a generic shape mismatch becomes
-//! "layer 3 q_proj").
+//! layer construction, layer forwards, model building — reports through
+//! [`Error`]. Variants carry the name of the tensor or layer involved so a
+//! failure deep inside a model forward still names its site;
+//! [`Error::for_tensor`] rewrites that context as an error propagates
+//! outward (e.g. a generic shape mismatch becomes "layer 3 q_proj").
 
 use std::fmt;
 
-/// Error from the m2xfp engine: quantization layout, layer shapes, backend
-/// dispatch or model configuration.
+/// Error from the m2xfp engine: quantization layout, layer shapes or model
+/// configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// A row length is not a multiple of the group size (hardware stream
@@ -48,14 +46,6 @@ pub enum Error {
         /// Metadata bits per group requested.
         bits: u32,
     },
-    /// Prepared weights built by one execution backend were handed to a
-    /// different one.
-    BackendMismatch {
-        /// Backend that received the weights.
-        backend: &'static str,
-        /// Backend family that prepared them.
-        prepared_by: &'static str,
-    },
     /// Invalid configuration (model builder, session setup).
     Config {
         /// Human-readable description naming the offending field.
@@ -79,7 +69,7 @@ impl Error {
             Error::Misaligned { tensor, .. }
             | Error::WidthMismatch { tensor, .. }
             | Error::BufferLength { tensor, .. } => *tensor = name.into(),
-            Error::MetaOverflow { .. } | Error::BackendMismatch { .. } => {}
+            Error::MetaOverflow { .. } => {}
             Error::Config { msg } => *msg = format!("{}: {msg}", name.into()),
         }
         self
@@ -116,13 +106,6 @@ impl fmt::Display for Error {
             Error::MetaOverflow { bits } => {
                 write!(f, "metadata {bits} bits/group exceeds the 8-bit field")
             }
-            Error::BackendMismatch {
-                backend,
-                prepared_by,
-            } => write!(
-                f,
-                "{backend} backend received weights prepared for the {prepared_by} form"
-            ),
             Error::Config { msg } => write!(f, "invalid configuration: {msg}"),
         }
     }

@@ -266,28 +266,6 @@ impl WeightTensor {
         )
     }
 
-    /// Appends another tensor's groups below the existing rows (used by the
-    /// execution backends to grow a prepared grouped form in O(new rows)).
-    /// Groups quantize independently, so the result equals quantizing the
-    /// row-concatenated matrix.
-    pub(crate) fn append_tensor(&mut self, other: WeightTensor) {
-        assert_eq!(
-            self.cols, other.cols,
-            "appended rows have a different width"
-        );
-        assert_eq!(self.cfg, other.cfg, "appended rows use a different config");
-        self.groups.extend(other.groups);
-        self.rows += other.rows;
-    }
-
-    /// Drops all rows while keeping the group allocation — the grouped-form
-    /// counterpart of [`PackedWeightTensor::clear_rows`] for recycled KV
-    /// page frames.
-    pub(crate) fn clear_rows(&mut self) {
-        self.groups.clear();
-        self.rows = 0;
-    }
-
     /// Parses a packed buffer produced by [`Self::pack`].
     ///
     /// # Errors

@@ -29,12 +29,10 @@
 //!   activation scratch lives in a caller-held reusable [`GemmScratch`]
 //!   instead of three fresh `Vec`s per call — the decode hot loop is
 //!   allocation-free after warm-up.
-//! * [`qgemm_packed_inreg`] — the in-register nibble-decode variant: it
-//!   consumes the [`PackedWeightTensor`] streams directly (nibble extract,
-//!   LUT and subgroup-hoisted multiplier inside the dot product) without
-//!   materializing a [`WeightPlane`], for cold weights and one-shot calls
-//!   where an O(N·K) decode pass would dominate. [`qgemm_packed`] routes
-//!   small-`m` one-shot calls here automatically.
+//! * [`qgemm_packed`] — the one-shot convenience over raw
+//!   [`PackedWeightTensor`] streams: decodes a [`WeightPlane`] and runs the
+//!   planed kernel.
+//! * [`qgemm_reference`] — the f64 oracle every kernel is pinned against.
 
 use crate::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use m2x_formats::packing::two_bits_at;
@@ -66,12 +64,6 @@ const NR: usize = 4;
 /// this shape: a handful of single-token rows stacked per projection).
 /// `m == 1` GEMV calls degrade gracefully to a 1×[`NR`] block.
 const MR: usize = 4;
-
-/// Row-count ceiling below which [`qgemm_packed`] prefers the in-register
-/// nibble-decode kernel over decoding a full [`WeightPlane`] first: the
-/// plane decode is one extra O(N·K) pass over the weight streams, which
-/// only amortizes once several activation rows reuse the decoded plane.
-const INREG_MAX_ROWS: usize = 2;
 
 /// An activation group decoded to integers: values ×8, plus the shared
 /// exponent.
@@ -218,14 +210,8 @@ pub fn qgemm_packed(x: &PackedActTensor, w: &PackedWeightTensor) -> Matrix {
     qgemm_packed_threaded(x, w, gemm_threads(m, k, n))
 }
 
-/// [`qgemm_packed`] with an explicit worker count.
-///
-/// One-shot calls with at most `INREG_MAX_ROWS` activation rows take the
-/// in-register nibble-decode kernel ([`qgemm_packed_inreg`]) — the weight
-/// streams are walked once, in registers, instead of paying a full
-/// [`WeightPlane`] decode pass that nothing reuses. Larger batches decode
-/// the plane once and run the register-blocked kernel over it. Both paths
-/// produce identical bits.
+/// [`qgemm_packed`] with an explicit worker count: decodes the weight
+/// plane once and runs the register-blocked kernel over it.
 ///
 /// # Panics
 ///
@@ -235,11 +221,7 @@ pub fn qgemm_packed_threaded(
     w: &PackedWeightTensor,
     threads: usize,
 ) -> Matrix {
-    if x.shape().0 <= INREG_MAX_ROWS {
-        qgemm_packed_inreg(x, w, threads)
-    } else {
-        qgemm_packed_planed(x, &WeightPlane::decode(w), threads)
-    }
+    qgemm_packed_planed(x, &WeightPlane::decode(w), threads)
 }
 
 /// Reusable activation scratch of the packed kernels: the decoded
@@ -667,108 +649,6 @@ pub fn qgemv_packed_into(
     kernel_row_chunk(0, out, x8, xscale, w16, wscale, w.n, gs, kp, gpr);
 }
 
-/// The in-register nibble-decode kernel: consumes the
-/// [`PackedWeightTensor`] streams **directly** — FP4 nibbles are extracted
-/// and LUT-decoded inside the dot product, with the subgroup's `4 + mult`
-/// shift-add refinement hoisted to one integer multiply per subgroup and
-/// the group scale to one multiply per group — so no [`WeightPlane`] is
-/// ever materialized. The exact-integer subgroup regrouping
-/// `Σ_s (4+mult_s)·Σ_t x·w == Σ_t x·(w·(4+mult))` makes it bit-identical
-/// to the planed kernel and [`qgemm_reference`].
-///
-/// This is the right kernel for cold weights and one-shot calls (the
-/// per-call [`qgemm_packed`] route takes it for decode-sized batches): it
-/// walks the weight streams once per activation row, where the planed
-/// route would pay a full O(N·K) decode pass first. For weights reused
-/// across many rows or calls, decode a plane once instead.
-///
-/// # Panics
-///
-/// Panics when the reduction dimensions or group geometries disagree.
-// m2x-lint: hot
-pub fn qgemm_packed_inreg(x: &PackedActTensor, w: &PackedWeightTensor, threads: usize) -> Matrix {
-    let (m, k) = x.shape();
-    let (n, k2) = w.shape();
-    assert_eq!(k, k2, "reduction dimension mismatch");
-    assert_eq!(
-        (x.config().group_size, x.config().subgroup_size),
-        (w.config().group_size, w.config().subgroup_size),
-        "group geometry mismatch"
-    );
-    if m == 0 || n == 0 {
-        return Matrix::zeros(m, n);
-    }
-    let gs = x.config().group_size;
-    let sgs = x.config().subgroup_size;
-    let spg = gs / sgs;
-    let cpg = gs.div_ceil(2);
-    let gpr = x.groups_per_row();
-    let mut scratch = GemmScratch::default();
-    let kp = decode_act_plane(x, &mut scratch);
-    let (x8, xscale) = (&scratch.x8[..], &scratch.xscale[..]);
-    let (codes, scales, meta) = (w.codes(), w.scales(), w.meta());
-
-    // One output element: weight row `j` against a decoded activation row,
-    // groups ascending — the same per-element accumulation order and f64
-    // operand values as every other kernel.
-    let element = |xrow: &[i16], xsr: &[f64], j: usize| -> f32 {
-        let mut acc = 0.0f64;
-        for g in 0..gpr {
-            let wg = j * gpr + g; // weight group index
-            let gb = &codes[wg * cpg..(wg + 1) * cpg];
-            let mut gsum: i32 = 0;
-            for sg in 0..spg {
-                // Slack subgroups of a ragged trailing group hold zero
-                // codes and zero metadata, so they contribute nothing.
-                let mult = (4 + two_bits_at(meta, wg * spg + sg)) as i32;
-                let xsg = &xrow[g * gs + sg * sgs..g * gs + (sg + 1) * sgs];
-                let mut ss: i32 = 0;
-                if sgs % 2 == 0 {
-                    let cb = &gb[sg * sgs / 2..(sg + 1) * sgs / 2];
-                    for (pair, &b) in xsg.chunks_exact(2).zip(cb) {
-                        ss += pair[0] as i32 * FP4_X2[(b & 0xF) as usize] as i32;
-                        ss += pair[1] as i32 * FP4_X2[(b >> 4) as usize] as i32;
-                    }
-                } else {
-                    for (e, &xv) in xsg.iter().enumerate() {
-                        let c = m2x_formats::packing::nibble_at(gb, sg * sgs + e);
-                        ss += xv as i32 * FP4_X2[c as usize] as i32;
-                    }
-                }
-                gsum += ss * mult;
-            }
-            let ws = (m2x_formats::E8M0::from_bits(scales[wg]).exponent() as f64).exp2();
-            acc += gsum as f64 * (xsr[g] * FIXED_POINT_UNIT * ws);
-        }
-        acc as f32
-    };
-
-    let mut out = Matrix::zeros(m, n);
-    if m == 1 {
-        // Single activation row: parallelize over output columns (each
-        // element is one cell of the only output row).
-        let xrow = &x8[..kp];
-        let xsr = &xscale[..gpr];
-        par_row_chunks(out.as_mut_slice(), 1, threads, |j0, chunk| {
-            for (dj, o) in chunk.iter_mut().enumerate() {
-                *o = element(xrow, xsr, j0 + dj);
-            }
-        });
-    } else {
-        par_row_chunks(out.as_mut_slice(), n, threads, |row0, chunk| {
-            for (li, orow) in chunk.chunks_mut(n).enumerate() {
-                let i = row0 + li;
-                let xrow = &x8[i * kp..(i + 1) * kp];
-                let xsr = &xscale[i * gpr..(i + 1) * gpr];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    *o = element(xrow, xsr, j);
-                }
-            }
-        });
-    }
-    out
-}
-
 /// Floating-point reference: dequantizes both tensors and multiplies in
 /// f64. All quantized values are small dyadic rationals, so this is exact
 /// and must equal [`qgemm`] bit-for-bit after the final f32 rounding.
@@ -942,11 +822,10 @@ mod tests {
     }
 
     #[test]
-    fn gemv_and_inreg_match_planed_bitwise() {
-        // The decode fast path (reused scratch) and the in-register
-        // nibble-decode kernel agree with the planed kernel and the f64
-        // reference on the m == 1 serving shape, including NR-unaligned n
-        // and ragged K.
+    fn gemv_matches_reference_bitwise() {
+        // The decode fast path (reused scratch) and the one-shot route
+        // agree with the f64 reference on the m == 1 serving shape,
+        // including NR-unaligned n and ragged K.
         let cfg = M2xfpConfig::default();
         let mut scratch = GemmScratch::new();
         for (n, cols) in [(1usize, 64usize), (5, 80), (7, 96), (13, 41)] {
@@ -962,28 +841,7 @@ mod tests {
             // The same scratch is reused across shapes on purpose.
             let gemv = qgemv_packed(&xp, &plane, &mut scratch);
             assert_eq!(gemv, want, "gemv n={n} cols={cols}");
-            for threads in [1, 3] {
-                let inreg = qgemm_packed_inreg(&xp, &wp, threads);
-                assert_eq!(inreg, want, "inreg n={n} cols={cols} threads={threads}");
-            }
             assert_eq!(qgemm_packed(&xp, &wp), want, "routed n={n} cols={cols}");
-        }
-    }
-
-    #[test]
-    fn inreg_matches_planed_on_multi_row_batches() {
-        let cfg = M2xfpConfig::default();
-        for (m, n, cols) in [(2usize, 6usize, 64usize), (5, 9, 80)] {
-            let xp = PackedActTensor::quantize(&mat(m, cols, 1.0), cfg);
-            let wp = PackedWeightTensor::quantize(&mat(n, cols, 4.0), cfg);
-            let want = qgemm_packed_planed(&xp, &WeightPlane::decode(&wp), 1);
-            for threads in [1, 2] {
-                assert_eq!(
-                    qgemm_packed_inreg(&xp, &wp, threads),
-                    want,
-                    "m={m} n={n} cols={cols} threads={threads}"
-                );
-            }
         }
     }
 
@@ -1003,13 +861,10 @@ mod tests {
         for threads in [1, 2] {
             // (0, k) × (n, k) → 0 × n.
             assert_eq!(dims(&qgemm_packed_planed(&x0, &planen, threads)), (0, 4));
-            assert_eq!(dims(&qgemm_packed_inreg(&x0, &wn, threads)), (0, 4));
             // (m, k) × (0, k) → m × 0.
             assert_eq!(dims(&qgemm_packed_planed(&xm, &plane0, threads)), (3, 0));
-            assert_eq!(dims(&qgemm_packed_inreg(&xm, &w0, threads)), (3, 0));
             // (0, k) × (0, k) → 0 × 0.
             assert_eq!(dims(&qgemm_packed_planed(&x0, &plane0, threads)), (0, 0));
-            assert_eq!(dims(&qgemm_packed_inreg(&x0, &w0, threads)), (0, 0));
         }
         assert_eq!(dims(&qgemm_packed(&x0, &wn)), (0, 4));
         assert_eq!(dims(&qgemm_packed(&xm, &w0)), (3, 0));

@@ -17,15 +17,13 @@
 //!   layout of §5.2.
 //! * [`gemm`] — bit-exact quantized GEMM mirroring the augmented PE
 //!   (fixed-point accumulation, ΔX correction, shift-add subgroup scaling,
-//!   paper §5.4 / Eq. 5).
+//!   paper §5.4 / Eq. 5): the production packed kernels over a decoded
+//!   [`gemm::WeightPlane`], plus the grouped and f64 oracles they are
+//!   pinned against.
 //! * [`dse`] — Pareto sweep driver for the encoding design-space
 //!   exploration.
 //! * [`quantizer`] — the [`TensorQuantizer`] trait shared with every
 //!   baseline format.
-//! * [`backend`] — the [`ExecBackend`] execution
-//!   abstraction: packed / grouped / float-oracle engines with
-//!   bit-identical outputs, the layer every inference surface
-//!   (`m2x_nn::linear`, `m2x_nn::model`) routes through.
 //! * [`error`] — the unified [`enum@Error`] type of the engine API.
 //!
 //! ```
@@ -40,7 +38,6 @@
 //! ```
 
 pub mod activation;
-pub mod backend;
 pub mod dse;
 pub mod ebw;
 pub mod error;
@@ -52,25 +49,27 @@ pub mod scale;
 pub mod strategy;
 pub mod weight;
 
-pub use backend::{BackendKind, ExecBackend};
 pub use error::Error;
 pub use group::GroupConfig;
 pub use quantizer::TensorQuantizer;
 pub use scale::ScaleRule;
 
-/// One-stop imports for the engine API: configuration, backends, packed
-/// tensors, the quantizer trait and the unified error type.
+/// One-stop imports for the engine API: configuration, packed tensors,
+/// the decoded weight plane, the quantizer trait and the unified error
+/// type.
 ///
 /// ```
+/// use m2x_tensor::Matrix;
+/// use m2xfp::gemm::qgemm_packed_planed;
 /// use m2xfp::prelude::*;
 ///
 /// let cfg = M2xfpConfig::default();
-/// let be = BackendKind::Packed.backend();
-/// assert_eq!(be.name(), "packed");
-/// assert_eq!(cfg.group_size, 32);
+/// let w = Matrix::from_fn(8, 64, |r, c| ((r * 64 + c) as f32 * 0.1).sin());
+/// let plane = WeightPlane::decode(&PackedWeightTensor::quantize_parallel(&w, cfg));
+/// let x = PackedActTensor::quantize(&Matrix::from_fn(4, 64, |r, c| (r + c) as f32), cfg);
+/// assert_eq!(qgemm_packed_planed(&x, &plane, 1).cols(), 8);
 /// ```
 pub mod prelude {
-    pub use crate::backend::{BackendKind, ExecBackend, PreparedWeights};
     pub use crate::error::Error;
     pub use crate::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
     pub use crate::gemm::{GemmScratch, WeightPlane};

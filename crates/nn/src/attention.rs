@@ -12,10 +12,11 @@
 //! legacy float search — long-context KV caches quantize at weight-search
 //! speed instead of the old ~12 s/4096² rate.
 
+use crate::linear::packed_forward;
 use crate::profile::ModelProfile;
 use m2x_tensor::{stats, Matrix, Xoshiro};
-use m2xfp::backend::ExecBackend;
 use m2xfp::format::PackedWeightTensor;
+use m2xfp::gemm::{GemmScratch, WeightPlane};
 use m2xfp::{Error, M2xfpConfig, TensorQuantizer};
 
 /// Row-wise softmax (f32; the probability matrix of attention).
@@ -88,12 +89,11 @@ pub fn evaluate_attention(
     }
 }
 
-/// Runs one attention head through an execution backend — the engine-true
-/// variant of [`evaluate_attention`]: the score GEMM `Q·Kᵀ` and the value
-/// GEMM `P·V` both execute the backend's quantized kernel against Sg-EM
-/// prepared K/Vᵀ (the lazily quantized cache operands), with Q and P
-/// quantized online inside the forward. All backends report bit-identical
-/// errors.
+/// Runs one attention head through the engine — the engine-true variant
+/// of [`evaluate_attention`]: the score GEMM `Q·Kᵀ` and the value GEMM
+/// `P·V` both execute the packed quantized kernel against the planes of
+/// Sg-EM quantized K/Vᵀ (the lazily quantized cache operands), with Q and
+/// P quantized online inside the forward.
 ///
 /// This measures the full-sequence offline setting, where Vᵀ may be
 /// grouped along seq. `m2x_nn::model`'s KV-cache attention shares the
@@ -110,9 +110,20 @@ pub fn evaluate_attention_backend(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
-    backend: &dyn ExecBackend,
     cfg: M2xfpConfig,
 ) -> Result<AttentionError, Error> {
+    for (tensor, expected, got) in [
+        ("attention scores (Q·Kᵀ)", k.cols(), q.cols()),
+        ("attention output (P·V)", v.rows(), k.rows()),
+    ] {
+        if expected != got {
+            return Err(Error::WidthMismatch {
+                tensor: tensor.to_string(),
+                expected,
+                got,
+            });
+        }
+    }
     let scale = 1.0 / (q.cols() as f32).sqrt();
 
     let scores_ref = q.matmul(&k.transpose()).map(|x| x * scale);
@@ -122,16 +133,11 @@ pub fn evaluate_attention_backend(
     // K rows are already the weight layout ([seq, head_dim], rows along the
     // reduction dimension); V must be grouped along seq for P·V, so its
     // transpose is the cached weight operand.
-    let pk = backend.prepare(PackedWeightTensor::quantize_parallel(k, cfg));
-    let pv = backend.prepare(PackedWeightTensor::quantize_parallel(&v.transpose(), cfg));
-    let scores_q = backend
-        .forward(q, &pk)
-        .map_err(|e| e.for_tensor("attention scores (Q·Kᵀ)"))?
-        .map(|x| x * scale);
+    let plane = |w: &Matrix| WeightPlane::decode(&PackedWeightTensor::quantize_parallel(w, cfg));
+    let mut scratch = GemmScratch::new();
+    let scores_q = packed_forward(q, &plane(k), cfg, &mut scratch).map(|x| x * scale);
     let p_q = softmax_rows(&scores_q);
-    let out_q = backend
-        .forward(&p_q, &pv)
-        .map_err(|e| e.for_tensor("attention output (P·V)"))?;
+    let out_q = packed_forward(&p_q, &plane(&v.transpose()), cfg, &mut scratch);
 
     Ok(AttentionError {
         scores_nmse: stats::nmse(scores_ref.as_slice(), scores_q.as_slice()),
@@ -207,20 +213,29 @@ mod tests {
     }
 
     #[test]
-    fn backend_routed_attention_identical_across_backends() {
-        use m2xfp::backend::BackendKind;
+    fn engine_attention_tracks_fake_quantized_route_and_rejects_bad_shapes() {
+        // The engine's score GEMM is the exact product of the fake-quantized
+        // operands (up to the final f32 rounding), so its score error
+        // matches the fake-quantized route closely; a ragged seq (40) runs
+        // the zero-padded trailing group of the P·V kernel.
         let p = ModelProfile::llama3_8b();
         let (q, k, v) = synth_head(&p, 40, 64);
         let cfg = M2xfpConfig::default();
-        let errs: Vec<AttentionError> = BackendKind::ALL
-            .iter()
-            .map(|b| evaluate_attention_backend(&q, &k, &v, b.backend(), cfg).unwrap())
-            .collect();
-        assert!(errs[0].output_nmse > 0.0 && errs[0].output_nmse.is_finite());
-        for e in &errs[1..] {
-            assert_eq!(errs[0].scores_nmse.to_bits(), e.scores_nmse.to_bits());
-            assert_eq!(errs[0].output_nmse.to_bits(), e.output_nmse.to_bits());
-        }
+        let e = evaluate_attention_backend(&q, &k, &v, cfg).unwrap();
+        assert!(e.output_nmse > 0.0 && e.output_nmse.is_finite());
+        let m2 = M2xfpQuantizer::new(cfg);
+        let fake = evaluate_attention(&q, &k, &v, &m2, &m2);
+        let rel = (e.scores_nmse - fake.scores_nmse).abs() / fake.scores_nmse;
+        assert!(
+            rel < 0.05,
+            "engine {} vs fake {}",
+            e.scores_nmse,
+            fake.scores_nmse
+        );
+        let short_k = Matrix::zeros(40, 32);
+        assert!(evaluate_attention_backend(&q, &short_k, &v, cfg).is_err());
+        let short_v = Matrix::zeros(39, 64);
+        assert!(evaluate_attention_backend(&q, &k, &short_v, cfg).is_err());
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! prefixes once per request. This module replaces that with a shared
 //! [`KvPagePool`]:
 //!
-//! * **Pages** — fixed-size frames of [`PageEntry`] blocks, one entry per
+//! * **Pages** — fixed-size frames of `PageEntry` blocks, one entry per
 //!   `(layer, kv_head)`, each holding the packed three-stream KV block
 //!   (nibble FP4 codes | E8M0 scales | 2-bit Sg-EM meta) plus its decoded
-//!   working state (the K execution plane inside [`PreparedWeights`], the
-//!   dequantized V rows). A page spans [`PoolGeometry::page_tokens`]
+//!   working state (the K score-GEMM [`WeightPlane`], the dequantized V
+//!   rows). A page spans [`PoolGeometry::page_tokens`]
 //!   tokens, validated to be a multiple of the quantization group size so
 //!   a page never splits a group — which is what makes per-page appends
 //!   and per-page attention bit-identical to the monolithic layout.
@@ -24,16 +24,17 @@
 //! * **Copy-on-write sharing** — page handles are `Arc`s. Appending
 //!   through a handle whose page is shared (a cloned session, or a frozen
 //!   prefix page held by the index) clones the page first
-//!   ([`PageHandle::make_mut`]), extending the Arc-internal CoW rule
-//!   [`PreparedWeights::append_quantized`] already uses to the cache
-//!   itself. A shared page is never mutated in place.
+//!   (`PageHandle::make_mut`); this is the cache's only copy-on-write
+//!   layer. A shared page is never mutated in place.
 //! * **Prefix reuse** — after a prefill completes, its full pages can be
 //!   frozen and published ([`KvPagePool::register_prefix`]) under a chain
 //!   hash of the prompt rows they cover. A later request with the same
 //!   prompt prefix adopts those pages ([`KvPagePool::lookup_prefix`] →
 //!   [`PagedKv::adopt_prefix`]) instead of re-quantizing them; the stored
 //!   source rows are verified bitwise before adoption, so a hash collision
-//!   can never smuggle in foreign KV state.
+//!   can never smuggle in foreign KV state. The index holds exactly the
+//!   retained pages: evicting a page from the FIFO retention list also
+//!   drops its index entry, so the index never outgrows the list's cap.
 //!
 //! Accounting is honest about both representations:
 //! [`PagedKv::packed_bytes`] counts the canonical 4.5-bit streams (what
@@ -41,8 +42,8 @@
 //! counts the decoded K planes + dequantized-V working state on top.
 
 use m2x_tensor::Matrix;
-use m2xfp::backend::{BackendKind, PreparedWeights};
 use m2xfp::format::PackedWeightTensor;
+use m2xfp::gemm::WeightPlane;
 use m2xfp::{Error, M2xfpConfig};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
@@ -120,10 +121,9 @@ fn rows_bit_equal(rows: &Matrix, m: &Matrix, r0: usize, n: usize) -> bool {
 fn checksum_entries(entries: &[PageEntry]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325_u64;
     for e in entries {
-        let kp = e.k.packed();
-        h = fnv_bytes(h, kp.codes());
-        h = fnv_bytes(h, kp.scales());
-        h = fnv_bytes(h, kp.meta());
+        h = fnv_bytes(h, e.k.codes());
+        h = fnv_bytes(h, e.k.scales());
+        h = fnv_bytes(h, e.k.meta());
         h = fnv_bytes(h, e.v.codes());
         h = fnv_bytes(h, e.v.scales());
         h = fnv_bytes(h, e.v.meta());
@@ -150,8 +150,6 @@ pub struct PoolGeometry {
     pub page_tokens: usize,
     /// Quantization configuration of the packed streams.
     pub cfg: M2xfpConfig,
-    /// Execution backend the K blocks are prepared for.
-    pub backend: BackendKind,
 }
 
 impl PoolGeometry {
@@ -172,14 +170,13 @@ impl PoolGeometry {
     }
 }
 
-/// One `(layer, kv_head)` KV block of a page: K rows prepared for the
-/// execution backend (packed streams + decoded score-GEMM operand, grown
-/// decode-on-append) and V rows quantized per token with their
-/// dequantized form cached. `Clone` is cheap on K (`PreparedWeights` is
-/// Arc-internal CoW) and deep on the V state.
+/// One `(layer, kv_head)` KV block of a page: K rows as packed streams
+/// plus the score-GEMM plane decoded from them (grown decode-on-append),
+/// and V rows quantized per token with their dequantized form cached.
 #[derive(Debug, Clone)]
 pub(crate) struct PageEntry {
-    pub(crate) k: PreparedWeights,
+    pub(crate) k: PackedWeightTensor,
+    pub(crate) k_plane: WeightPlane,
     pub(crate) v: PackedWeightTensor,
     pub(crate) v_rows: Matrix,
 }
@@ -190,6 +187,7 @@ impl PageEntry {
     /// frames carry no trace of their previous tenant.
     fn clear(&mut self) {
         self.k.clear_rows();
+        self.k_plane.clear_rows();
         self.v.clear_rows();
         self.v_rows.clear_rows();
     }
@@ -226,9 +224,8 @@ impl Drop for PageBox {
     fn drop(&mut self) {
         if let Some(pool) = self.pool.upgrade() {
             let mut entries = std::mem::take(&mut self.entries);
-            // Clear before taking the pool lock — `PreparedWeights::
-            // clear_rows` may rebuild a shared inner, which is arbitrary
-            // work that must not run under the free-list mutex.
+            // Clear before taking the pool lock, so the free-list mutex
+            // guards only the push.
             for e in &mut entries {
                 e.clear();
             }
@@ -239,7 +236,7 @@ impl Drop for PageBox {
 
 /// Refcounted handle to one page. `Clone` is an `Arc` clone — sessions
 /// sharing a prefix (or a cloned session) hold the same page until one of
-/// them appends, at which point [`PageHandle::make_mut`] clones it.
+/// them appends, at which point `PageHandle::make_mut` clones it.
 #[derive(Debug, Clone)]
 pub struct PageHandle(Arc<PageBox>);
 
@@ -404,12 +401,15 @@ impl KvPagePool {
     /// Builds a brand-new empty frame (the acquire cold path).
     fn fresh_frame(&self) -> Vec<PageEntry> {
         let g = &self.geom;
-        let be = g.backend.backend();
         (0..g.layers * g.kv_heads)
-            .map(|_| PageEntry {
-                k: be.prepare(PackedWeightTensor::empty(g.head_dim, g.cfg)),
-                v: PackedWeightTensor::empty(g.head_dim, g.cfg),
-                v_rows: Matrix::zeros(0, g.head_dim),
+            .map(|_| {
+                let k = PackedWeightTensor::empty(g.head_dim, g.cfg);
+                PageEntry {
+                    k_plane: WeightPlane::decode(&k),
+                    k,
+                    v: PackedWeightTensor::empty(g.head_dim, g.cfg),
+                    v_rows: Matrix::zeros(0, g.head_dim),
+                }
             })
             .collect()
     }
@@ -497,10 +497,11 @@ impl KvPagePool {
 
     /// Freezes the full pages of a completed prefill and publishes them
     /// in the prefix index, keyed by the chain hash of the prompt rows
-    /// they cover. The pool retains up to [`RETAIN_CAP`] frozen pages
-    /// (FIFO) so a prefix outlives the request that produced it. Pages
-    /// already frozen (an adopted prefix, a replayed request) are left
-    /// as-is; a live index entry is never displaced.
+    /// they cover. The pool retains up to `RETAIN_CAP` frozen pages
+    /// (FIFO) so a prefix outlives the request that produced it; an
+    /// evicted page leaves the index too. Pages already frozen (an adopted
+    /// prefix, a replayed request) are left as-is; a live index entry is
+    /// never displaced.
     pub fn register_prefix(&self, prompt: &Matrix, prefill_out: &Matrix, kv: &PagedKv) {
         let pt = self.geom.page_tokens;
         let full = (prompt.rows() / pt)
@@ -521,14 +522,22 @@ impl KvPagePool {
                 let _ = page.meta.set(meta);
             }
             let mut g = lock_pool(&self.inner);
-            let slot = g.index.entry(h).or_insert_with(Weak::new);
+            let slot = g.index.entry(h).or_default();
             if slot.upgrade().is_none() {
                 *slot = Arc::downgrade(page);
                 g.retained.push_back(Arc::clone(page));
                 while g.retained.len() > RETAIN_CAP {
-                    if let Some(old) = g.retained.pop_front() {
-                        evicted.push(old);
+                    let Some(old) = g.retained.pop_front() else {
+                        break;
+                    };
+                    // Retained pages are frozen, so `meta` names the key
+                    // the page was published under.
+                    if let Some(m) = old.meta.get() {
+                        if g.index.get(&m.chain_hash).map(Weak::as_ptr) == Some(Arc::as_ptr(&old)) {
+                            g.index.remove(&m.chain_hash);
+                        }
                     }
+                    evicted.push(old);
                 }
             }
         }
@@ -638,9 +647,10 @@ impl PagedKv {
         self.layer_len[li].saturating_sub(pi * pt).min(pt)
     }
 
-    /// The prepared K block of `(page, layer, kv_head)`.
-    pub fn page_k(&self, pi: usize, li: usize, h: usize) -> &PreparedWeights {
-        &self.pages[pi].0.entries[li * self.pool.geom.kv_heads + h].k
+    /// The decoded K plane of `(page, layer, kv_head)` — the score GEMM's
+    /// weight operand.
+    pub fn page_k(&self, pi: usize, li: usize, h: usize) -> &WeightPlane {
+        &self.pages[pi].0.entries[li * self.pool.geom.kv_heads + h].k_plane
     }
 
     /// The dequantized V rows of `(page, layer, kv_head)`.
@@ -651,8 +661,8 @@ impl PagedKv {
     /// Quantizes and appends new K/V projection rows (`[tokens, kv_dim]`)
     /// for layer `li`, splitting them across page boundaries. Within a
     /// page the per-head work is exactly the old monolithic append — K
-    /// rows decode-on-append into the prepared form, V rows quantize once
-    /// and cache their dequantized values — so paged growth is
+    /// rows quantize and decode-on-append into the K plane, V rows
+    /// quantize once and cache their dequantized values — so paged growth is
     /// bit-identical to the unpaged cache. Appending through a shared
     /// handle clones the page first (copy-on-write).
     ///
@@ -671,7 +681,6 @@ impl PagedKv {
                 got: k_new.cols().max(v_new.cols()),
             });
         }
-        let be = geom.backend.backend();
         let pt = geom.page_tokens;
         let tokens = k_new.rows();
         let mut done = 0;
@@ -687,7 +696,9 @@ impl PagedKv {
             for h in 0..geom.kv_heads {
                 let e = &mut page.entries[li * geom.kv_heads + h];
                 let ks = slice_block(k_new, done, take, h * geom.head_dim, geom.head_dim);
-                be.append_rows(&mut e.k, &ks)?;
+                let kq = PackedWeightTensor::quantize_parallel(&ks, geom.cfg);
+                e.k_plane.append(&kq);
+                e.k.append_packed(kq)?;
                 let vs = slice_block(v_new, done, take, h * geom.head_dim, geom.head_dim);
                 let vq = PackedWeightTensor::quantize_parallel(&vs, geom.cfg);
                 e.v_rows.push_rows(&vq.dequantize());
@@ -727,19 +738,20 @@ impl PagedKv {
         self.pages
             .iter()
             .flat_map(|p| p.0.entries.iter())
-            .map(|e| e.k.packed().packed_bytes() + e.v.packed_bytes())
+            .map(|e| e.k.packed_bytes() + e.v.packed_bytes())
             .sum()
     }
 
     /// Decoded working state on top of the packed streams: the K
-    /// execution planes plus the dequantized V row cache. Unmetered by
+    /// score-GEMM planes plus the dequantized V row cache. Unmetered by
     /// the admission budget, reported separately so accounting is honest.
     pub fn decoded_bytes(&self) -> usize {
         self.pages
             .iter()
             .flat_map(|p| p.0.entries.iter())
             .map(|e| {
-                e.k.decoded_bytes() + e.v_rows.rows() * e.v_rows.cols() * std::mem::size_of::<f32>()
+                e.k_plane.decoded_bytes()
+                    + e.v_rows.rows() * e.v_rows.cols() * std::mem::size_of::<f32>()
             })
             .sum()
     }
@@ -756,7 +768,6 @@ mod tests {
             head_dim: 32,
             page_tokens: 32,
             cfg: M2xfpConfig::default(),
-            backend: BackendKind::Packed,
         }
     }
 
@@ -967,6 +978,32 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.pages_in_use, 0, "every page back on the free list");
         assert!(pool.lookup_prefix(&prompt).is_none(), "index cleared");
+    }
+
+    #[test]
+    fn evicted_prefix_pages_leave_the_index() {
+        // More distinct one-page prefixes than the retention cap: every
+        // eviction must take its index entry along, so the index stays
+        // bounded by the cap instead of growing with every prefix seen.
+        let pool = KvPagePool::new(geom()).unwrap();
+        for i in 0..RETAIN_CAP + 8 {
+            let seed = i as f32;
+            let mut kv = PagedKv::new(Arc::clone(&pool));
+            append_all(&mut kv, &rows(32, 64, seed), &rows(32, 64, seed + 0.5));
+            pool.register_prefix(&rows(32, 16, seed), &rows(32, 16, seed + 0.25), &kv);
+        }
+        let index_len = lock_pool(&pool.inner).index.len();
+        assert!(
+            index_len <= RETAIN_CAP,
+            "{index_len} index entries for at most {RETAIN_CAP} retained pages"
+        );
+        assert_eq!(pool.stats().retained_pages, RETAIN_CAP as u64);
+        // The newest prefix is still adoptable; the oldest was evicted.
+        let newest = (RETAIN_CAP + 7) as f32;
+        assert!(pool.lookup_prefix(&rows(33, 16, newest)).is_some());
+        assert!(pool.lookup_prefix(&rows(33, 16, 0.0)).is_none());
+        pool.clear_retained();
+        assert_eq!(pool.stats().pages_in_use, 0);
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!   number is predicted from measured error).
 //! * [`attention`] — the §6.4 extension: quantized attention with an
 //!   Elem-EM online path (Q, P) and an Sg-EM KV cache.
-//! * [`linear`] — a deployable quantized linear layer (packed weights,
-//!   prepared once per execution backend, bit-exact forward pass).
+//! * [`linear`] — a deployable quantized linear layer (packed weights
+//!   decoded once into the kernel's plane, bit-exact forward pass).
 //! * [`model`] — the engine API's model-level session: a
 //!   [`QuantizedModel`] built by a
-//!   [`ModelBuilder`], with per-layer prepared
+//!   [`ModelBuilder`], with per-layer decoded
 //!   weights, a quantized KV cache and batch/prefill/decode forwards — the
 //!   paper's §6 end-to-end flow. The weights split into an `Arc`-shared
 //!   [`ModelWeights`] and per-request

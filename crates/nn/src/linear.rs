@@ -1,21 +1,39 @@
 //! A ready-to-use quantized linear layer — the API a downstream user would
-//! deploy: weights held in the packed M2XFP representation, prepared once
-//! into the execution backend's form, and every forward pass routed through
-//! the [`ExecBackend`](m2xfp::backend::ExecBackend) abstraction.
+//! deploy: weights held in the packed M2XFP representation next to the
+//! [`WeightPlane`] decoded from them once at construction, and every
+//! forward pass running the packed integer kernels directly (online
+//! activation encode, then [`qgemv_packed`] for one row or
+//! [`qgemm_packed_planed_scratch`] for a batch). The grouped [`qgemm`] and
+//! f64 [`qgemm_reference`](m2xfp::gemm::qgemm_reference) kernels stay as
+//! the oracles the tests pin this path against.
 //!
-//! The default backend is [`BackendKind::Packed`] (the LUT/cache-blocked
-//! hot path); [`QuantizedLinear::with_backend`] swaps in the grouped or
-//! float-oracle engines, whose outputs are bit-identical.
+//! [`qgemm`]: m2xfp::gemm::qgemm
 
 use m2x_tensor::Matrix;
-use m2xfp::backend::{BackendKind, PreparedWeights};
-use m2xfp::format::{PackedWeightTensor, WeightTensor};
+use m2xfp::format::{PackedActTensor, PackedWeightTensor, WeightTensor};
+use m2xfp::gemm::{
+    gemm_threads, qgemm_packed_planed_scratch, qgemv_packed, GemmScratch, WeightPlane,
+};
 use m2xfp::{Error, M2xfpConfig};
 
-/// Error constructing or applying a [`QuantizedLinear`] — an alias of the
-/// engine-wide [`m2xfp::Error`], kept so pre-unification call sites keep
-/// compiling.
-pub type LinearError = Error;
+/// `Q_a(x) · Wᵀ` against a decoded weight plane: online activation encode
+/// (auto-threaded above the work threshold), then the GEMV fast path for
+/// one row or the register-blocked planed kernel for a batch, both reusing
+/// the caller's scratch. The one engine path every layer forward and every
+/// attention score GEMM takes.
+pub(crate) fn packed_forward(
+    x: &Matrix,
+    plane: &WeightPlane,
+    cfg: M2xfpConfig,
+    scratch: &mut GemmScratch,
+) -> Matrix {
+    let xq = PackedActTensor::quantize_parallel(x, cfg);
+    if x.rows() == 1 {
+        return qgemv_packed(&xq, plane, scratch);
+    }
+    let (n, k) = plane.shape();
+    qgemm_packed_planed_scratch(&xq, plane, gemm_threads(x.rows(), k, n), scratch)
+}
 
 /// A linear layer `y = x·Wᵀ` with M2XFP-quantized weights.
 ///
@@ -34,37 +52,22 @@ pub type LinearError = Error;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedLinear {
-    /// Weights prepared for the chosen backend: the canonical three-stream
-    /// bits plus the backend's decoded execution form (e.g. the GEMM
-    /// kernel's fixed-point plane), so repeated [`Self::forward`] calls
-    /// skip the O(N·K) decode.
-    prepared: PreparedWeights,
-    backend: BackendKind,
+    /// The canonical three-stream weight bits.
+    packed: PackedWeightTensor,
+    /// The kernel operand decoded from `packed` once, so repeated
+    /// forwards skip the O(N·K) decode.
+    plane: WeightPlane,
 }
 
 impl QuantizedLinear {
     /// Quantizes a transposed weight matrix `[out_features, in_features]`
-    /// for the production [`BackendKind::Packed`] engine.
+    /// and decodes its kernel plane.
     ///
     /// # Errors
     ///
     /// Fails when `in_features` is not a multiple of the group size (the
     /// hardware layout requires aligned rows).
     pub fn from_weights(w_t: &Matrix, cfg: M2xfpConfig) -> Result<Self, Error> {
-        Self::with_backend(w_t, cfg, BackendKind::Packed)
-    }
-
-    /// [`Self::from_weights`] on an explicit execution backend. All
-    /// backends produce bit-identical forwards from the same weights.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `in_features` is not a multiple of the group size.
-    pub fn with_backend(
-        w_t: &Matrix,
-        cfg: M2xfpConfig,
-        backend: BackendKind,
-    ) -> Result<Self, Error> {
         if w_t.cols() % cfg.group_size != 0 {
             return Err(Error::Misaligned {
                 tensor: "linear weights".to_string(),
@@ -74,11 +77,11 @@ impl QuantizedLinear {
         }
         // The threaded integer-LUT Sg-EM search — layer construction is the
         // offline weight-quantization moment, the path the paper's §6
-        // end-to-end setting exercises per layer — followed by the
-        // backend's one-time decode into its execution form.
+        // end-to-end setting exercises per layer — followed by the one-time
+        // decode into the kernel's plane.
         let packed = PackedWeightTensor::quantize_parallel(w_t, cfg);
-        let prepared = backend.backend().prepare(packed);
-        Ok(QuantizedLinear { prepared, backend })
+        let plane = WeightPlane::decode(&packed);
+        Ok(QuantizedLinear { packed, plane })
     }
 
     fn check_width(&self, x: &Matrix) -> Result<(), Error> {
@@ -92,77 +95,53 @@ impl QuantizedLinear {
         Ok(())
     }
 
-    /// The execution backend this layer runs on.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
     /// The configuration the weights were quantized with.
     pub fn config(&self) -> &M2xfpConfig {
-        self.prepared.config()
+        self.packed.config()
     }
 
     /// Output features.
     pub fn out_features(&self) -> usize {
-        self.prepared.shape().0
+        self.packed.shape().0
     }
 
     /// Input features.
     pub fn in_features(&self) -> usize {
-        self.prepared.shape().1
+        self.packed.shape().1
     }
 
     /// The grouped weight representation, reconstructed from the packed
     /// streams.
     pub fn weights(&self) -> WeightTensor {
-        self.prepared.packed().to_grouped()
+        self.packed.to_grouped()
     }
 
     /// The three-stream packed weight representation.
     pub fn packed_weights(&self) -> &PackedWeightTensor {
-        self.prepared.packed()
+        &self.packed
     }
 
-    /// W4A4 forward pass through the layer's backend: quantizes `x` online
-    /// (Elem-EM-top1) and runs the bit-exact PE GEMM against the prepared
-    /// weights.
+    /// W4A4 forward pass: quantizes `x` online (Elem-EM-top1) and runs the
+    /// bit-exact PE GEMM against the decoded weight plane.
     ///
     /// # Errors
     ///
     /// Fails on an input width mismatch.
     pub fn forward(&self, x: &Matrix) -> Result<Matrix, Error> {
-        self.backend.backend().forward(x, &self.prepared)
+        self.forward_scratch(x, &mut GemmScratch::default())
     }
 
-    /// [`Self::forward`] with a caller-held reusable
-    /// [`GemmScratch`](m2xfp::gemm::GemmScratch) — the decode hot-loop
-    /// entry point: single-row inputs take the packed backend's GEMV fast
+    /// [`Self::forward`] with a caller-held reusable [`GemmScratch`] — the
+    /// decode hot-loop entry point: single-row inputs take the GEMV fast
     /// path and the activation scratch is reused across calls instead of
     /// allocated fresh. Bit-identical to [`Self::forward`].
     ///
     /// # Errors
     ///
     /// Fails on an input width mismatch.
-    pub fn forward_scratch(
-        &self,
-        x: &Matrix,
-        scratch: &mut m2xfp::gemm::GemmScratch,
-    ) -> Result<Matrix, Error> {
-        self.backend
-            .backend()
-            .forward_scratch(x, &self.prepared, scratch)
-    }
-
-    /// [`Self::forward`] through the legacy grouped pipeline — bit-identical
-    /// output, kept for cross-checking the representations without
-    /// rebuilding the layer on another backend.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an input width mismatch.
-    pub fn forward_grouped(&self, x: &Matrix) -> Result<Matrix, Error> {
-        let be = BackendKind::Grouped.backend();
-        be.forward(x, &be.prepare(self.prepared.packed().clone()))
+    pub fn forward_scratch(&self, x: &Matrix, scratch: &mut GemmScratch) -> Result<Matrix, Error> {
+        self.check_width(x)?;
+        Ok(packed_forward(x, &self.plane, *self.config(), scratch))
     }
 
     /// Forward pass keeping activations in f32 (weight-only quantization,
@@ -173,7 +152,7 @@ impl QuantizedLinear {
     /// Fails on an input width mismatch.
     pub fn forward_w4a16(&self, x: &Matrix) -> Result<Matrix, Error> {
         self.check_width(x)?;
-        Ok(x.matmul(&self.prepared.packed().dequantize().transpose()))
+        Ok(x.matmul(&self.packed.dequantize().transpose()))
     }
 
     /// Serializes the weights to the paper's three-stream byte layout.
@@ -187,7 +166,7 @@ impl QuantizedLinear {
 
     /// Storage footprint of the packed weights in bytes.
     pub fn weight_bytes(&self) -> usize {
-        let (n, k) = self.prepared.shape();
+        let (n, k) = self.packed.shape();
         let cfg = self.config();
         let groups = n * k / cfg.group_size;
         groups * (cfg.group_size / 2 + 2)
@@ -199,6 +178,8 @@ mod tests {
     use super::*;
     use m2x_tensor::stats::nmse;
     use m2x_tensor::Xoshiro;
+    use m2xfp::format::ActTensor;
+    use m2xfp::gemm::{qgemm, qgemm_reference};
 
     fn layer(out: usize, inp: usize, seed: u64) -> (QuantizedLinear, Matrix) {
         let mut r = Xoshiro::seed(seed);
@@ -222,35 +203,71 @@ mod tests {
         assert!(e > 0.0 && e < 0.05, "nmse {e}");
     }
 
-    #[test]
-    fn packed_and_grouped_forward_agree_bitwise() {
-        let (l, x) = layer(16, 96, 7);
-        let packed = l.forward(&x).unwrap();
-        let grouped = l.forward_grouped(&x).unwrap();
-        for (a, b) in packed.as_slice().iter().zip(grouped.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+    fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
+        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
+        for (p, q) in a.as_slice().iter().zip(b.as_slice()) {
+            assert_eq!(p.to_bits(), q.to_bits(), "{what}");
         }
     }
 
     #[test]
-    fn every_backend_layer_is_bit_identical() {
-        let mut r = Xoshiro::seed(11);
-        let w = Matrix::from_fn(12, 64, |_, _| r.laplace(0.5));
-        let x = Matrix::from_fn(5, 64, |_, _| r.laplace(1.0));
-        let cfg = M2xfpConfig::default();
-        let outs: Vec<Matrix> = BackendKind::ALL
-            .iter()
-            .map(|&k| {
-                let l = QuantizedLinear::with_backend(&w, cfg, k).unwrap();
-                assert_eq!(l.backend(), k);
-                l.forward(&x).unwrap()
-            })
-            .collect();
-        for o in &outs[1..] {
-            for (a, b) in outs[0].as_slice().iter().zip(o.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+    fn forward_matches_grouped_and_reference_kernels_bitwise() {
+        // The packed engine path agrees with the grouped PE pipeline and
+        // the f64 oracle on the layer's own weight bits, on the GEMV
+        // (one row) and the batched shape.
+        let (l, x) = layer(16, 96, 7);
+        let cfg = *l.config();
+        for rows in [1usize, 6] {
+            let x = Matrix::from_fn(rows, 96, |r, c| x[(r, c)]);
+            let xa = ActTensor::quantize(&x, cfg);
+            let y = l.forward(&x).unwrap();
+            assert_bits_eq(&y, &qgemm(&xa, &l.weights()), "grouped");
+            assert_bits_eq(&y, &qgemm_reference(&xa, &l.weights()), "reference");
         }
+    }
+
+    #[test]
+    fn forward_scratch_matches_forward_bitwise() {
+        // The scratch-reusing entry point (GEMV fast path at one row,
+        // scratch-backed planed kernel above) is bit-identical to the
+        // allocating forward, with one scratch reused across shapes.
+        let (l, x) = layer(7, 96, 9);
+        let mut scratch = GemmScratch::new();
+        for rows in [1usize, 4, 1] {
+            let x = Matrix::from_fn(rows, 96, |r, c| x[(r, c)]);
+            let a = l.forward(&x).unwrap();
+            let b = l.forward_scratch(&x, &mut scratch).unwrap();
+            assert_bits_eq(&a, &b, &format!("rows={rows}"));
+        }
+    }
+
+    #[test]
+    fn scratch_reused_after_caught_panic_is_bit_identical() {
+        // A serving engine isolates step panics with `catch_unwind` and
+        // keeps stepping the surviving requests with the same scratch. The
+        // scratch contract (see `GemmScratch`) is that a panic can only
+        // leave *stale* data behind, never data a later call reads: a
+        // forward through a scratch abandoned mid-use — with and without an
+        // explicit `reset()` — must match a fresh-scratch forward bitwise.
+        let (l, x) = layer(6, 96, 3);
+        let x = Matrix::from_fn(2, 96, |r, c| x[(r, c)]);
+        let want = l.forward_scratch(&x, &mut GemmScratch::new()).unwrap();
+
+        let mut scratch = GemmScratch::new();
+        // Dirty the scratch with a different shape, then abandon a call
+        // mid-flight via a panic unwinding across it.
+        let (_, other) = layer(6, 96, 4);
+        l.forward_scratch(&other, &mut scratch).unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = l.forward_scratch(&other, &mut scratch);
+            panic!("injected fault");
+        }));
+        assert!(caught.is_err());
+        let after_panic = l.forward_scratch(&x, &mut scratch).unwrap();
+        assert_bits_eq(&want, &after_panic, "after panic");
+        scratch.reset();
+        let after_reset = l.forward_scratch(&x, &mut scratch).unwrap();
+        assert_bits_eq(&want, &after_reset, "after reset");
     }
 
     #[test]
@@ -287,6 +304,6 @@ mod tests {
         let (l, _) = layer(8, 64, 5);
         assert_eq!(l.out_features(), 8);
         assert_eq!(l.in_features(), 64);
-        assert_eq!(l.backend(), BackendKind::Packed);
+        assert_eq!(l.config(), &M2xfpConfig::default());
     }
 }

@@ -4,20 +4,21 @@
 //! every linear weight of a transformer stack (deterministic, from the
 //! profile's seed), quantizes each through the threaded integer-LUT Sg-EM
 //! search (`PackedWeightTensor::quantize_parallel`, via
-//! [`QuantizedLinear`]) and prepares it once for the chosen execution
-//! backend. The result splits into two halves:
+//! [`QuantizedLinear`]) and decodes its kernel plane once. The result
+//! splits into two halves:
 //!
 //! * [`ModelWeights`] — the **immutable, shareable** half: every projection
-//!   prepared once for one backend, held behind an `Arc` so any number of
-//!   concurrent sessions (threads, serving requests) run against the same
-//!   prepared planes. N sessions cost N KV caches, never N weight copies.
+//!   decoded once, held behind an `Arc` so any number of concurrent
+//!   sessions (threads, serving requests) run against the same weight
+//!   planes. N sessions cost N KV caches, never N weight copies.
 //! * [`SessionState`] — the **per-request mutable** half: a [`PagedKv`]
 //!   view into the weights' shared [`KvPagePool`] plus the stream
 //!   position. KV rows live in fixed-size pool pages (recycled on
 //!   release, copy-on-write when shared, prefix-reusable across
 //!   requests — see [`crate::kv_pool`]).
 //!
-//! [`QuantizedModel`] pairs the two into the single-session API:
+//! [`QuantizedModel`] pairs the two into the single-session API (its
+//! architecture queries live on [`QuantizedModel::weights`]):
 //!
 //! * [`QuantizedModel::forward_batch`] — reset the KV cache and run a full
 //!   causal batch (the throughput surface the `e2e_model` driver times);
@@ -28,7 +29,7 @@
 //!   each output element in the same order), which the workspace property
 //!   tests pin.
 //!
-//! [`ModelWeights::step_sessions`] is the multi-session surface the
+//! [`ModelWeights::step_sessions_scratch`] is the multi-session surface the
 //! `m2x-serve` continuous-batching scheduler drives: one batched step over
 //! many independent sessions, their token rows stacked into single
 //! projection GEMMs (each output row depends only on its own input row, so
@@ -36,23 +37,23 @@
 //! per-request attention fanned out over scoped worker threads.
 //!
 //! Attention follows the paper's §6.4 hybrid: K is cached in the packed
-//! Sg-EM weight representation and consumed by the backend's quantized
-//! score GEMM; V rows are Sg-EM-quantized per token and dequantized at
-//! use; Q and the probability matrix P run the online Elem-EM path. The
-//! cache grows **decode-on-append** (`ExecBackend::append_rows`): each new
-//! token's rows are quantized and decoded straight into the prepared
-//! execution form, so a decode step costs O(1) per head instead of
-//! re-decoding the whole K plane. Everything quantized routes through one
-//! [`ExecBackend`](m2xfp::backend::ExecBackend), so the whole model is
-//! bit-identical across the packed, grouped and reference engines.
+//! Sg-EM weight representation and consumed by the quantized score GEMM;
+//! V rows are Sg-EM-quantized per token and dequantized at use; Q and the
+//! probability matrix P run the online Elem-EM path. The cache grows
+//! **decode-on-append** ([`PagedKv::append_layer`]): each new token's rows
+//! are quantized and decoded straight into the page's K plane, so a decode
+//! step costs O(1) per head instead of re-decoding the whole K plane.
+//! Every projection and score GEMM runs the same packed integer kernels,
+//! which the workspace property tests pin bit for bit against the grouped
+//! `qgemm` and f64 `qgemm_reference` oracles.
 
 use crate::kv_pool::{KvPagePool, PagedKv, PoolGeometry, PrefixMatch};
-use crate::linear::QuantizedLinear;
+use crate::linear::{packed_forward, QuantizedLinear};
 use crate::profile::{MlpKind, ModelProfile};
 use crate::synth::{weight_matrix, LayerKind};
 use m2x_telemetry::{stage, StageTally, StageTimer};
 use m2x_tensor::Matrix;
-use m2xfp::backend::BackendKind;
+use m2xfp::format::PackedActTensor;
 use m2xfp::gemm::GemmScratch;
 use m2xfp::{Error, M2xfpConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -314,15 +315,14 @@ impl SessionState {
 }
 
 /// Builder for a [`QuantizedModel`]: a [`ModelProfile`] supplies the
-/// architecture shape and weight statistics, an [`M2xfpConfig`] the format,
-/// and a [`BackendKind`] the execution engine. Dimensions can be overridden
+/// architecture shape and weight statistics, an [`M2xfpConfig`] the format.
+/// Dimensions can be overridden
 /// (or bulk-scaled with [`ModelBuilder::scaled`]) so tests and CI drive the
 /// same code at toy sizes.
 #[derive(Debug, Clone)]
 pub struct ModelBuilder {
     profile: ModelProfile,
     cfg: M2xfpConfig,
-    backend: BackendKind,
     hidden: usize,
     intermediate: usize,
     heads: usize,
@@ -337,7 +337,6 @@ impl ModelBuilder {
     pub fn new(profile: &ModelProfile) -> Self {
         ModelBuilder {
             cfg: M2xfpConfig::default(),
-            backend: BackendKind::Packed,
             hidden: profile.hidden,
             intermediate: profile.intermediate,
             heads: profile.heads,
@@ -378,12 +377,6 @@ impl ModelBuilder {
         self
     }
 
-    /// Sets the execution backend (default [`BackendKind::Packed`]).
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Overrides the transformer layer count.
     pub fn layers(mut self, layers: usize) -> Self {
         self.layers = layers;
@@ -410,7 +403,7 @@ impl ModelBuilder {
     }
 
     /// Keeps the f32 weights alongside the quantized model so
-    /// [`QuantizedModel::reference_forward_batch`] (the NRMSE oracle) is
+    /// [`ModelWeights::reference_forward_batch`] (the NRMSE oracle) is
     /// available. Costs one full-precision copy of every weight.
     pub fn keep_reference(mut self, keep: bool) -> Self {
         self.keep_reference = keep;
@@ -465,7 +458,7 @@ impl ModelBuilder {
         Ok(())
     }
 
-    /// Synthesizes, quantizes and prepares every layer, then opens a fresh
+    /// Synthesizes, quantizes and decodes every layer, then opens a fresh
     /// single session over the shared weights.
     ///
     /// # Errors
@@ -478,7 +471,7 @@ impl ModelBuilder {
         )))
     }
 
-    /// Synthesizes, quantizes and prepares every layer into the shareable
+    /// Synthesizes, quantizes and decodes every layer into the shareable
     /// immutable half only — wrap in an `Arc` and hand to
     /// [`QuantizedModel::from_weights`] or the `m2x-serve` scheduler.
     ///
@@ -499,7 +492,7 @@ impl ModelBuilder {
                 weight_matrix(&self.profile, kind, l, n, k)
             };
             let quant = |w: &Matrix, name: &str| -> Result<QuantizedLinear, Error> {
-                QuantizedLinear::with_backend(w, self.cfg, self.backend)
+                QuantizedLinear::from_weights(w, self.cfg)
                     .map_err(|e| e.for_tensor(format!("layer {l} {name}")))
             };
             let wq = synth(LayerKind::Q, h, h);
@@ -537,13 +530,11 @@ impl ModelBuilder {
             head_dim,
             page_tokens: self.kv_page_tokens.unwrap_or(self.cfg.group_size),
             cfg: self.cfg,
-            backend: self.backend,
         })?;
 
         Ok(ModelWeights {
             name: self.profile.name.to_string(),
             cfg: self.cfg,
-            backend: self.backend,
             mlp: self.profile.mlp,
             hidden: h,
             intermediate: inter,
@@ -559,16 +550,15 @@ impl ModelBuilder {
 }
 
 /// The immutable, shareable half of a quantized transformer: every
-/// projection held in the packed three-stream representation and prepared
-/// once for one execution backend. Hold it in an `Arc` and open any number
-/// of concurrent [`SessionState`]s against it — sessions cost a KV cache
-/// each, the prepared weights are never copied. See the
+/// projection held in the packed three-stream representation next to its
+/// decoded kernel plane. Hold it in an `Arc` and open any number of
+/// concurrent [`SessionState`]s against it — sessions cost a KV cache
+/// each, the weights are never copied. See the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ModelWeights {
     name: String,
     cfg: M2xfpConfig,
-    backend: BackendKind,
     mlp: MlpKind,
     hidden: usize,
     intermediate: usize,
@@ -578,8 +568,8 @@ pub struct ModelWeights {
     blocks: Vec<Block>,
     reference: Option<Vec<RefBlock>>,
     /// Live [`SessionState`] count opened against this weight family.
-    /// Clones of the weights share the counter (they share the prepared
-    /// planes too), so it meters the family, not one `Arc` handle.
+    /// Clones of the weights share the counter (and the KV pool), so it
+    /// meters the family, not one `Arc` handle.
     sessions: Arc<AtomicUsize>,
     /// Shared paged KV pool every session allocates from. Clones of the
     /// weights share the pool, so prefix pages registered by one handle
@@ -596,11 +586,6 @@ impl ModelWeights {
     /// The quantization configuration.
     pub fn config(&self) -> &M2xfpConfig {
         &self.cfg
-    }
-
-    /// The execution backend every forward routes through.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
     }
 
     /// Hidden (residual stream) dimension.
@@ -696,8 +681,8 @@ impl ModelWeights {
     /// `sessions[i]` and its causal outputs returned in order.
     ///
     /// All sessions' rows are stacked into one matrix per projection GEMM,
-    /// so a decode batch of B requests walks each prepared weight plane
-    /// once instead of B times; the per-request attention (KV growth +
+    /// so a decode batch of B requests walks each weight plane once
+    /// instead of B times; the per-request attention (KV growth +
     /// score/value GEMMs per head) is sharded over scoped worker threads —
     /// `threads == 0` auto-scales the worker count with the attention work
     /// volume (small steps stay inline, avoiding per-layer spawn overhead),
@@ -706,31 +691,15 @@ impl ModelWeights {
     /// **bit-identical to running it solo** — for any batch composition and
     /// any thread count — which `tests/proptest_serve.rs` pins.
     ///
+    /// The caller holds `scratch` across steps: it is threaded through
+    /// every projection GEMM and the attention score GEMVs (per-worker
+    /// sub-scratches on the threaded path), so the decode hot loop stops
+    /// allocating activation planes per call. The outputs are the same for
+    /// any scratch state.
+    ///
     /// # Errors
     ///
     /// Fails on a session/input count mismatch or an input width mismatch.
-    // m2x-lint: hot
-    pub fn step_sessions(
-        &self,
-        sessions: &mut [&mut SessionState],
-        inputs: &[Matrix],
-        threads: usize,
-    ) -> Result<Vec<Matrix>, Error> {
-        // m2x-lint: allow(alloc) per-step default scratch: the serving engine uses the _scratch variant
-
-        self.step_multi(sessions, inputs, threads, None, &mut StepScratch::default())
-    }
-
-    /// [`Self::step_sessions`] with a caller-held reusable [`StepScratch`]:
-    /// the serving engine holds one scratch across scheduler steps and
-    /// threads it through every projection GEMM and the attention score
-    /// GEMVs (per-worker sub-scratches on the threaded path), so the
-    /// decode hot loop stops allocating activation planes per call.
-    /// Bit-identical to [`Self::step_sessions`] for any scratch state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::step_sessions`].
     // m2x-lint: hot
     pub fn step_sessions_scratch(
         &self,
@@ -880,18 +849,16 @@ impl ModelWeights {
             let _t_attn = StageTimer::start(&mut tally, stage::ATTENTION);
             // m2x-lint: allow(alloc) per-layer cache borrows cannot persist across the mutable session appends above
             let kvs: Vec<&PagedKv> = sessions.iter().map(|s| &s.kv).collect();
-            let compute =
-                |&(si, head): &(usize, usize), sc: &mut GemmScratch| -> Result<Matrix, Error> {
-                    let qh = slice_block(
-                        &q,
-                        offsets[si],
-                        counts[si],
-                        head * self.head_dim,
-                        self.head_dim,
-                    );
-                    self.attention_head(kvs[si], li, &qh, head, p0s[si], sc)
-                        .map_err(|e| ctx(e, "attention"))
-                };
+            let compute = |&(si, head): &(usize, usize), sc: &mut GemmScratch| -> Matrix {
+                let qh = slice_block(
+                    &q,
+                    offsets[si],
+                    counts[si],
+                    head * self.head_dim,
+                    self.head_dim,
+                );
+                self.attention_head(kvs[si], li, &qh, head, p0s[si], sc)
+            };
             let workers = attn_workers;
             let head_blocks: Vec<Matrix> = if workers <= 1 {
                 // Inline path (the decode hot loop): the step's scratch is
@@ -900,10 +867,10 @@ impl ModelWeights {
                     .iter()
                     .map(|it| compute(it, &mut scr.main))
                     // m2x-lint: allow(alloc) structural: one output Matrix per (session, head) must be materialized
-                    .collect::<Result<_, _>>()?
+                    .collect()
             } else {
                 let per = items.len().div_ceil(workers);
-                let chunk_results: Vec<Result<Vec<Matrix>, Error>> = std::thread::scope(|sc| {
+                let chunk_results: Vec<Vec<Matrix>> = std::thread::scope(|sc| {
                     let handles: Vec<_> = items
                         .chunks(per)
                         .zip(scr.workers.iter_mut())
@@ -914,7 +881,7 @@ impl ModelWeights {
                                     .iter()
                                     .map(|it| compute(it, local))
                                     // m2x-lint: allow(alloc) threaded batch path (prefill), not the decode loop
-                                    .collect::<Result<Vec<_>, _>>()
+                                    .collect::<Vec<_>>()
                             })
                         })
                         // m2x-lint: allow(alloc) threaded batch path (prefill), not the decode loop
@@ -932,11 +899,7 @@ impl ModelWeights {
                         .collect()
                 });
                 // m2x-lint: allow(alloc) threaded batch path (prefill), not the decode loop
-                let mut all = Vec::with_capacity(items.len());
-                for r in chunk_results {
-                    all.extend(r?);
-                }
-                all
+                chunk_results.into_iter().flatten().collect()
             };
             let mut attn = Matrix::zeros(total, self.hidden);
             for (&(si, head), oh) in items.iter().zip(&head_blocks) {
@@ -1014,8 +977,8 @@ impl ModelWeights {
     }
 
     /// One causal attention head over a session's paged cache, §6.4
-    /// hybrid: quantized score GEMM (Q online, K from the prepared Sg-EM
-    /// pages — **no per-step decode**, each page's plane grew on append),
+    /// hybrid: quantized score GEMM (Q online, K from the Sg-EM pages'
+    /// planes — **no per-step decode**, each page's plane grew on append),
     /// online Elem-EM quantization of P, cached dequantized Sg-EM V rows.
     ///
     /// Paging preserves bit-identity with the old monolithic cache:
@@ -1035,8 +998,7 @@ impl ModelWeights {
         head: usize,
         p0: usize,
         scratch: &mut GemmScratch,
-    ) -> Result<Matrix, Error> {
-        let be = self.backend.backend();
+    ) -> Matrix {
         let heads_per_kv = self.heads / self.kv_heads;
         let kvh = head / heads_per_kv;
         let scale = 1.0 / (self.head_dim as f32).sqrt();
@@ -1044,14 +1006,14 @@ impl ModelWeights {
         let seq = kv.layer_len(li);
         let pt = kv.pool().page_tokens();
         let pages = seq.div_ceil(pt);
-        // Scores = Q·Kᵀ through the backend's quantized GEMM, one GEMM
-        // per page: each page's K rows are exactly the weight layout
+        // Scores = Q·Kᵀ through the packed quantized GEMM, one GEMM per
+        // page: each page's K rows are exactly the weight layout
         // ([rows, head_dim], grouped along the reduction dimension).
         // Decode steps (t == 1) ride the GEMV fast path with the reused
         // scratch.
         let mut scores = Matrix::zeros(t, seq);
         for pi in 0..pages {
-            let s = be.forward_scratch(qh, kv.page_k(pi, li, kvh), scratch)?;
+            let s = packed_forward(qh, kv.page_k(pi, li, kvh), self.cfg, scratch);
             write_cols(&mut scores, &s, pi * pt);
         }
         for i in 0..t {
@@ -1070,13 +1032,13 @@ impl ModelWeights {
         // P is produced on the fly → online Elem-EM path; V rows were
         // quantized on arrival (per token, so decode == batch) and their
         // dequantized form is cached per page for the value mix.
-        let pq = be.fake_quantize_activations(&p, self.cfg);
+        let pq = PackedActTensor::quantize_parallel(&p, self.cfg).dequantize();
         let mut oh = Matrix::zeros(t, self.head_dim);
         for pi in 0..pages {
             let rows = kv.page_rows(li, pi);
             matmul_acc(&mut oh, &pq, pi * pt, rows, kv.page_v_rows(pi, li, kvh));
         }
-        Ok(oh)
+        oh
     }
 
     /// Full-precision (f32) forward over the same synthesized weights and
@@ -1173,9 +1135,9 @@ pub struct QuantizedModel {
 }
 
 impl QuantizedModel {
-    /// Opens a fresh session over already-prepared shared weights — O(KV
+    /// Opens a fresh session over already-built shared weights — O(KV
     /// cache), the weights are not copied. This is how the serving runtime
-    /// turns one prepared model into many concurrent sessions.
+    /// turns one built model into many concurrent sessions.
     pub fn from_weights(weights: Arc<ModelWeights>) -> Self {
         let state = weights.new_session();
         QuantizedModel {
@@ -1185,7 +1147,8 @@ impl QuantizedModel {
         }
     }
 
-    /// The shared immutable half (architecture + prepared projections).
+    /// The shared immutable half: architecture queries, the decoded
+    /// projections and the f32 reference path.
     pub fn weights(&self) -> &Arc<ModelWeights> {
         &self.weights
     }
@@ -1193,51 +1156,6 @@ impl QuantizedModel {
     /// The per-session mutable half (KV caches + position).
     pub fn session(&self) -> &SessionState {
         &self.state
-    }
-
-    /// Profile name the model was synthesized from.
-    pub fn name(&self) -> &str {
-        self.weights.name()
-    }
-
-    /// The quantization configuration.
-    pub fn config(&self) -> &M2xfpConfig {
-        self.weights.config()
-    }
-
-    /// The execution backend every forward routes through.
-    pub fn backend(&self) -> BackendKind {
-        self.weights.backend()
-    }
-
-    /// Hidden (residual stream) dimension.
-    pub fn hidden(&self) -> usize {
-        self.weights.hidden()
-    }
-
-    /// MLP intermediate dimension.
-    pub fn intermediate(&self) -> usize {
-        self.weights.intermediate()
-    }
-
-    /// Transformer layer count.
-    pub fn layer_count(&self) -> usize {
-        self.weights.layer_count()
-    }
-
-    /// Attention heads.
-    pub fn heads(&self) -> usize {
-        self.weights.heads()
-    }
-
-    /// KV heads (GQA when < heads).
-    pub fn kv_heads(&self) -> usize {
-        self.weights.kv_heads()
-    }
-
-    /// Width of one attention head.
-    pub fn head_dim(&self) -> usize {
-        self.weights.head_dim()
     }
 
     /// Tokens currently held in the KV cache.
@@ -1248,17 +1166,6 @@ impl QuantizedModel {
     /// The session's paged KV view (all layers).
     pub fn kv(&self) -> &PagedKv {
         &self.state.kv
-    }
-
-    /// Total packed weight footprint across all layers, in bytes.
-    pub fn weight_bytes(&self) -> usize {
-        self.weights.weight_bytes()
-    }
-
-    /// Multiply–accumulate count of one forward over `tokens` tokens
-    /// starting at cache position `start_pos`.
-    pub fn forward_macs(&self, tokens: usize, start_pos: usize) -> u64 {
-        self.weights.forward_macs(tokens, start_pos)
     }
 
     /// Drops the KV cache and resets the stream position to zero.
@@ -1331,27 +1238,6 @@ impl QuantizedModel {
             msg: "step_multi returned no output for a single-session step".to_string(),
         })
     }
-
-    /// Full-precision (f32) forward over the same synthesized weights —
-    /// see [`ModelWeights::reference_forward_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on an input width mismatch or when the reference weights were
-    /// not kept.
-    pub fn reference_forward_batch(&self, x: &Matrix) -> Result<Matrix, Error> {
-        self.weights.reference_forward_batch(x)
-    }
-
-    /// [`Self::reference_forward_batch`] that also returns the residual
-    /// stream after every layer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::reference_forward_batch`].
-    pub fn reference_traced(&self, x: &Matrix) -> Result<(Matrix, Vec<Matrix>), Error> {
-        self.weights.reference_traced(x)
-    }
 }
 
 #[cfg(test)]
@@ -1362,6 +1248,16 @@ mod tests {
 
     fn tiny_builder() -> ModelBuilder {
         ModelBuilder::scaled(&ModelProfile::llama3_8b(), 64, 2).keep_reference(true)
+    }
+
+    /// One engine step with a fresh scratch.
+    fn step(
+        weights: &ModelWeights,
+        sessions: &mut [&mut SessionState],
+        inputs: &[Matrix],
+        threads: usize,
+    ) -> Result<Vec<Matrix>, Error> {
+        weights.step_sessions_scratch(sessions, inputs, threads, &mut StepScratch::new())
     }
 
     fn tokens(n: usize, hidden: usize) -> Matrix {
@@ -1399,9 +1295,7 @@ mod tests {
         let mut refs: Vec<&mut SessionState> = sessions.iter_mut().collect();
         assert_eq!(refs[0].kv_bytes(), 0);
         let x = tokens(4, 64);
-        weights
-            .step_sessions(&mut refs, std::slice::from_ref(&x), 1)
-            .unwrap();
+        step(&weights, &mut refs, std::slice::from_ref(&x), 1).unwrap();
         let after_prefill = refs[0].kv_bytes();
         assert!(after_prefill > 0);
         assert_eq!(after_prefill, refs[0].kv().packed_bytes());
@@ -1409,9 +1303,7 @@ mod tests {
             refs[0].kv_decoded_bytes() > 0,
             "decoded working state must be reported alongside the packed bytes"
         );
-        weights
-            .step_sessions(&mut refs, &[tokens(1, 64)], 1)
-            .unwrap();
+        step(&weights, &mut refs, &[tokens(1, 64)], 1).unwrap();
         assert!(refs[0].kv_bytes() > after_prefill);
     }
 
@@ -1431,15 +1323,16 @@ mod tests {
     #[test]
     fn forward_shapes_and_macs() {
         let mut m = tiny_builder().build().unwrap();
-        assert_eq!(m.hidden(), 64);
-        assert_eq!(m.layer_count(), 2);
-        assert_eq!(m.heads(), 1);
+        let w = Arc::clone(m.weights());
+        assert_eq!(w.hidden(), 64);
+        assert_eq!(w.layer_count(), 2);
+        assert_eq!(w.heads(), 1);
         let x = tokens(6, 64);
         let y = m.forward_batch(&x).unwrap();
         assert_eq!((y.rows(), y.cols()), (6, 64));
         assert_eq!(m.seq_len(), 6);
-        assert!(m.forward_macs(6, 0) > 0);
-        assert!(m.weight_bytes() > 0);
+        assert!(w.forward_macs(6, 0) > 0);
+        assert!(w.weight_bytes() > 0);
         assert!(m.kv().packed_bytes() > 0);
         assert_eq!(m.kv().tokens(), 6);
     }
@@ -1449,7 +1342,7 @@ mod tests {
         let mut m = tiny_builder().build().unwrap();
         let x = tokens(8, 64);
         let y = m.forward_batch(&x).unwrap();
-        let (y_ref, trace_ref) = m.reference_traced(&x).unwrap();
+        let (y_ref, trace_ref) = m.weights().reference_traced(&x).unwrap();
         let e = nmse(y_ref.as_slice(), y.as_slice());
         assert!(e > 0.0 && e < 0.05, "whole-model nmse {e}");
         assert_eq!(trace_ref.len(), 2);
@@ -1492,9 +1385,13 @@ mod tests {
         for threads in [1usize, 3] {
             sa.reset();
             sb.reset();
-            let outs = weights
-                .step_sessions(&mut [&mut sa, &mut sb], &[xa.clone(), xb.clone()], threads)
-                .unwrap();
+            let outs = step(
+                &weights,
+                &mut [&mut sa, &mut sb],
+                &[xa.clone(), xb.clone()],
+                threads,
+            )
+            .unwrap();
             for (want, got) in [(&ya, &outs[0]), (&yb, &outs[1])] {
                 for (a, b) in want.as_slice().iter().zip(got.as_slice()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
@@ -1513,12 +1410,8 @@ mod tests {
         let x = tokens(3, 64);
         let tok = tokens(1, 64);
         let mut fresh = weights.new_session();
-        let a0 = weights
-            .step_sessions(&mut [&mut fresh], std::slice::from_ref(&x), 1)
-            .unwrap();
-        let a1 = weights
-            .step_sessions(&mut [&mut fresh], std::slice::from_ref(&tok), 1)
-            .unwrap();
+        let a0 = step(&weights, &mut [&mut fresh], std::slice::from_ref(&x), 1).unwrap();
+        let a1 = step(&weights, &mut [&mut fresh], std::slice::from_ref(&tok), 1).unwrap();
         let mut reused = weights.new_session();
         let mut scratch = StepScratch::new();
         let b0 = weights
@@ -1543,9 +1436,7 @@ mod tests {
         let weights = Arc::new(tiny_builder().build_weights().unwrap());
         let x = tokens(40, 64);
         let mut solo = weights.new_session();
-        let full = weights
-            .step_sessions(&mut [&mut solo], std::slice::from_ref(&x), 1)
-            .unwrap();
+        let full = step(&weights, &mut [&mut solo], std::slice::from_ref(&x), 1).unwrap();
         weights.kv_pool().register_prefix(&x, &full[0], solo.kv());
 
         let m = weights.kv_pool().lookup_prefix(&x).expect("prefix hit");
@@ -1554,9 +1445,7 @@ mod tests {
         let head = adopted.adopt_prefix(m);
         assert_eq!(adopted.pos(), 32);
         let suffix = slice_rows(&x, 32, 8);
-        let tail = weights
-            .step_sessions(&mut [&mut adopted], &[suffix], 1)
-            .unwrap();
+        let tail = step(&weights, &mut [&mut adopted], &[suffix], 1).unwrap();
         let mut stitched = head;
         stitched.push_rows(&tail[0]);
         for (a, b) in full[0].as_slice().iter().zip(stitched.as_slice()) {
@@ -1565,12 +1454,8 @@ mod tests {
 
         // The adopted KV state must continue decoding identically too.
         let tok = tokens(1, 64);
-        let d_solo = weights
-            .step_sessions(&mut [&mut solo], std::slice::from_ref(&tok), 1)
-            .unwrap();
-        let d_adopt = weights
-            .step_sessions(&mut [&mut adopted], std::slice::from_ref(&tok), 1)
-            .unwrap();
+        let d_solo = step(&weights, &mut [&mut solo], std::slice::from_ref(&tok), 1).unwrap();
+        let d_adopt = step(&weights, &mut [&mut adopted], std::slice::from_ref(&tok), 1).unwrap();
         for (a, b) in d_solo[0].as_slice().iter().zip(d_adopt[0].as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits(), "adopted decode diverged");
         }
@@ -1582,9 +1467,9 @@ mod tests {
     fn step_sessions_validates_inputs() {
         let weights = Arc::new(tiny_builder().build_weights().unwrap());
         let mut s = weights.new_session();
-        assert!(weights.step_sessions(&mut [&mut s], &[], 1).is_err());
+        assert!(step(&weights, &mut [&mut s], &[], 1).is_err());
         let bad = Matrix::zeros(2, 65);
-        assert!(weights.step_sessions(&mut [&mut s], &[bad], 1).is_err());
+        assert!(step(&weights, &mut [&mut s], &[bad], 1).is_err());
     }
 
     #[test]
@@ -1599,6 +1484,6 @@ mod tests {
         let m = ModelBuilder::scaled(&ModelProfile::llama3_8b(), 64, 1)
             .build()
             .unwrap();
-        assert!(m.reference_forward_batch(&tokens(2, 64)).is_err());
+        assert!(m.weights().reference_forward_batch(&tokens(2, 64)).is_err());
     }
 }

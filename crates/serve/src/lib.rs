@@ -15,7 +15,8 @@
 //!   loop: requests are admitted from the arrival queue up to
 //!   [`ServeConfig::max_batch`], every scheduler step stacks all active
 //!   requests' pending rows (prefill chunks and decode tokens mix freely)
-//!   into one batched [`step_sessions`](m2x_nn::model::ModelWeights::step_sessions)
+//!   into one batched
+//!   [`step_sessions_scratch`](m2x_nn::model::ModelWeights::step_sessions_scratch)
 //!   call, and requests join and leave between steps without disturbing
 //!   the others.
 //!
@@ -107,7 +108,7 @@ pub struct ServeConfig {
     /// scales | 2-bit meta), with a page shared between sessions counted
     /// once per holder — the same sum
     /// [`ServeStats::kv_packed_bytes`] reports. The decoded
-    /// f32 planes the engine also keeps (prepared-K exec planes + the
+    /// planes the engine also keeps (the K score-GEMM planes + the
     /// dequantized V row cache) are reported honestly as
     /// [`ServeStats::kv_decoded_bytes`] but are **not** gated:
     /// they are a deterministic multiple of the packed payload, so one

@@ -280,8 +280,8 @@ pub struct ServeStats {
     /// meters at admission. Shared pages count once per holder, matching
     /// the admission sum.
     pub kv_packed_bytes: u64,
-    /// **Decoded** KV bytes held by in-flight sessions (gauge): the f32
-    /// exec planes the prepared K streams cache plus the dequantized V
+    /// **Decoded** KV bytes held by in-flight sessions (gauge): the K
+    /// score-GEMM planes decoded from the packed K streams plus the dequantized V
     /// row cache. Reported for honest accounting — this memory exists —
     /// but *not* gated: the budget meters the packed payload above.
     pub kv_decoded_bytes: u64,

@@ -4,18 +4,17 @@
 //! lazily with the adaptive Sg-EM search; Q and the attention probabilities
 //! P are produced on the fly and use the online Elem-EM path. This example
 //! measures attention-output error for that hybrid vs plain MXFP4, runs the
-//! same head through the engine's execution backends (bit-identical by
-//! construction), and drives a `QuantizedModel` prefill→decode session
+//! same head through the engine's packed kernels, and drives a
+//! `QuantizedModel` prefill→decode session
 //! whose KV state grows in fixed-size pages drawn from the process-wide
 //! `KvPagePool`, packed in the Sg-EM representation —
 //! decode-on-append: each new token's K rows are quantized and decoded
-//! straight into the prepared score-GEMM plane, so a decode step costs
+//! straight into the page's score-GEMM plane, so a decode step costs
 //! O(1) per head instead of re-decoding the whole cache.
 //!
 //! Run with: `cargo run --release --example kv_cache`
 
 use m2xfp_repro::baselines::MxQuantizer;
-use m2xfp_repro::core::backend::BackendKind;
 use m2xfp_repro::core::quantizer::M2xfpQuantizer;
 use m2xfp_repro::core::M2xfpConfig;
 use m2xfp_repro::nn::attention::{evaluate_attention, evaluate_attention_backend, synth_head};
@@ -64,18 +63,14 @@ fn main() {
         e_mx.output_nmse / e_m2.output_nmse
     );
 
-    // ── 3. The same head through the engine backends: score and value
-    //       GEMMs run the real quantized kernels; every backend agrees ──
+    // ── 3. The same head through the engine: score and value GEMMs run
+    //       the real packed quantized kernels ──
     let cfg = M2xfpConfig::default();
-    for kind in BackendKind::ALL {
-        let e = evaluate_attention_backend(&q, &k, &v, kind.backend(), cfg).expect("shapes");
-        println!(
-            "  engine[{:<9}] scores NMSE {:.6}  output NMSE {:.6}",
-            kind.name(),
-            e.scores_nmse,
-            e.output_nmse
-        );
-    }
+    let e = evaluate_attention_backend(&q, &k, &v, cfg).expect("shapes");
+    println!(
+        "  engine[packed] scores NMSE {:.6}  output NMSE {:.6}",
+        e.scores_nmse, e.output_nmse
+    );
 
     // ── 4. A serving session: prefill a prompt, decode tokens, watch the
     //       packed Sg-EM KV cache grow on the appendable-plane path ──
@@ -105,7 +100,7 @@ fn main() {
         qm.kv().page_count()
     );
     println!(
-        "decode {:.0} tok/s — each step appends K rows straight into the prepared \
+        "decode {:.0} tok/s — each step appends K rows straight into the page's \
          score-GEMM plane (O(1)/head), no per-step cache re-decode",
         decode_steps as f64 / dt
     );

@@ -2,13 +2,12 @@
 //! weights/activations, run every projection GEMM quantized, and report the
 //! per-layer output error for each format — the measurement underlying
 //! Tables 2–4 — then the same measurement through the engine's real
-//! execution backend, and finally a whole quantized model via the
+//! packed kernels, and finally a whole quantized model via the
 //! `QuantizedModel` session API.
 //!
 //! Run with: `cargo run --release --example llm_layer`
 
 use m2xfp_repro::baselines::{MxQuantizer, Nvfp4};
-use m2xfp_repro::core::backend::BackendKind;
 use m2xfp_repro::core::quantizer::{M2xfpQuantizer, TensorQuantizer};
 use m2xfp_repro::core::M2xfpConfig;
 use m2xfp_repro::nn::model::ModelBuilder;
@@ -53,14 +52,8 @@ fn main() {
     println!("Expected ordering: M2XFP < NVFP4 < MXFP4 (paper Tbl. 2-3).\n");
 
     // ── 2. The same measurement through the real engine: online encode +
-    //       integer PE kernel via the ExecBackend abstraction. All three
-    //       backends are bit-identical; run the production one ──
-    let e = evaluate_backend(
-        &model,
-        BackendKind::Packed.backend(),
-        M2xfpConfig::default(),
-        &cfg,
-    );
+    //       the packed integer PE kernel ──
+    let e = evaluate_backend(&model, M2xfpConfig::default(), &cfg);
     println!(
         "{} (engine-true qGEMM): MAC-weighted mean = {:.5}",
         e.format, e.mean_nmse
@@ -74,17 +67,17 @@ fn main() {
         .expect("group-aligned dims");
     let x = activation_matrix(&model, 0, 16, 256).map(|v| (v * 0.25).tanh());
     let y = qm.forward_batch(&x).expect("aligned");
-    let y_ref = qm.reference_forward_batch(&x).expect("reference kept");
+    let w = qm.weights();
+    let y_ref = w.reference_forward_batch(&x).expect("reference kept");
     println!(
-        "\nQuantizedModel ({} layers, hidden {}, {} heads, backend {}):",
-        qm.layer_count(),
-        qm.hidden(),
-        qm.heads(),
-        qm.backend().name()
+        "\nQuantizedModel ({} layers, hidden {}, {} heads):",
+        w.layer_count(),
+        w.hidden(),
+        w.heads()
     );
     println!(
         "  weight footprint {} KiB, whole-model output NRMSE {:.4}",
-        qm.weight_bytes() / 1024,
+        w.weight_bytes() / 1024,
         nmse(y_ref.as_slice(), y.as_slice()).sqrt()
     );
 }

@@ -5,8 +5,8 @@
 use m2xfp_repro::core::activation::{dequantize_group, fake_quantize_group, quantize_group};
 use m2xfp_repro::core::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use m2xfp_repro::core::gemm::{
-    qgemm, qgemm_packed_inreg, qgemm_packed_planed_scratch, qgemm_packed_threaded, qgemm_reference,
-    qgemv_packed, GemmScratch, WeightPlane,
+    qgemm, qgemm_packed_planed_scratch, qgemm_packed_threaded, qgemm_reference, qgemv_packed,
+    GemmScratch, WeightPlane,
 };
 use m2xfp_repro::core::strategy::{MetadataStrategy, ScaleMode};
 use m2xfp_repro::core::weight;
@@ -184,33 +184,47 @@ fn packed_streams_equal_grouped_representation() {
     });
 }
 
-/// The packed cache-blocked qGEMM equals the f64 reference bit for bit —
-/// for any thread count, including ragged trailing groups.
+/// The packed cache-blocked qGEMM and the grouped PE pipeline both equal
+/// the f64 reference bit for bit — for any thread count, ragged trailing
+/// groups, both metadata granularities (subgroup 8 and 16), every
+/// `ScaleRule`, fixed and adaptive weight scales, and weight magnitudes
+/// across three decades.
 #[test]
 fn packed_qgemm_bit_exact() {
-    cases(48, |g| {
-        let cfg = M2xfpConfig::default();
-        let m = 1 + g.below(4);
-        let n = 1 + g.below(5);
+    cases(64, |g| {
+        let cfg = M2xfpConfig {
+            subgroup_size: [8usize, 16][g.below(2)],
+            scale_rule: ScaleRule::ALL[g.below(5)],
+            adaptive_weight_scale: g.below(2) == 0,
+            ..M2xfpConfig::default()
+        };
+        let m = 1 + g.below(6);
+        let n = 1 + g.below(12);
         let k = 1 + g.below(100); // frequently ragged
+        let scale = [0.03f32, 1.0, 40.0][g.below(3)];
         let xm = Matrix::from_vec(m, k, g.vec_f32(m * k, -16.0, 16.0));
-        let wm = Matrix::from_vec(n, k, g.vec_f32(n * k, -4.0, 4.0));
-        let want = qgemm_reference(
-            &ActTensor::quantize(&xm, cfg),
-            &WeightTensor::quantize(&wm, cfg),
-        );
-        let xp = PackedActTensor::quantize(&xm, cfg);
-        let wp = PackedWeightTensor::quantize(&wm, cfg);
+        let wm = Matrix::from_vec(n, k, g.vec_f32(n * k, -4.0, 4.0)).map(|v| v * scale);
+        let xa = ActTensor::quantize(&xm, cfg);
+        let wpacked = PackedWeightTensor::quantize_parallel(&wm, cfg);
+        let wt = wpacked.to_grouped();
+        let want = qgemm_reference(&xa, &wt);
+        let grouped = qgemm(&xa, &wt);
         let threads = 1 + g.below(4);
-        let got = qgemm_packed_threaded(&xp, &wp, threads);
-        for i in 0..m {
-            for j in 0..n {
-                assert_eq!(
-                    got[(i, j)].to_bits(),
-                    want[(i, j)].to_bits(),
-                    "case {} ({i},{j}) m={m} n={n} k={k} threads={threads}",
-                    g.case
-                );
+        let packed = qgemm_packed_threaded(&PackedActTensor::quantize(&xm, cfg), &wpacked, threads);
+        for (name, got) in [("grouped", &grouped), ("packed", &packed)] {
+            for i in 0..m {
+                for j in 0..n {
+                    assert_eq!(
+                        got[(i, j)].to_bits(),
+                        want[(i, j)].to_bits(),
+                        "case {} {name} ({i},{j}) m={m} n={n} k={k} threads={threads} sg={} \
+                         rule={:?} adaptive={}",
+                        g.case,
+                        cfg.subgroup_size,
+                        cfg.scale_rule,
+                        cfg.adaptive_weight_scale
+                    );
+                }
             }
         }
     });
@@ -218,10 +232,10 @@ fn packed_qgemm_bit_exact() {
 
 /// The decode micro-kernels — the `m == 1` GEMV fast path over a cached
 /// `WeightPlane` (with its scratch reused across cases, the serving
-/// pattern) and the in-register nibble-decode kernel over the raw packed
-/// streams — are bit-identical to the f64 reference: ragged trailing
-/// groups, both metadata granularities (subgroup 8 and 16), every
-/// `ScaleRule`, any thread count, and NR-unaligned output widths.
+/// pattern) and the scratch-backed planed kernel — are bit-identical to
+/// the f64 reference: ragged trailing groups, both metadata granularities
+/// (subgroup 8 and 16), every `ScaleRule`, any thread count, and
+/// NR-unaligned output widths.
 #[test]
 fn decode_kernels_bit_exact() {
     let mut scratch = GemmScratch::new();
@@ -244,7 +258,6 @@ fn decode_kernels_bit_exact() {
         let plane = WeightPlane::decode(&wp);
         let gemv = qgemv_packed(&xp, &plane, &mut scratch);
         let threads = 1 + g.below(4);
-        let inreg = qgemm_packed_inreg(&xp, &wp, threads);
         let planed = qgemm_packed_planed_scratch(&xp, &plane, threads, &mut scratch);
         for j in 0..n {
             let w = want[(0, j)].to_bits();
@@ -257,48 +270,11 @@ fn decode_kernels_bit_exact() {
                 cfg.scale_rule
             );
             assert_eq!(
-                inreg[(0, j)].to_bits(),
+                planed[(0, j)].to_bits(),
                 w,
-                "case {} inreg j={j} n={n} k={k} threads={threads}",
+                "case {} planed j={j} n={n} k={k} threads={threads}",
                 g.case
             );
-            assert_eq!(planed[(0, j)].to_bits(), w, "case {} planed j={j}", g.case);
-        }
-    });
-}
-
-/// The in-register kernel also matches on multi-row batches (the one-shot
-/// `qgemm_packed` route), for any thread count.
-#[test]
-fn inreg_kernel_bit_exact_on_batches() {
-    cases(32, |g| {
-        let cfg = M2xfpConfig {
-            subgroup_size: [8usize, 16][g.below(2)],
-            ..M2xfpConfig::default()
-        };
-        let m = 1 + g.below(4);
-        let n = 1 + g.below(6);
-        let k = 1 + g.below(90);
-        let xm = Matrix::from_vec(m, k, g.vec_f32(m * k, -16.0, 16.0));
-        let wm = Matrix::from_vec(n, k, g.vec_f32(n * k, -4.0, 4.0));
-        let want = qgemm_reference(
-            &ActTensor::quantize(&xm, cfg),
-            &WeightTensor::quantize(&wm, cfg),
-        );
-        let got = qgemm_packed_inreg(
-            &PackedActTensor::quantize(&xm, cfg),
-            &PackedWeightTensor::quantize(&wm, cfg),
-            1 + g.below(4),
-        );
-        for i in 0..m {
-            for j in 0..n {
-                assert_eq!(
-                    got[(i, j)].to_bits(),
-                    want[(i, j)].to_bits(),
-                    "case {} ({i},{j}) m={m} n={n} k={k}",
-                    g.case
-                );
-            }
         }
     });
 }

@@ -1,13 +1,11 @@
-//! Property-based tests on the unified engine API: execution-backend
-//! bit-equivalence (linear, attention, whole model), the prefill/decode
-//! session contract, and the branch-free online activation encoder's
-//! bit-identity against the float-codec oracle.
+//! Property-based tests on the engine API: the prefill/decode session
+//! contract across configurations, and the branch-free online activation
+//! encoder's bit-identity against the float-codec oracle. Kernel-level
+//! equivalence with the grouped and f64 oracles lives in
+//! `proptest_core.rs`.
 
 use m2xfp_repro::core::activation::{quantize_group_into, quantize_group_into_reference};
-use m2xfp_repro::core::backend::BackendKind;
-use m2xfp_repro::core::format::PackedWeightTensor;
 use m2xfp_repro::core::{M2xfpConfig, ScaleRule};
-use m2xfp_repro::nn::linear::QuantizedLinear;
 use m2xfp_repro::nn::model::ModelBuilder;
 use m2xfp_repro::nn::profile::ModelProfile;
 use m2xfp_repro::tensor::Matrix;
@@ -20,50 +18,17 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
     }
 }
 
-/// The packed, grouped and reference backends produce bit-identical linear
-/// forwards on ragged reduction dims, every scale rule, both metadata
-/// granularities (4 and 2 subgroups per group) and fixed/adaptive scales.
+/// Any prefill/decode split of a token stream reproduces the one-shot
+/// batched forward bit for bit — the session-state contract of
+/// `QuantizedModel` (KV rows quantize independently; every kernel computes
+/// each output element identically) — on a 4-layer model, across metadata
+/// granularities and scale rules.
 #[test]
-fn backends_bit_identical_on_linear_forwards() {
-    cases(24, |g| {
-        let cfg = M2xfpConfig {
-            subgroup_size: if g.below(2) == 0 { 8 } else { 16 },
-            scale_rule: ScaleRule::ALL[g.below(5)],
-            adaptive_weight_scale: g.below(2) == 0,
-            ..M2xfpConfig::default()
-        };
-        // Ragged K exercises the zero-padded trailing groups of every
-        // kernel (the raw backend API has no alignment requirement).
-        let k = 32 + g.below(70);
-        let n = 1 + g.below(12);
-        let m = 1 + g.below(6);
-        let scale = [0.03f32, 1.0, 40.0][g.below(3)];
-        let w = {
-            let mut vals = g.vec_f32(n * k, -2.0, 2.0);
-            vals.iter_mut().for_each(|v| *v *= scale);
-            Matrix::from_vec(n, k, vals)
-        };
-        let x = Matrix::from_vec(m, k, g.vec_f32(m * k, -4.0, 4.0));
-        let packed = PackedWeightTensor::quantize_parallel(&w, cfg);
-        let base = {
-            let be = BackendKind::Packed.backend();
-            be.forward(&x, &be.prepare(packed.clone())).unwrap()
-        };
-        for kind in [BackendKind::Grouped, BackendKind::Reference] {
-            let be = kind.backend();
-            let y = be.forward(&x, &be.prepare(packed.clone())).unwrap();
-            assert_bits_eq(&base, &y, &format!("case {} {:?}", g.case, kind));
-        }
-    });
-}
-
-/// Builds one tiny model per backend (same profile/config/seed) and checks
-/// `forward_batch` is bit-identical across all three engines, across
-/// metadata granularities and scale rules — the acceptance bar for the
-/// engine abstraction on a ≥4-layer synthetic model.
-#[test]
-fn backends_bit_identical_on_whole_model() {
+fn prefill_decode_split_matches_batch() {
     let profile = ModelProfile::llama3_8b();
+    let total = 7usize;
+    let x = m2xfp_repro::nn::synth::activation_matrix(&profile, 0, total, 64)
+        .map(|v| (v * 0.25).tanh());
     for (sg, rule) in [
         (8usize, ScaleRule::Floor),
         (16, ScaleRule::Ceil),
@@ -74,72 +39,29 @@ fn backends_bit_identical_on_whole_model() {
             scale_rule: rule,
             ..M2xfpConfig::default()
         };
-        let x = m2xfp_repro::nn::synth::activation_matrix(&profile, 0, 6, 64)
-            .map(|v| (v * 0.25).tanh());
-        let mut outs = Vec::new();
-        for kind in BackendKind::ALL {
-            let mut model = ModelBuilder::scaled(&profile, 64, 4)
-                .config(cfg)
-                .backend(kind)
-                .build()
-                .unwrap();
-            assert_eq!(model.backend(), kind);
-            assert_eq!(model.layer_count(), 4);
-            outs.push(model.forward_batch(&x).unwrap());
-        }
-        for o in &outs[1..] {
-            assert_bits_eq(&outs[0], o, &format!("model sg={sg} rule={rule:?}"));
-        }
-    }
-}
-
-/// Any prefill/decode split of a token stream reproduces the one-shot
-/// batched forward bit for bit — the session-state contract of
-/// `QuantizedModel` (KV rows quantize independently; every kernel computes
-/// each output element identically).
-#[test]
-fn prefill_decode_split_matches_batch() {
-    let profile = ModelProfile::llama3_8b();
-    let total = 7usize;
-    let x = m2xfp_repro::nn::synth::activation_matrix(&profile, 0, total, 64)
-        .map(|v| (v * 0.25).tanh());
-    let mut model = ModelBuilder::scaled(&profile, 64, 4).build().unwrap();
-    let batch = model.forward_batch(&x).unwrap();
-    for split in [1usize, 3, 6] {
-        model.reset();
-        let head = Matrix::from_fn(split, 64, |r, c| x[(r, c)]);
-        let mut rows = model.prefill(&head).unwrap().into_vec();
-        for t in split..total {
-            let xt = Matrix::from_fn(1, 64, |_, c| x[(t, c)]);
-            rows.extend(model.decode(&xt).unwrap().into_vec());
-        }
-        assert_eq!(model.seq_len(), total);
-        let inc = Matrix::from_vec(total, 64, rows);
-        assert_bits_eq(&batch, &inc, &format!("split {split}"));
-    }
-}
-
-/// Layers built on different backends from the same weights expose
-/// byte-identical packed streams (the canonical bits are backend-free).
-#[test]
-fn layer_weights_canonical_across_backends() {
-    cases(8, |g| {
-        let cfg = M2xfpConfig::default();
-        let k = 32 * (1 + g.below(3));
-        let w = Matrix::from_vec(6, k, g.vec_f32(6 * k, -1.5, 1.5));
-        let layers: Vec<QuantizedLinear> = BackendKind::ALL
-            .iter()
-            .map(|&b| QuantizedLinear::with_backend(&w, cfg, b).unwrap())
-            .collect();
-        for l in &layers[1..] {
-            assert_eq!(
-                layers[0].packed_weights(),
-                l.packed_weights(),
-                "case {}",
-                g.case
+        let mut model = ModelBuilder::scaled(&profile, 64, 4)
+            .config(cfg)
+            .build()
+            .unwrap();
+        assert_eq!(model.weights().layer_count(), 4);
+        let batch = model.forward_batch(&x).unwrap();
+        for split in [1usize, 3, 6] {
+            model.reset();
+            let head = Matrix::from_fn(split, 64, |r, c| x[(r, c)]);
+            let mut rows = model.prefill(&head).unwrap().into_vec();
+            for t in split..total {
+                let xt = Matrix::from_fn(1, 64, |_, c| x[(t, c)]);
+                rows.extend(model.decode(&xt).unwrap().into_vec());
+            }
+            assert_eq!(model.seq_len(), total);
+            let inc = Matrix::from_vec(total, 64, rows);
+            assert_bits_eq(
+                &batch,
+                &inc,
+                &format!("sg={sg} rule={rule:?} split {split}"),
             );
         }
-    });
+    }
 }
 
 /// The branch-free online activation encoder (`fp4_encode` +

@@ -1,11 +1,10 @@
 //! Property-based tests on the `m2x-serve` continuous-batching runtime:
 //! for any mix of request shapes, arrival interleavings, admission-window
-//! sizes, worker-thread counts and execution backends, every scheduled
+//! sizes and worker-thread counts, every scheduled
 //! request's token stream is **bit-identical** to running that request
 //! alone on a fresh session — the scheduler only changes *when* work runs,
 //! never *what* it computes.
 
-use m2xfp_repro::core::backend::BackendKind;
 use m2xfp_repro::core::M2xfpConfig;
 use m2xfp_repro::nn::model::{ModelBuilder, ModelWeights, QuantizedModel};
 use m2xfp_repro::nn::profile::ModelProfile;
@@ -35,16 +34,14 @@ fn prompt(tokens: usize, seed: usize, hidden: usize) -> Matrix {
 }
 
 /// Scheduled generation == solo generation, bit for bit, across request
-/// mixes, admission windows, worker-thread counts and backends.
+/// mixes, admission windows and worker-thread counts.
 #[test]
 fn scheduled_requests_bit_identical_to_solo() {
     cases(6, |g| {
         let layers = 1 + g.below(2);
-        let backend = BackendKind::ALL[g.below(3)];
         let weights: Arc<ModelWeights> = Arc::new(
             ModelBuilder::scaled(&ModelProfile::llama3_8b(), 64, layers)
                 .config(M2xfpConfig::default())
-                .backend(backend)
                 .build_weights()
                 .unwrap(),
         );
@@ -95,7 +92,7 @@ fn scheduled_requests_bit_identical_to_solo() {
             assert_bits_eq(
                 &out.decoded,
                 &solo[i],
-                &format!("case {}: request {i} ({backend:?})", g.case),
+                &format!("case {}: request {i}", g.case),
             );
         }
     });
