@@ -18,9 +18,10 @@ use m2x_bench::e2e::{run as run_e2e, E2eConfig};
 use m2x_bench::gateway_load::{run_gateway_load, GatewayLoadConfig};
 use m2x_bench::report::results_dir;
 use m2x_bench::serving::{
-    run as run_serve, run_chaos, run_prefix_churn, run_telemetry, ChaosBenchConfig,
-    PrefixChurnConfig, ServeBenchConfig, TelemetryBenchConfig,
+    run as run_serve, run_chaos, run_prefix_churn, run_telemetry, zero_syscall_tick,
+    ChaosBenchConfig, PrefixChurnConfig, ServeBenchConfig, TelemetryBenchConfig,
 };
+use m2x_bench::timing::{time_once, Interleaved};
 use m2x_telemetry::alloc_probe::CountingAlloc;
 use m2x_tensor::{Matrix, Xoshiro};
 use m2xfp::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
@@ -30,7 +31,6 @@ use m2xfp::gemm::{
 };
 use m2xfp::M2xfpConfig;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Arms the `telemetry.zero_alloc` witness: with the counting allocator
 /// installed process-wide, `run_telemetry` can prove warm trace recording
@@ -47,21 +47,10 @@ fn env_usize(name: &str, default: usize) -> usize {
 }
 
 /// Best-of-`reps` wall time of `f`, in seconds.
-fn time<O>(reps: usize, f: impl FnMut() -> O) -> f64 {
-    time_keep(reps, f).0
-}
-
-/// Best-of-`reps` wall time of `f` plus the last run's output, so callers
-/// that need the constructed value don't pay an extra untimed run.
-fn time_keep<O>(reps: usize, mut f: impl FnMut() -> O) -> (f64, O) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        out = Some(black_box(f()));
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, out.expect("reps >= 1"))
+fn time<O>(reps: usize, mut f: impl FnMut() -> O) -> f64 {
+    (0..reps.max(1))
+        .map(|_| time_once(&mut f))
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Runs the `m2x-lint` R1–R4 scan over the workspace this binary was
@@ -79,6 +68,12 @@ fn lint_clean() -> Option<bool> {
 }
 
 fn main() {
+    // Engine section, first: `/proc/self/io` counts the reads of every
+    // thread in the process, so the witness runs before any section
+    // starts one. `engine.zero_syscall_tick` (a warm batch-8 GQA decode
+    // tick makes no `read` syscall) is a CI hard gate; `null` where the
+    // counter is unavailable.
+    let engine_zero_syscall = zero_syscall_tick();
     let dim = env_usize("M2X_BENCH_DIM", 512);
     let reps = env_usize("M2X_BENCH_REPS", 3);
     let (m, k, n) = (32usize, dim, dim);
@@ -90,26 +85,26 @@ fn main() {
 
     eprintln!("m2xfp bench: M={m} K={k} N={n}, {reps} reps");
 
-    // Encode throughput (activations: the online path).
-    let t_enc_grouped = time(reps, || ActTensor::quantize(&x, cfg));
-    let t_enc_packed = time(reps, || PackedActTensor::quantize(&x, cfg));
-
     // Weight quantization happens offline, so it is excluded from the
     // headline quantize+qGEMM speedup; `quantize_weights_grouped_s` is the
     // legacy float-codec Sg-EM search and `quantize_weights_packed_s` the
     // threaded integer-LUT search writing the packed streams directly.
-    // Both sides are best-of-`reps`: their ratio is a hard-gated CI metric,
-    // so a single noisy measurement must not skew it. At the 4096²
+    // Their ratio is a hard-gated CI metric, so the two are timed back to
+    // back inside every rep (see `m2x_bench::timing`). At the 4096²
     // acceptance dim the reference costs ~12 s per rep — set
     // `M2X_BENCH_WQ_REFERENCE=0` (or lower `M2X_BENCH_REPS`) to trim that.
     let time_reference = env_usize("M2X_BENCH_WQ_REFERENCE", 1) != 0;
-    let (t_wq, wt_ref) = if time_reference {
-        let (t, wt) = time_keep(reps, || WeightTensor::quantize_reference(&w, cfg));
-        (t, Some(wt))
+    let mut wt_ref = None;
+    let mut wp = None;
+    let mut wq_packed = || time_once(|| wp = Some(PackedWeightTensor::quantize_parallel(&w, cfg)));
+    let (t_wq, t_wq_packed, wq_speedup) = if time_reference {
+        let mut wq_ref = || time_once(|| wt_ref = Some(WeightTensor::quantize_reference(&w, cfg)));
+        let t = Interleaved::run(reps, [&mut wq_ref, &mut wq_packed]);
+        (Some(t.best(0)), t.best(1), Some(t.median(|s| s[0] / s[1])))
     } else {
-        (0.0, None)
+        (None, time(reps, &mut wq_packed), None)
     };
-    let (t_wq_packed, wp) = time_keep(reps, || PackedWeightTensor::quantize_parallel(&w, cfg));
+    let wp = wp.expect("reps >= 1");
     // Bit-exactness of the parallel LUT search against the float oracle.
     let wq_exact = wt_ref
         .as_ref()
@@ -118,9 +113,25 @@ fn main() {
     let xt = ActTensor::quantize(&x, cfg);
     let xp = PackedActTensor::from_grouped(&xt);
 
-    // GEMM throughput.
-    let t_gemm_grouped = time(reps, || qgemm(&xt, &wt));
-    let t_gemm_packed_1t = time(reps, || qgemm_packed_threaded(&xp, &wp, 1));
+    // Encode (activations: the online path) and GEMM throughput. The
+    // hard-gated `qgemm.speedup_1thread` and
+    // `quantize_plus_qgemm.speedup_1thread` are medians of per-rep ratios
+    // over these four sides, timed back to back in every rep.
+    let mut enc_grouped = || time_once(|| ActTensor::quantize(&x, cfg));
+    let mut gemm_grouped = || time_once(|| qgemm(&xt, &wt));
+    let mut enc_packed = || time_once(|| PackedActTensor::quantize(&x, cfg));
+    let mut gemm_packed_1t = || time_once(|| qgemm_packed_threaded(&xp, &wp, 1));
+    let hot = Interleaved::run(
+        reps,
+        [
+            &mut enc_grouped,
+            &mut gemm_grouped,
+            &mut enc_packed,
+            &mut gemm_packed_1t,
+        ],
+    );
+    let (t_enc_grouped, t_gemm_grouped) = (hot.best(0), hot.best(1));
+    let (t_enc_packed, t_gemm_packed_1t) = (hot.best(2), hot.best(3));
     let t_gemm_packed_mt = time(reps, || qgemm_packed(&xp, &wp));
 
     // Bit-exactness of the two pipelines on this data.
@@ -135,8 +146,8 @@ fn main() {
     // Decode-kernel section: the m == 1 GEMV shape serving hits once per
     // projection per layer per decode step. `speedup_gemv` (grouped PE
     // pipeline over the register-blocked GEMV fast path, both at m == 1,
-    // both in this process) is the hardware-normalized ratio CI
-    // hard-gates.
+    // timed back to back in every rep) is the hardware-normalized ratio
+    // CI hard-gates.
     let x1 = Matrix::from_fn(1, k, |_, _| rng.laplace(1.0));
     let x1t = ActTensor::quantize(&x1, cfg);
     let x1p = PackedActTensor::from_grouped(&x1t);
@@ -147,16 +158,22 @@ fn main() {
     // timed sample therefore loops the kernel until it covers a few
     // milliseconds and reports the per-call mean (~4 MMAC per sample).
     let dk_iters = (4_000_000 / (k * n)).max(1);
-    let t_dk_gemv = time(reps, || {
-        for _ in 0..dk_iters {
-            black_box(qgemv_packed(&x1p, &plane, &mut scratch));
-        }
-    }) / dk_iters as f64;
-    let t_dk_grouped = time(reps, || {
-        for _ in 0..dk_iters {
-            black_box(qgemm(&x1t, &wt));
-        }
-    }) / dk_iters as f64;
+    let mut dk_grouped = || {
+        time_once(|| {
+            for _ in 0..dk_iters {
+                black_box(qgemm(&x1t, &wt));
+            }
+        }) / dk_iters as f64
+    };
+    let mut dk_gemv = || {
+        time_once(|| {
+            for _ in 0..dk_iters {
+                black_box(qgemv_packed(&x1p, &plane, &mut scratch));
+            }
+        }) / dk_iters as f64
+    };
+    let dk = Interleaved::run(reps, [&mut dk_grouped, &mut dk_gemv]);
+    let (t_dk_grouped, t_dk_gemv) = (dk.best(0), dk.best(1));
     let dk_want = qgemm_reference(&x1t, &wt);
     let dk_gemv = qgemv_packed(&x1p, &plane, &mut scratch);
     let decode_exact = dk_want
@@ -281,6 +298,9 @@ fn main() {
   "dims": {{"m": {m}, "k": {k}, "n": {n}}},
   "exact_match": {exact},
   "lint_clean": {lint},
+  "engine": {{
+    "zero_syscall_tick": {engine_zs}
+  }},
   "quantize_act": {{
     "grouped_s": {t_enc_grouped:.6},
     "packed_s": {t_enc_packed:.6},
@@ -395,6 +415,10 @@ fn main() {
   }}
 }}
 "#,
+        engine_zs = match engine_zero_syscall {
+            Some(b) => b.to_string(),
+            None => "null".to_string(),
+        },
         tl_hidden = tl.cfg.hidden,
         tl_layers = tl.cfg.layers,
         tl_requests = tl.cfg.requests,
@@ -468,15 +492,13 @@ fn main() {
         e2e_speedup = e2e.speedup_packed,
         e2e_exact = e2e.backends_exact,
         e2e_nrmse = e2e.nrmse,
-        wq_grouped = if time_reference {
-            format!("{t_wq:.6}")
-        } else {
-            "null".to_string()
+        wq_grouped = match t_wq {
+            Some(t) => format!("{t:.6}"),
+            None => "null".to_string(),
         },
-        wq_speedup = if time_reference {
-            format!("{:.3}", t_wq / t_wq_packed)
-        } else {
-            "null".to_string()
+        wq_speedup = match wq_speedup {
+            Some(r) => format!("{r:.3}"),
+            None => "null".to_string(),
         },
         wq_exact_str = match wq_exact {
             Some(e) => e.to_string(),
@@ -489,11 +511,11 @@ fn main() {
         enc_tput = elems / t_enc_packed / 1e6,
         enc_speedup = t_enc_grouped / t_enc_packed,
         dk_tput = (k * n) as f64 / t_dk_gemv / 1e6,
-        dk_sp = t_dk_grouped / t_dk_gemv,
+        dk_sp = dk.median(|s| s[0] / s[1]),
         gemm_tput = macs / t_gemm_packed_mt / 1e9,
-        g1 = t_gemm_grouped / t_gemm_packed_1t,
+        g1 = hot.median(|s| s[1] / s[3]),
         gmt = t_gemm_grouped / t_gemm_packed_mt,
-        p1 = path_grouped / path_packed_1t,
+        p1 = hot.median(|s| (s[0] + s[1]) / (s[2] + s[3])),
         pmt = path_grouped / path_packed_mt,
     );
 
@@ -506,6 +528,11 @@ fn main() {
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
     assert!(exact, "packed qGEMM diverged from the grouped pipeline");
+    assert_ne!(
+        engine_zero_syscall,
+        Some(false),
+        "a warm decode tick made read syscalls"
+    );
     assert!(
         decode_exact,
         "the GEMV decode kernel diverged from the f64 reference"

@@ -8,9 +8,10 @@
 //!
 //! * any exactness flag (`exact_match`, `weight_search_exact`,
 //!   `e2e_model.backends_exact`, `serve.batch_exact`, the
-//!   fault-tolerance flags `serve.chaos_exact` / `serve.zero_leak`, or
-//!   the observability flags `telemetry.trace_exact` /
-//!   `telemetry.zero_alloc`) is `false` in the current run, or
+//!   fault-tolerance flags `serve.chaos_exact` / `serve.zero_leak`, the
+//!   observability flags `telemetry.trace_exact` /
+//!   `telemetry.zero_alloc`, or the engine's `engine.zero_syscall_tick`)
+//!   is `false` in the current run, or
 //! * any within-run speedup ratio — per-kernel, the e2e section's
 //!   `e2e_model.speedup_packed` (grouped over packed over the model's
 //!   seven projection shapes) or the serving `serve.speedup_batch`
@@ -204,9 +205,12 @@ const GATED_SPEEDUPS: [&str; 6] = [
 /// pages bit-identical to its solo run, with real prefix hits and
 /// free-list reuse so the check cannot go vacuous) and
 /// `kv_pool.zero_leak` (zero sessions and zero pool pages in use after
-/// the churn shutdown) gate the paged-KV prefix-sharing layer.
+/// the churn shutdown) gate the paged-KV prefix-sharing layer;
+/// `engine.zero_syscall_tick` (a warm batch-8 decode tick made no `read`
+/// syscall, counted through `/proc/self/io`; `null` where that counter is
+/// unavailable) keeps per-call OS queries off the decode hot loop.
 /// A `false` is a correctness loss, never a perf question.
-const GATED_EXACT: [&str; 14] = [
+const GATED_EXACT: [&str; 15] = [
     "exact_match",
     "lint_clean",
     "weight_search_exact",
@@ -221,6 +225,7 @@ const GATED_EXACT: [&str; 14] = [
     "telemetry.zero_alloc",
     "kv_pool.reuse_exact",
     "kv_pool.zero_leak",
+    "engine.zero_syscall_tick",
 ];
 
 /// One gate verdict: metric name, baseline, current, allowed, pass.
@@ -434,6 +439,7 @@ mod tests {
   "bench": "m2xfp_quantize_qgemm",
   "dims": {"m": 32, "k": 256, "n": 256},
   "exact_match": true,
+  "engine": {"zero_syscall_tick": true},
   "quantize_act": {"grouped_s": 0.001, "packed_s": 0.0009, "speedup": 1.1},
   "quantize_weights_grouped_s": null,
   "quantize_weights_packed_s": 0.0061,
@@ -734,6 +740,28 @@ mod tests {
         let other = SAMPLE.replace("\"decode_steps\": 12", "\"decode_steps\": 24");
         let cur = flatten_json(&other).unwrap();
         assert_eq!(hard_fails(&cur, &base), ["telemetry.decode_steps"]);
+    }
+
+    #[test]
+    fn engine_syscall_flag_gates_like_exactness() {
+        let base = flatten_json(SAMPLE).unwrap();
+        // A warm decode tick that made read syscalls fails hard.
+        let broken = SAMPLE.replace(
+            "\"zero_syscall_tick\": true",
+            "\"zero_syscall_tick\": false",
+        );
+        let cur = flatten_json(&broken).unwrap();
+        assert_eq!(hard_fails(&cur, &base), ["engine.zero_syscall_tick"]);
+        // A host without `/proc/self/io` reports null — a skipped
+        // measurement, not a failed one.
+        let skipped = SAMPLE.replace("\"zero_syscall_tick\": true", "\"zero_syscall_tick\": null");
+        let cur = flatten_json(&skipped).unwrap();
+        assert!(hard_fails(&cur, &base).is_empty());
+        // Dropping the section from the emitter (silent disarm) fails hard.
+        let dropped = SAMPLE.replace("  \"engine\": {\"zero_syscall_tick\": true},\n", "");
+        assert_ne!(dropped, SAMPLE, "fixture edit must take effect");
+        let cur = flatten_json(&dropped).unwrap();
+        assert_eq!(hard_fails(&cur, &base), ["engine.zero_syscall_tick"]);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! time ratio. The JSON it renders is array-free so `ci_perf_gate`'s
 //! flattener can gate every field.
 
+use crate::timing::{time_per_call, Interleaved};
 use m2x_nn::linear::QuantizedLinear;
 use m2x_nn::model::{ModelBuilder, ModelWeights, QuantizedModel};
 use m2x_nn::profile::ModelProfile;
@@ -34,7 +35,8 @@ pub struct E2eConfig {
     pub tokens: usize,
     /// Decode steps timed after a half-batch prefill.
     pub decode_steps: usize,
-    /// Measurement repetitions (best-of is reported).
+    /// Measurement repetitions: times are best-of, `speedup_packed` the
+    /// median of the per-rep ratios.
     pub reps: usize,
 }
 
@@ -74,12 +76,15 @@ pub struct E2eReport {
     /// Whole-model throughput of the batched forward (GMAC/s).
     pub gmacs: f64,
     /// One call of each of the seven projections at the batch's token
-    /// count through the packed layer forward, summed (seconds).
+    /// count through the packed layer forward, summed; fastest rep
+    /// (seconds).
     pub proj_packed_s: f64,
     /// The same calls through the grouped PE pipeline (`ActTensor`
-    /// encode + `qgemm`), summed (seconds).
+    /// encode + `qgemm`), summed; fastest rep (seconds).
     pub proj_grouped_s: f64,
-    /// Hardware-normalized kernel ratio `proj_grouped_s / proj_packed_s`.
+    /// Hardware-normalized kernel ratio grouped over packed: the median
+    /// over reps of each rep's summed grouped time over its summed packed
+    /// time, the two sides timed back to back (see [`crate::timing`]).
     pub speedup_packed: f64,
     /// Over all seven projection shapes, the packed layer forward, the
     /// grouped `qgemm` and the f64 `qgemm_reference` agree bit for bit.
@@ -115,22 +120,6 @@ pub fn token_embeddings(profile: &ModelProfile, tokens: usize, hidden: usize) ->
     activation_matrix(profile, 0, tokens, hidden).map(|v| (v * 0.25).tanh())
 }
 
-/// Best-of-`reps` time of one `f` call, where each sample loops `f` for
-/// at least [`KERNEL_SAMPLE_S`] and reports the per-call mean.
-fn time_per_call(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        let mut calls = 0u32;
-        while calls == 0 || t0.elapsed().as_secs_f64() < KERNEL_SAMPLE_S {
-            f();
-            calls += 1;
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / f64::from(calls));
-    }
-    best
-}
-
 fn build(profile: &ModelProfile, cfg: &E2eConfig) -> QuantizedModel {
     ModelBuilder::scaled(profile, cfg.hidden, cfg.layers)
         .keep_reference(true)
@@ -154,17 +143,20 @@ fn projection_shapes(w: &ModelWeights) -> [(LayerKind, usize, usize); 7] {
 }
 
 /// Kernel-level engine check over the model's seven projection shapes at
-/// `tokens` rows: returns (bit-exact, summed packed s, summed grouped s).
-/// Both sides include their activation encode, as a layer forward does.
+/// `tokens` rows: whether the packed forward is bit-exact against both
+/// oracles, plus the interleaved grouped (side 0) and packed (side 1)
+/// times, each side one call per shape summed. Both sides include their
+/// activation encode, as a layer forward does.
 fn projection_kernels(
     profile: &ModelProfile,
     w: &ModelWeights,
     tokens: usize,
     reps: usize,
-) -> (bool, f64, f64) {
+) -> (bool, Interleaved<2>) {
     let cfg = *w.config();
     let mut scratch = GemmScratch::new();
-    let (mut exact, mut packed_s, mut grouped_s) = (true, 0.0, 0.0);
+    let mut exact = true;
+    let mut shapes = Vec::new();
     for (kind, n, k) in projection_shapes(w) {
         let lin = QuantizedLinear::from_weights(&weight_matrix(profile, kind, 0, n, k), cfg)
             .expect("projection widths are group-aligned");
@@ -179,14 +171,29 @@ fn projection_kernels(
                 .zip(oracle.as_slice())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
         }
-        packed_s += time_per_call(reps, || {
-            black_box(lin.forward_scratch(&x, &mut scratch).expect("aligned"));
-        });
-        grouped_s += time_per_call(reps, || {
-            black_box(qgemm(&ActTensor::quantize(&x, cfg), &wg));
-        });
+        shapes.push((lin, wg, x));
     }
-    (exact, packed_s, grouped_s)
+    let mut grouped = || -> f64 {
+        shapes
+            .iter()
+            .map(|(_, wg, x)| {
+                time_per_call(KERNEL_SAMPLE_S, || {
+                    black_box(qgemm(&ActTensor::quantize(x, cfg), wg));
+                })
+            })
+            .sum()
+    };
+    let mut packed = || -> f64 {
+        shapes
+            .iter()
+            .map(|(lin, _, x)| {
+                time_per_call(KERNEL_SAMPLE_S, || {
+                    black_box(lin.forward_scratch(x, &mut scratch).expect("aligned"));
+                })
+            })
+            .sum()
+    };
+    (exact, Interleaved::run(reps, [&mut grouped, &mut packed]))
 }
 
 /// Runs the full measurement. Deterministic given the configuration.
@@ -227,8 +234,7 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
         .collect();
     let nrmse = nmse(y_ref.as_slice(), y_q.as_slice()).sqrt();
 
-    let (backends_exact, proj_packed_s, proj_grouped_s) =
-        projection_kernels(&profile, &weights, cfg.tokens, cfg.reps);
+    let (backends_exact, proj) = projection_kernels(&profile, &weights, cfg.tokens, cfg.reps);
     let macs = weights.forward_macs(cfg.tokens, 0) as f64;
     E2eReport {
         cfg,
@@ -239,9 +245,9 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
         quantize_s,
         forward_packed_s,
         gmacs: macs / forward_packed_s / 1e9,
-        proj_packed_s,
-        proj_grouped_s,
-        speedup_packed: proj_grouped_s / proj_packed_s,
+        proj_packed_s: proj.best(1),
+        proj_grouped_s: proj.best(0),
+        speedup_packed: proj.median(|s| s[0] / s[1]),
         backends_exact,
         decode_tokens_per_s: cfg.decode_steps as f64 / decode_s,
         nrmse,

@@ -32,3 +32,4 @@ pub mod gateway_load;
 pub mod paper;
 pub mod report;
 pub mod serving;
+pub mod timing;

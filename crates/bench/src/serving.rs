@@ -18,13 +18,15 @@
 //! renders is array-free so `ci_perf_gate`'s flattener can gate every
 //! field.
 
-use m2x_nn::model::{ModelBuilder, ModelWeights};
+use crate::timing::Interleaved;
+use m2x_nn::model::{ModelBuilder, ModelWeights, SessionState, StepScratch};
 use m2x_nn::profile::ModelProfile;
 use m2x_nn::synth::activation_matrix;
 use m2x_serve::{
     run_solo, Completed, FaultPlan, RequestOptions, RequestOutcome, ServeConfig, Server,
 };
 use m2x_telemetry::alloc_probe::count_allocations;
+use m2x_telemetry::syscall_probe::count_read_syscalls;
 use m2x_telemetry::{stage, Histogram, StageTally, Telemetry};
 use m2x_tensor::Matrix;
 use std::hint::black_box;
@@ -46,7 +48,8 @@ pub struct ServeBenchConfig {
     pub decode_steps: usize,
     /// Admission window of the continuous-batching scheduler.
     pub max_batch: usize,
-    /// Measurement repetitions (best-of is reported).
+    /// Measurement repetitions: times are best-of, `speedup_batch` the
+    /// median of the per-rep ratios.
     pub reps: usize,
 }
 
@@ -80,7 +83,8 @@ pub struct ServeReport {
     /// Best-of-reps wall time of the batched server run (seconds).
     pub batch_s: f64,
     /// Hardware-normalized solo/batched wall-time ratio (> 1 means
-    /// batching wins).
+    /// batching wins): the median over reps of each rep's ratio, the two
+    /// sides timed back to back (see [`crate::timing`]).
     pub speedup_batch: f64,
     /// Completed requests per second of the batched run.
     pub req_per_s: f64,
@@ -95,17 +99,6 @@ pub struct ServeReport {
     pub latency_p99_steps: f64,
     /// Largest in-flight batch the scheduler reached.
     pub peak_batch: usize,
-}
-
-fn time_best<O>(reps: usize, mut f: impl FnMut() -> O) -> (f64, O) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        out = Some(black_box(f()));
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, out.expect("reps >= 1"))
 }
 
 /// The deterministic request mix: request `i` prefills `prompt_tokens`
@@ -141,16 +134,34 @@ pub fn run(cfg: ServeBenchConfig) -> ServeReport {
     );
     let prompts = request_prompts(&cfg);
 
-    // Solo: the same M requests, one session at a time.
-    let (solo_s, solo_outs) = time_best(cfg.reps, || {
-        prompts
-            .iter()
-            .map(|p| run_solo(&weights, p, cfg.decode_steps).expect("solo run"))
-            .collect::<Vec<Matrix>>()
-    });
+    // Solo: the same M requests, one session at a time. Like the batched
+    // side, which runs on the server's engine thread, the sessions run on
+    // one spawned thread, so the ratio compares scheduling rather than
+    // which thread (and allocator arena) ran the model: run on the main
+    // thread, the solo side swung the ratio 0.82–1.64 across runs of
+    // unchanged code.
+    let mut solo_outs = Vec::new();
+    let mut solo = || {
+        let t0 = Instant::now();
+        let outs: Vec<Matrix> = std::thread::scope(|s| {
+            s.spawn(|| {
+                prompts
+                    .iter()
+                    .map(|p| run_solo(&weights, p, cfg.decode_steps).expect("solo run"))
+                    .collect()
+            })
+            .join()
+            .expect("solo thread completes")
+        });
+        let dt = t0.elapsed().as_secs_f64();
+        solo_outs = outs;
+        dt
+    };
 
     // Batched: open-loop submission of every request, then wait for all.
-    let (batch_s, (completed, peak_batch)) = time_best(cfg.reps, || {
+    let (mut completed, mut peak_batch) = (Vec::new(), 0);
+    let mut batched = || {
+        let t0 = Instant::now();
         let server = Server::start(
             Arc::clone(&weights),
             ServeConfig {
@@ -162,7 +173,7 @@ pub fn run(cfg: ServeBenchConfig) -> ServeReport {
             .iter()
             .map(|p| server.submit(p.clone(), cfg.decode_steps).expect("submit"))
             .collect();
-        let completed: Vec<Completed> = ids
+        let done: Vec<Completed> = ids
             .into_iter()
             .map(|id| {
                 server
@@ -172,8 +183,14 @@ pub fn run(cfg: ServeBenchConfig) -> ServeReport {
                     .expect("no faults in the throughput run")
             })
             .collect();
-        (completed, server.stats().peak_batch)
-    });
+        let peak = server.stats().peak_batch;
+        drop(server);
+        let dt = t0.elapsed().as_secs_f64();
+        (completed, peak_batch) = (done, peak);
+        dt
+    };
+    let t = Interleaved::run(cfg.reps, [&mut solo, &mut batched]);
+    let (solo_s, batch_s) = (t.best(0), t.best(1));
 
     let batch_exact = completed.iter().zip(&solo_outs).all(|(c, solo)| {
         c.decoded.rows() == solo.rows()
@@ -196,7 +213,7 @@ pub fn run(cfg: ServeBenchConfig) -> ServeReport {
         batch_exact,
         solo_s,
         batch_s,
-        speedup_batch: solo_s / batch_s,
+        speedup_batch: t.median(|s| s[0] / s[1]),
         req_per_s: cfg.requests as f64 / batch_s,
         decode_tok_per_s: decode_tokens / batch_s,
         solo_decode_tok_per_s: decode_tokens / solo_s,
@@ -880,6 +897,42 @@ pub struct TelemetryReport {
     /// within 10% of 1.0 at the CI dims: the split must explain the tick,
     /// not decorate it.
     pub stage_cover: f64,
+}
+
+/// The `engine.zero_syscall_tick` witness: eight sessions of a GQA model
+/// (hidden 256 × 2 layers, 4 query heads sharing 1 KV head) prefill 40
+/// tokens each, warm up for two decode ticks, then step eight more
+/// through [`ModelWeights::step_sessions_scratch`] with auto-sized
+/// workers while `/proc/self/io` counts the process's `read` syscalls.
+/// `Some(true)` when those ticks made none, `None` where the counter is
+/// unavailable. The counter sums over every thread of the process, so run
+/// this before anything else starts a thread.
+pub fn zero_syscall_tick() -> Option<bool> {
+    let profile = ModelProfile::llama3_8b();
+    let weights = ModelBuilder::scaled(&profile, 256, 2)
+        .heads(4, 1)
+        .build_weights()
+        .expect("scaled dimensions are group-aligned");
+    let mut sessions: Vec<_> = (0..8).map(|_| weights.new_session()).collect();
+    let mut scratch = StepScratch::new();
+    let mut tick = |sessions: &mut [SessionState], rows: usize, seed: usize| {
+        let inputs: Vec<Matrix> = (0..8)
+            .map(|s| activation_matrix(&profile, seed + s, rows, 256).map(|v| (v * 0.25).tanh()))
+            .collect();
+        let mut refs: Vec<_> = sessions.iter_mut().collect();
+        let out = weights.step_sessions_scratch(&mut refs, &inputs, 0, &mut scratch);
+        out.expect("aligned inputs step");
+    };
+    tick(&mut sessions, 40, 0);
+    for t in 0..2 {
+        tick(&mut sessions, 1, 100 + 8 * t);
+    }
+    let (reads, ()) = count_read_syscalls(|| {
+        for t in 0..8 {
+            tick(&mut sessions, 1, 200 + 8 * t);
+        }
+    });
+    reads.map(|n| n == 0)
 }
 
 /// Warm-recording allocation witness: after warm-up, a burst of trace

@@ -25,10 +25,10 @@ const QUANT_ELEMS_PER_THREAD: usize = 1 << 17;
 
 /// Worker count the parallel quantizers auto-select for a tensor of
 /// `elems` elements: one thread per [`QUANT_ELEMS_PER_THREAD`] elements,
-/// capped at the available cores, never below one.
+/// capped at the available cores ([`crate::capped_workers`]), never
+/// below one.
 fn quantize_threads(elems: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, |t| t.get());
-    avail.min(elems / QUANT_ELEMS_PER_THREAD).max(1)
+    crate::capped_workers(elems / QUANT_ELEMS_PER_THREAD)
 }
 
 fn gcd(mut a: usize, mut b: usize) -> usize {

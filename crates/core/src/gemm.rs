@@ -182,13 +182,12 @@ pub fn qgemm(x: &ActTensor, w: &WeightTensor) -> Matrix {
 const GEMM_MACS_PER_THREAD: usize = 8 << 20;
 
 /// Worker count [`qgemm_packed`] auto-selects for an `M×K×N` problem: one
-/// thread per `GEMM_MACS_PER_THREAD` MACs, capped at the available cores
-/// and at the output row count (row chunks are the parallel grain), never
-/// below one.
+/// thread per `GEMM_MACS_PER_THREAD` MACs, capped at the output row count
+/// (row chunks are the parallel grain) and at the available cores
+/// ([`crate::capped_workers`]), never below one.
 pub fn gemm_threads(m: usize, k: usize, n: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, |t| t.get());
     let macs = m.saturating_mul(k).saturating_mul(n);
-    avail.min(macs / GEMM_MACS_PER_THREAD).min(m.max(1)).max(1)
+    crate::capped_workers((macs / GEMM_MACS_PER_THREAD).min(m))
 }
 
 /// Cache-blocked integer qGEMM over the packed three-stream tensors,

@@ -54,6 +54,22 @@ pub use group::GroupConfig;
 pub use quantizer::TensorQuantizer;
 pub use scale::ScaleRule;
 
+/// Worker count for a job whose size asks for `wanted` workers: `wanted`
+/// capped at the available cores, never below one.
+///
+/// The core count is asked for only when more than one worker is wanted.
+/// `std::thread::available_parallelism` reads cgroup and affinity state
+/// through several `read` syscalls on Linux, and decode-sized work never
+/// wants a second worker, so the serving hot loop makes no syscall here.
+/// The answer is not cached: a process may change its CPU affinity while
+/// it runs.
+pub fn capped_workers(wanted: usize) -> usize {
+    if wanted <= 1 {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, |t| t.get().min(wanted))
+}
+
 /// One-stop imports for the engine API: configuration, packed tensors,
 /// the decoded weight plane, the quantizer trait and the unified error
 /// type.

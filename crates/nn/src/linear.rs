@@ -27,12 +27,23 @@ pub(crate) fn packed_forward(
     cfg: M2xfpConfig,
     scratch: &mut GemmScratch,
 ) -> Matrix {
-    let xq = PackedActTensor::quantize_parallel(x, cfg);
-    if x.rows() == 1 {
-        return qgemv_packed(&xq, plane, scratch);
+    packed_forward_encoded(&PackedActTensor::quantize_parallel(x, cfg), plane, scratch)
+}
+
+/// [`packed_forward`] on an already-encoded input, so one encode can
+/// serve several weight planes (the attention score GEMM runs one per KV
+/// page on the same stacked Q block).
+pub(crate) fn packed_forward_encoded(
+    xq: &PackedActTensor,
+    plane: &WeightPlane,
+    scratch: &mut GemmScratch,
+) -> Matrix {
+    let m = xq.shape().0;
+    if m == 1 {
+        return qgemv_packed(xq, plane, scratch);
     }
     let (n, k) = plane.shape();
-    qgemm_packed_planed_scratch(&xq, plane, gemm_threads(x.rows(), k, n), scratch)
+    qgemm_packed_planed_scratch(xq, plane, gemm_threads(m, k, n), scratch)
 }
 
 /// A linear layer `y = x·Wᵀ` with M2XFP-quantized weights.

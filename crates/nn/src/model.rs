@@ -48,7 +48,7 @@
 //! `qgemm` and f64 `qgemm_reference` oracles.
 
 use crate::kv_pool::{KvPagePool, PagedKv, PoolGeometry, PrefixMatch};
-use crate::linear::{packed_forward, QuantizedLinear};
+use crate::linear::{packed_forward_encoded, QuantizedLinear};
 use crate::profile::{MlpKind, ModelProfile};
 use crate::synth::{weight_matrix, LayerKind};
 use m2x_telemetry::{stage, StageTally, StageTimer};
@@ -102,11 +102,6 @@ fn slice_rows(m: &Matrix, start: usize, count: usize) -> Matrix {
     Matrix::from_fn(count, m.cols(), |r, c| m[(start + r, c)])
 }
 
-/// Copies a `rows × width` block of `m` starting at (`r0`, `c0`).
-fn slice_block(m: &Matrix, r0: usize, rows: usize, c0: usize, width: usize) -> Matrix {
-    Matrix::from_fn(rows, width, |r, c| m[(r0 + r, c0 + c)])
-}
-
 /// Writes `src` into `out` at column offset `start`.
 fn write_cols(out: &mut Matrix, src: &Matrix, start: usize) {
     write_block(out, src, 0, start)
@@ -138,6 +133,19 @@ struct Block {
     down: QuantizedLinear,
 }
 
+/// One `(session, KV head)` attention work item of a step: the query
+/// heads sharing KV head `kvh`, over the session's cache `kv`, for its
+/// `t` rows starting at row `r0` of the step's stacked matrices; `p0` is
+/// the session's stream position at step entry.
+#[derive(Clone, Copy)]
+struct KvHeadItem<'a> {
+    kv: &'a PagedKv,
+    kvh: usize,
+    r0: usize,
+    t: usize,
+    p0: usize,
+}
+
 /// One block's f32 weights (transposed `[out, in]`), kept when the builder
 /// is asked for the full-precision oracle path.
 #[derive(Debug, Clone)]
@@ -156,6 +164,7 @@ struct RefBlock {
 /// zero-skip): each output element accumulates its products in the same
 /// order a single matmul over the row-concatenated pages would, so the
 /// page-sliced value mix is bit-identical to the monolithic one.
+#[cfg(test)]
 fn matmul_acc(out: &mut Matrix, p: &Matrix, col0: usize, len: usize, rhs: &Matrix) {
     debug_assert_eq!(rhs.rows(), len);
     debug_assert_eq!(out.cols(), rhs.cols());
@@ -198,9 +207,14 @@ pub struct StepScratch {
     offsets: Vec<usize>,
     /// Stream position of each session at step entry.
     p0s: Vec<usize>,
-    /// The step's `(session, head)` attention work items; identical for
-    /// every layer of a step, so built once per step and reused.
+    /// The step's `(session, KV head)` attention work items; identical
+    /// for every layer of a step, so built once per step and reused.
     items: Vec<(usize, usize)>,
+    /// Each layer's `(q, attention)` matrices, recorded when `Some` so
+    /// the stacked-attention test can recompute every head through the
+    /// per-head oracle [`ModelWeights::attention_head`].
+    #[cfg(test)]
+    attn_log: Option<Vec<(Matrix, Matrix)>>,
     /// Per-stage elapsed-time accumulator for this step (assemble,
     /// encode, qgemm, attention, kv_append — see
     /// [`m2x_telemetry::stage`]). Disabled by default so plain callers
@@ -683,16 +697,19 @@ impl ModelWeights {
     /// All sessions' rows are stacked into one matrix per projection GEMM,
     /// so a decode batch of B requests walks each weight plane once
     /// instead of B times; the per-request attention (KV growth +
-    /// score/value GEMMs per head) is sharded over scoped worker threads —
-    /// `threads == 0` auto-scales the worker count with the attention work
-    /// volume (small steps stay inline, avoiding per-layer spawn overhead),
-    /// an explicit count is pinned exactly. Every output row depends only
+    /// score/value GEMMs per `(session, KV head)` work item, the query
+    /// heads sharing a KV head stacked into one score GEMM per page) is
+    /// sharded over scoped worker threads — `threads == 0` auto-scales
+    /// the worker count with the attention work volume (small steps stay
+    /// inline, avoiding per-layer spawn overhead, and never ask the OS for
+    /// the core count, so a warm decode tick makes no syscall), an
+    /// explicit count is pinned exactly. Every output row depends only
     /// on its own session's rows and cache, so each request's output is
     /// **bit-identical to running it solo** — for any batch composition and
     /// any thread count — which `tests/proptest_serve.rs` pins.
     ///
     /// The caller holds `scratch` across steps: it is threaded through
-    /// every projection GEMM and the attention score GEMVs (per-worker
+    /// every projection GEMM and the attention score GEMMs (per-worker
     /// sub-scratches on the threaded path), so the decode hot loop stops
     /// allocating activation planes per call. The outputs are the same for
     /// any scratch state.
@@ -757,8 +774,9 @@ impl ModelWeights {
             scr.p0s.clear();
             scr.p0s.extend(sessions.iter().map(|s| s.pos));
             scr.items.clear();
-            scr.items
-                .extend((0..sessions.len()).flat_map(|i| (0..self.heads).map(move |hd| (i, hd))));
+            scr.items.extend(
+                (0..sessions.len()).flat_map(|i| (0..self.kv_heads).map(move |kvh| (i, kvh))),
+            );
         });
         let counts: &[usize] = &scr.counts;
         let offsets: &[usize] = &scr.offsets;
@@ -772,22 +790,19 @@ impl ModelWeights {
         // score/value-GEMM volume or the spawn/join overhead sits directly
         // on the decode hot loop: in auto mode (`threads == 0`) one worker
         // is granted per [`ATTN_MACS_PER_WORKER`] attention MACs, capped at
-        // the available cores (mirrors `gemm_threads`' policy). An explicit
-        // count is pinned exactly, like `qgemm_packed_threaded`. Any worker
-        // count computes identical bits.
+        // the work items and the available cores (mirrors `gemm_threads`'
+        // policy). An explicit count is pinned exactly, like
+        // `qgemm_packed_threaded`. Any worker count computes identical bits.
         let attn_workers = if threads == 0 {
             let attn_macs: usize = counts
                 .iter()
                 .zip(p0s)
                 .map(|(&c, &p0)| 2 * c * (p0 + c) * self.head_dim * self.heads)
                 .sum();
-            let avail = std::thread::available_parallelism().map_or(1, |t| t.get());
-            avail.min(attn_macs / ATTN_MACS_PER_WORKER + 1)
+            m2xfp::capped_workers((attn_macs / ATTN_MACS_PER_WORKER + 1).min(items.len()))
         } else {
-            threads
-        }
-        .min((sessions.len() * self.heads).max(1))
-        .max(1);
+            threads.min(items.len()).max(1)
+        };
 
         let mut h = tally.time(stage::ASSEMBLE, || {
             let mut h = Matrix::zeros(total, self.hidden);
@@ -841,45 +856,51 @@ impl ModelWeights {
                 }
             }
 
-            // Per-(session, head) attention over the grown caches (the
+            // Per-(session, KV head) attention over the grown caches (the
             // work items were built once per step, before the layer loop),
             // sharded across scoped worker threads. Each item reads only
-            // its own session's cache and q rows and produces its own
-            // output block, so any thread count computes identical bits.
+            // its own session's cache and q rows and writes its own block
+            // of the attention matrix — those rows, the columns of the
+            // query heads sharing the KV head — so any thread count
+            // computes identical bits.
             let _t_attn = StageTimer::start(&mut tally, stage::ATTENTION);
             // m2x-lint: allow(alloc) per-layer cache borrows cannot persist across the mutable session appends above
             let kvs: Vec<&PagedKv> = sessions.iter().map(|s| &s.kv).collect();
-            let compute = |&(si, head): &(usize, usize), sc: &mut GemmScratch| -> Matrix {
-                let qh = slice_block(
-                    &q,
-                    offsets[si],
-                    counts[si],
-                    head * self.head_dim,
-                    self.head_dim,
-                );
-                self.attention_head(kvs[si], li, &qh, head, p0s[si], sc)
+            let item = |&(si, kvh): &(usize, usize)| KvHeadItem {
+                kv: kvs[si],
+                kvh,
+                r0: offsets[si],
+                t: counts[si],
+                p0: p0s[si],
             };
-            let workers = attn_workers;
-            let head_blocks: Vec<Matrix> = if workers <= 1 {
+            // Columns of the query heads that share one KV head.
+            let group_cols = self.hidden / self.kv_heads;
+            let mut attn = Matrix::zeros(total, self.hidden);
+            if attn_workers <= 1 {
                 // Inline path (the decode hot loop): the step's scratch is
-                // reused across every (session, head) score GEMV.
-                items
-                    .iter()
-                    .map(|it| compute(it, &mut scr.main))
-                    // m2x-lint: allow(alloc) structural: one output Matrix per (session, head) must be materialized
-                    .collect()
+                // reused across every score GEMM and each item writes its
+                // heads straight into the attention matrix.
+                for it in items.iter().map(item) {
+                    let at = (it.r0, it.kvh * group_cols);
+                    self.attention_kv_head(li, it, &q, &mut scr.main, &mut attn, at);
+                }
             } else {
-                let per = items.len().div_ceil(workers);
+                let per = items.len().div_ceil(attn_workers);
+                let compute = |it: KvHeadItem<'_>, sc: &mut GemmScratch| -> Matrix {
+                    let mut block = Matrix::zeros(it.t, group_cols);
+                    self.attention_kv_head(li, it, &q, sc, &mut block, (0, 0));
+                    block
+                };
                 let chunk_results: Vec<Vec<Matrix>> = std::thread::scope(|sc| {
                     let handles: Vec<_> = items
                         .chunks(per)
                         .zip(scr.workers.iter_mut())
                         .map(|(chunk, local)| {
-                            let compute = &compute;
+                            let (compute, item) = (&compute, &item);
                             sc.spawn(move || {
                                 chunk
                                     .iter()
-                                    .map(|it| compute(it, local))
+                                    .map(|x| compute(item(x), local))
                                     // m2x-lint: allow(alloc) threaded batch path (prefill), not the decode loop
                                     .collect::<Vec<_>>()
                             })
@@ -898,14 +919,16 @@ impl ModelWeights {
                         // m2x-lint: allow(alloc) threaded batch path (prefill), not the decode loop
                         .collect()
                 });
-                // m2x-lint: allow(alloc) threaded batch path (prefill), not the decode loop
-                chunk_results.into_iter().flatten().collect()
-            };
-            let mut attn = Matrix::zeros(total, self.hidden);
-            for (&(si, head), oh) in items.iter().zip(&head_blocks) {
-                write_block(&mut attn, oh, offsets[si], head * self.head_dim);
+                let blocks = chunk_results.iter().flatten();
+                for (it, block) in items.iter().map(item).zip(blocks) {
+                    write_block(&mut attn, block, it.r0, it.kvh * group_cols);
+                }
             }
             drop(_t_attn);
+            #[cfg(test)]
+            if let Some(log) = scr.attn_log.as_mut() {
+                log.push((q.clone(), attn.clone()));
+            }
 
             let o = {
                 let _t = StageTimer::start(&mut tally, stage::QGEMM);
@@ -976,20 +999,96 @@ impl ModelWeights {
         Ok(out)
     }
 
-    /// One causal attention head over a session's paged cache, §6.4
-    /// hybrid: quantized score GEMM (Q online, K from the Sg-EM pages'
-    /// planes — **no per-step decode**, each page's plane grew on append),
-    /// online Elem-EM quantization of P, cached dequantized Sg-EM V rows.
+    /// Causal attention of one `(session, KV head)` work item over the
+    /// session's paged cache, §6.4 hybrid: quantized score GEMM (Q online,
+    /// K from the Sg-EM pages' planes — **no per-step decode**, each page's
+    /// plane grew on append), online Elem-EM quantization of P, cached
+    /// dequantized Sg-EM V rows.
+    ///
+    /// The `heads_per_kv` query heads that share the KV head are stacked
+    /// head-major as rows of one `[heads_per_kv·t, head_dim]` block
+    /// (stacked row `j·t + i` is head `j` at chunk row `i`), encoded once
+    /// and run through one score GEMM per page. MX groups run along
+    /// `head_dim`, so no group spans two heads: every stacked row encodes
+    /// to the codes a per-head encode gives it. Masking, softmax, the P
+    /// encode and the value mix are per row too, so each head's output is
+    /// bit-identical to the per-head path (`attention_head`, the test
+    /// oracle). Head `j`'s output for chunk row `i` is written into `out`
+    /// row `at.0 + i`, columns `at.1 + j·head_dim ..`, which must be zero.
     ///
     /// Paging preserves bit-identity with the old monolithic cache:
     /// * every score element is an independent dot product over
     ///   `head_dim`, so per-page score GEMMs produce the exact columns of
     ///   the one-plane GEMM;
     /// * P is masked, softmaxed and fake-quantized over **full**
-    ///   `[t, seq]` rows *before* any per-page column slicing (its
+    ///   `seq`-long rows *before* any per-page column slicing (its
     ///   quantization groups run along `seq`, which pages would split);
-    /// * the value mix accumulates per output element in page order with
-    ///   [`matmul_acc`], the exact loop of [`Matrix::matmul`].
+    /// * the value mix accumulates each output element in page order, kk
+    ///   ascending, with plain `+=` and zero-skip — the exact loop of
+    ///   [`Matrix::matmul`].
+    fn attention_kv_head(
+        &self,
+        li: usize,
+        it: KvHeadItem<'_>,
+        q: &Matrix,
+        scratch: &mut GemmScratch,
+        out: &mut Matrix,
+        at: (usize, usize),
+    ) {
+        let (hd, t, kv) = (self.head_dim, it.t, it.kv);
+        let rows = (self.heads / self.kv_heads) * t;
+        let scale = 1.0 / (hd as f32).sqrt();
+        let seq = kv.layer_len(li);
+        let pt = kv.pool().page_tokens();
+        let pages = seq.div_ceil(pt);
+        let q_c0 = it.kvh * (self.hidden / self.kv_heads);
+        let qs = Matrix::from_fn(rows, hd, |r, c| q[(it.r0 + r % t, q_c0 + (r / t) * hd + c)]);
+        let xq = PackedActTensor::quantize_parallel(&qs, self.cfg);
+        let mut scores = Matrix::zeros(rows, seq);
+        for pi in 0..pages {
+            let s = packed_forward_encoded(&xq, kv.page_k(pi, li, it.kvh), scratch);
+            write_cols(&mut scores, &s, pi * pt);
+        }
+        for r in 0..rows {
+            // Causal mask: chunk row r % t sits at stream position
+            // p0 + r % t and may only attend to keys at or before it.
+            let last = it.p0 + r % t;
+            for (j, sc) in scores.row_mut(r).iter_mut().enumerate() {
+                *sc = if j <= last {
+                    *sc * scale
+                } else {
+                    f32::NEG_INFINITY
+                };
+            }
+        }
+        let p = crate::attention::softmax_rows(&scores);
+        // P is produced on the fly → online Elem-EM path; V rows were
+        // quantized on arrival (per token, so decode == batch) and their
+        // dequantized form is cached per page for the value mix.
+        let pq = PackedActTensor::quantize_parallel(&p, self.cfg).dequantize();
+        for r in 0..rows {
+            let orow = &mut out.row_mut(at.0 + r % t)[at.1 + (r / t) * hd..][..hd];
+            let prow = pq.row(r);
+            for pi in 0..pages {
+                let v = kv.page_v_rows(pi, li, it.kvh);
+                let probs = &prow[pi * pt..pi * pt + kv.page_rows(li, pi)];
+                for (kk, &a) in probs.iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (o, &b) in orow.iter_mut().zip(v.row(kk)) {
+                        *o += a * b;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One causal attention head over a session's paged cache, computed
+    /// on its own — the oracle [`Self::attention_kv_head`] is tested
+    /// against: Q is the head's own `[t, head_dim]` slice, re-encoded by
+    /// `packed_forward` for every page.
+    #[cfg(test)]
     fn attention_head(
         &self,
         kv: &PagedKv,
@@ -1013,7 +1112,7 @@ impl ModelWeights {
         // scratch.
         let mut scores = Matrix::zeros(t, seq);
         for pi in 0..pages {
-            let s = packed_forward(qh, kv.page_k(pi, li, kvh), self.cfg, scratch);
+            let s = crate::linear::packed_forward(qh, kv.page_k(pi, li, kvh), self.cfg, scratch);
             write_cols(&mut scores, &s, pi * pt);
         }
         for i in 0..t {
@@ -1399,6 +1498,74 @@ mod tests {
             }
             assert_eq!(sa.pos(), 4);
             assert_eq!(sb.pos(), 7);
+        }
+    }
+
+    #[test]
+    fn stacked_kv_head_attention_matches_per_head_oracle_bitwise() {
+        // The engine stacks the query heads that share a KV head, encodes
+        // them once and runs one score GEMM per page; the per-head oracle
+        // re-encodes each head's own Q slice for every page. Every head of
+        // every layer must agree bit for bit: three sessions whose prompts
+        // end just before, on and just after a 32-token page boundary,
+        // prefilled in one step and then decoded, inline and threaded.
+        let profile = ModelProfile::llama3_8b();
+        let hidden = 256;
+        let row = |seed: usize, n: usize| {
+            activation_matrix(&profile, seed, n, hidden).map(|v| (v * 0.25).tanh())
+        };
+        for (heads, kv_heads) in [(4, 1), (4, 2), (4, 4), (8, 2)] {
+            let weights = ModelBuilder::scaled(&profile, hidden, 2)
+                .heads(heads, kv_heads)
+                .build_weights()
+                .unwrap();
+            let hd = weights.head_dim();
+            for threads in [1, 3] {
+                let mut sessions: Vec<SessionState> =
+                    (0..3).map(|_| weights.new_session()).collect();
+                let mut scratch = StepScratch::new();
+                for tick in 0..4 {
+                    let inputs: Vec<Matrix> = if tick == 0 {
+                        [31, 32, 33]
+                            .iter()
+                            .enumerate()
+                            .map(|(s, &n)| row(s, n))
+                            .collect()
+                    } else {
+                        (0..3).map(|s| row(10 * tick + s, 1)).collect()
+                    };
+                    let p0s: Vec<usize> = sessions.iter().map(SessionState::pos).collect();
+                    let mut refs: Vec<&mut SessionState> = sessions.iter_mut().collect();
+                    scratch.attn_log = Some(Vec::new());
+                    weights
+                        .step_sessions_scratch(&mut refs, &inputs, threads, &mut scratch)
+                        .unwrap();
+                    let log = scratch.attn_log.take().unwrap();
+                    assert_eq!(log.len(), weights.layer_count());
+                    for (li, (q, attn)) in log.iter().enumerate() {
+                        let mut r0 = 0;
+                        for (si, x) in inputs.iter().enumerate() {
+                            let t = x.rows();
+                            for head in 0..heads {
+                                let qh = Matrix::from_fn(t, hd, |r, c| q[(r0 + r, head * hd + c)]);
+                                let kv = sessions[si].kv();
+                                let mut sc = GemmScratch::new();
+                                let want =
+                                    weights.attention_head(kv, li, &qh, head, p0s[si], &mut sc);
+                                for (i, c) in (0..t).flat_map(|i| (0..hd).map(move |c| (i, c))) {
+                                    assert_eq!(
+                                        attn[(r0 + i, head * hd + c)].to_bits(),
+                                        want[(i, c)].to_bits(),
+                                        "heads {heads}/{kv_heads}, threads {threads}, tick \
+                                         {tick}, layer {li}, session {si}, head {head}, row {i}"
+                                    );
+                                }
+                            }
+                            r0 += t;
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -30,6 +30,9 @@
 //! * [`alloc_probe`] — the counting [`std::alloc::GlobalAlloc`] witness
 //!   used by `tests/alloc_gate.rs` and the bench binary to *prove* the
 //!   zero-allocation claim at runtime (`telemetry.zero_alloc` CI gate).
+//! * [`syscall_probe`] — the `read`-syscall counter behind the claim that
+//!   a warm engine decode tick makes no syscalls
+//!   (`engine.zero_syscall_tick` CI gate).
 //!
 //! Everything is std-only and engine-crate lint discipline applies
 //! (`m2x-lint` R1–R3): no panicking constructs, no allocation in the
@@ -57,6 +60,7 @@
 pub mod alloc_probe;
 pub mod hist;
 pub mod stage;
+pub mod syscall_probe;
 pub mod trace;
 
 pub use hist::Histogram;

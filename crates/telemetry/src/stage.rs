@@ -22,12 +22,18 @@ pub const OTHER: u16 = 0;
 pub const TICK: u16 = 1;
 /// Stacking the active sessions' pending rows into one batch matrix.
 pub const ASSEMBLE: u16 = 2;
-/// Elementwise work: RMS-norm, activations, residual adds, online
-/// activation quantization outside the GEMM kernels.
+/// Elementwise glue between the GEMMs: the RMS-norms and residual adds.
+/// Despite the name, no activation quantization is booked here: each
+/// projection's activation encode runs inside [`QGEMM`], and the Q and P
+/// encodes inside [`ATTENTION`].
 pub const ENCODE: u16 = 3;
-/// Quantized GEMM/GEMV projections (q/k/v, attention out, MLP).
+/// Quantized GEMM/GEMV projections (q/k/v, attention out, MLP), each with
+/// the online activation encode of its input, plus the MLP's elementwise
+/// glue (SiLU/ReLU, gate⊙up).
 pub const QGEMM: u16 = 4;
-/// Per-session attention over the KV cache (inline or sharded).
+/// Attention over the KV cache per `(session, KV head)` work item, inline
+/// or sharded: the Q encode, per-page score GEMMs, mask and softmax, the
+/// P encode and the value mix.
 pub const ATTENTION: u16 = 5;
 /// Appending this step's K/V rows to the packed caches.
 pub const KV_APPEND: u16 = 6;

@@ -17,19 +17,24 @@
 //! 3. warm telemetry recording itself — trace ring pushes, histogram
 //!    records, stage-tally bookings — performs **zero** heap
 //!    allocations, the claim that makes leaving tracing on in production
-//!    defensible.
+//!    defensible; and
+//! 4. a warm batched decode tick makes **zero** `read` syscalls: worker
+//!    counts are sized from the work before the core count is asked for,
+//!    and decode-sized work never wants a second worker.
 //!
-//! Allocation counting is process-wide, so everything here runs inside
-//! one `#[test]` (CI additionally passes `--test-threads=1`): parallel
-//! test threads would bleed their allocations into the counted regions.
+//! Allocation and syscall counting are process-wide, so everything here
+//! runs inside one `#[test]` (CI additionally passes `--test-threads=1`):
+//! parallel test threads would bleed their allocations and reads into the
+//! counted regions.
 
 use m2xfp_repro::core::format::{PackedActTensor, PackedWeightTensor};
 use m2xfp_repro::core::gemm::{qgemv_packed, qgemv_packed_into, GemmScratch, WeightPlane};
 use m2xfp_repro::core::M2xfpConfig;
-use m2xfp_repro::nn::model::{ModelBuilder, ModelWeights};
+use m2xfp_repro::nn::model::{ModelBuilder, ModelWeights, StepScratch};
 use m2xfp_repro::nn::profile::ModelProfile;
 use m2xfp_repro::nn::synth::activation_matrix;
 use m2xfp_repro::serve::{ServeConfig, Server};
+use m2xfp_repro::telemetry::syscall_probe::count_read_syscalls;
 use m2xfp_repro::telemetry::{stage, Histogram, StageTally, Telemetry};
 use m2xfp_repro::testkit::alloc_witness::{count_allocations, CountingAlloc};
 use std::sync::Arc;
@@ -60,10 +65,49 @@ fn gemv_inputs() -> (Vec<PackedActTensor>, WeightPlane) {
 /// One gate test (see module docs for why it is a single `#[test]`).
 #[test]
 fn alloc_gate() {
+    // First, before any section starts a thread: the syscall counter sums
+    // over every thread of the process.
+    decode_tick_zero_read_syscalls();
     gemv_zero_allocations_after_warmup();
     engine_decode_step_within_budget();
     telemetry_recording_zero_allocations();
     decode_ticks_within_pages_grab_zero_pool_pages();
+}
+
+/// A warm batched decode tick makes no `read` syscalls: eight sessions of
+/// a GQA model (4 query heads sharing 1 KV head) prefill, warm up for two
+/// ticks, then step eight more decode ticks through
+/// `step_sessions_scratch` with auto-sized workers while `/proc/self/io`
+/// counts the process's reads.
+fn decode_tick_zero_read_syscalls() {
+    let profile = ModelProfile::llama3_8b();
+    let weights = ModelBuilder::scaled(&profile, 256, 2)
+        .heads(4, 1)
+        .build_weights()
+        .expect("scaled model builds");
+    let mut sessions: Vec<_> = (0..8).map(|_| weights.new_session()).collect();
+    let mut scratch = StepScratch::new();
+    let mut tick = |sessions: &mut [_], rows: usize, seed: usize| {
+        let inputs: Vec<_> = (0..8)
+            .map(|s| activation_matrix(&profile, seed + s, rows, 256).map(|v| (v * 0.25).tanh()))
+            .collect();
+        let mut refs: Vec<_> = sessions.iter_mut().collect();
+        let out = weights.step_sessions_scratch(&mut refs, &inputs, 0, &mut scratch);
+        out.expect("step succeeds");
+    };
+    tick(&mut sessions, 40, 0);
+    for t in 0..2 {
+        tick(&mut sessions, 1, 100 + 8 * t);
+    }
+    let (reads, ()) = count_read_syscalls(|| {
+        for t in 0..8 {
+            tick(&mut sessions, 1, 200 + 8 * t);
+        }
+    });
+    match reads {
+        None => eprintln!("/proc/self/io unavailable: zero-syscall decode witness skipped"),
+        Some(n) => assert_eq!(n, 0, "8 warm decode ticks made {n} read syscalls"),
+    }
 }
 
 /// Warm telemetry recording is allocation-free: after one warm-up pass,
