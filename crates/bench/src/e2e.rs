@@ -1,6 +1,5 @@
 //! Whole-model end-to-end measurement harness — the §6 setting behind the
-//! `e2e_model` driver binary and the `e2e_model` section of
-//! `bench_m2xfp_json`.
+//! `e2e_model` section of `bench_m2xfp_json`.
 //!
 //! Builds a scaled synthetic LLaMA3-8B stack through
 //! [`m2x_nn::model::ModelBuilder`], times offline quantization, batched
@@ -9,10 +8,10 @@
 //! engine is checked at kernel level over the model's seven projection
 //! shapes: the packed layer forward against the grouped `qgemm` and the
 //! f64 `qgemm_reference` oracles, bit for bit, with the grouped-over-packed
-//! time ratio. The JSON it renders is array-free so `ci_perf_gate`'s
-//! flattener can gate every field.
+//! time ratio.
 
-use crate::timing::{time_per_call, Interleaved};
+use crate::report::Json;
+use crate::timing::{best_of, bits_eq, time_per_call, Interleaved};
 use m2x_nn::linear::QuantizedLinear;
 use m2x_nn::model::{ModelBuilder, ModelWeights, QuantizedModel};
 use m2x_nn::profile::ModelProfile;
@@ -41,7 +40,7 @@ pub struct E2eConfig {
 }
 
 impl E2eConfig {
-    /// The fixed small configuration embedded in `bench_m2xfp_json` (and
+    /// The fixed small configuration of the emitter's `ci` profile (and
     /// gated by CI): big enough to exercise every engine layer, small
     /// enough for a shared runner.
     pub fn ci() -> Self {
@@ -52,6 +51,17 @@ impl E2eConfig {
             decode_steps: 4,
             reps: 3,
         }
+    }
+
+    /// The report's `cfg` table.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("hidden", self.hidden.into()),
+            ("layers", self.layers.into()),
+            ("tokens", self.tokens.into()),
+            ("decode_steps", self.decode_steps.into()),
+            ("reps", self.reps.into()),
+        ])
     }
 }
 
@@ -103,17 +113,6 @@ pub struct E2eReport {
 /// built from them is hard-gated.
 const KERNEL_SAMPLE_S: f64 = 0.003;
 
-fn time_best<O>(reps: usize, mut f: impl FnMut() -> O) -> (f64, O) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        out = Some(black_box(f()));
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, out.expect("reps >= 1"))
-}
-
 /// Token embeddings for the run: profile-calibrated activations squashed
 /// into an embedding-like range so deep stacks stay well-conditioned.
 pub fn token_embeddings(profile: &ModelProfile, tokens: usize, hidden: usize) -> Matrix {
@@ -164,13 +163,7 @@ fn projection_kernels(
         let x = activation_matrix(profile, 0, tokens, k);
         let y = lin.forward_scratch(&x, &mut scratch).expect("aligned");
         let xa = ActTensor::quantize(&x, cfg);
-        for oracle in [qgemm(&xa, &wg), qgemm_reference(&xa, &wg)] {
-            exact &= y
-                .as_slice()
-                .iter()
-                .zip(oracle.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        }
+        exact &= bits_eq(&y, &qgemm(&xa, &wg)) && bits_eq(&y, &qgemm_reference(&xa, &wg));
         shapes.push((lin, wg, x));
     }
     let mut grouped = || -> f64 {
@@ -201,8 +194,8 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
     let profile = ModelProfile::llama3_8b();
     let x = token_embeddings(&profile, cfg.tokens, cfg.hidden);
 
-    let (quantize_s, mut model) = time_best(cfg.reps, || build(&profile, &cfg));
-    let (forward_packed_s, _) = time_best(cfg.reps, || model.forward_batch(&x).expect("aligned"));
+    let (quantize_s, mut model) = best_of(cfg.reps, || build(&profile, &cfg));
+    let (forward_packed_s, _) = best_of(cfg.reps, || model.forward_batch(&x).expect("aligned"));
     let weights = std::sync::Arc::clone(model.weights());
 
     // Serving loop: prefill half the batch, then single-token decodes on
@@ -256,48 +249,41 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
 }
 
 impl E2eReport {
-    /// Renders the report as a JSON object (no arrays — `ci_perf_gate`'s
-    /// flattener reads every numeric/bool field). Per-layer errors become
+    /// The report's (name, value) table. Per-layer errors become
     /// `per_layer.layer_<i>` keys.
-    pub fn to_json(&self) -> String {
-        let per_layer = self
-            .per_layer_nmse
-            .iter()
-            .enumerate()
-            .map(|(i, e)| format!("    \"layer_{i}\": {e:.8}"))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            r#"{{
-  "bench": "e2e_model",
-  "model": "LLaMA3-8B-scaled",
-  "dims": {{"hidden": {h}, "layers": {l}, "tokens": {t}, "heads": {heads}, "kv_heads": {kvh}}},
-  "weight_bytes": {wb},
-  "quantize_s": {qs:.6},
-  "forward_batch_packed_s": {fp:.6},
-  "gmacs": {gm:.4},
-  "speedup_packed": {sp:.3},
-  "backends_exact": {ex},
-  "decode_tokens_per_s": {dt:.2},
-  "nrmse": {nr:.6},
-  "per_layer": {{
-{per_layer}
-  }}
-}}"#,
-            h = self.cfg.hidden,
-            l = self.cfg.layers,
-            t = self.cfg.tokens,
-            heads = self.heads,
-            kvh = self.kv_heads,
-            wb = self.weight_bytes,
-            qs = self.quantize_s,
-            fp = self.forward_packed_s,
-            gm = self.gmacs,
-            sp = self.speedup_packed,
-            ex = self.backends_exact,
-            dt = self.decode_tokens_per_s,
-            nr = self.nrmse,
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("cfg", self.cfg.to_json()),
+            ("heads", self.heads.into()),
+            ("kv_heads", self.kv_heads.into()),
+            ("intermediate", self.intermediate.into()),
+            ("weight_bytes", self.weight_bytes.into()),
+            ("quantize_s", Json::Num(self.quantize_s, 6)),
+            (
+                "forward_batch_packed_s",
+                Json::Num(self.forward_packed_s, 6),
+            ),
+            ("gmacs", Json::Num(self.gmacs, 4)),
+            ("proj_grouped_s", Json::Num(self.proj_grouped_s, 6)),
+            ("proj_packed_s", Json::Num(self.proj_packed_s, 6)),
+            ("speedup_packed", Json::Num(self.speedup_packed, 3)),
+            ("backends_exact", self.backends_exact.into()),
+            (
+                "decode_tokens_per_s",
+                Json::Num(self.decode_tokens_per_s, 2),
+            ),
+            ("nrmse", Json::Num(self.nrmse, 6)),
+            (
+                "per_layer",
+                Json::Obj(
+                    self.per_layer_nmse
+                        .iter()
+                        .enumerate()
+                        .map(|(i, e)| (format!("layer_{i}"), Json::Num(*e, 8)))
+                        .collect(),
+                ),
+            ),
+        ])
     }
 }
 
@@ -320,7 +306,7 @@ mod tests {
         assert!(r.nrmse > 0.0 && r.nrmse < 0.3, "nrmse {}", r.nrmse);
         assert_eq!(r.per_layer_nmse.len(), cfg.layers);
         assert!(r.gmacs > 0.0 && r.speedup_packed > 0.0);
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.contains("\"backends_exact\": true"));
         assert!(json.contains("\"layer_1\""));
     }

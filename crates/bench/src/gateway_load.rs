@@ -1,5 +1,5 @@
-//! Gateway load-test harness — behind the `serve_bench` driver binary and
-//! the `gateway` section of `bench_m2xfp_json`.
+//! Gateway load-test harness — behind the `gateway` section of
+//! `bench_m2xfp_json`.
 //!
 //! Drives a live [`m2x_gateway::Gateway`] (real TCP, real HTTP parsing,
 //! real SSE streams) with the traffic shape serving front-ends actually
@@ -24,6 +24,8 @@
 //! **through** the gateway while the long streams are running — the
 //! head-of-line number a register-blocked decode step ultimately buys.
 
+use crate::report::Json;
+use crate::timing::{bits_eq, percentile};
 use m2x_gateway::{client, Gateway, GatewayConfig};
 use m2x_nn::model::{ModelBuilder, ModelWeights};
 use m2x_nn::profile::ModelProfile;
@@ -66,8 +68,8 @@ pub struct GatewayLoadConfig {
 }
 
 impl GatewayLoadConfig {
-    /// The fixed configuration embedded in `bench_m2xfp_json` and gated
-    /// by CI: 2 pinned long streams + 3 mid-stream hangups under a
+    /// The fixed configuration of the emitter's `ci` profile, gated by
+    /// CI: 2 pinned long streams + 3 mid-stream hangups under a
     /// 200-connection churn wave from 4 clients.
     pub fn ci() -> Self {
         GatewayLoadConfig {
@@ -82,6 +84,22 @@ impl GatewayLoadConfig {
             disconnects: 3,
             workers: 10,
         }
+    }
+
+    /// The report's `cfg` table.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("hidden", self.hidden.into()),
+            ("layers", self.layers.into()),
+            ("long_streams", self.long_streams.into()),
+            ("long_decode_steps", self.long_decode_steps.into()),
+            ("short_connections", self.short_connections.into()),
+            ("short_decode_steps", self.short_decode_steps.into()),
+            ("short_prompt_pool", self.short_prompt_pool.into()),
+            ("clients", self.clients.into()),
+            ("disconnects", self.disconnects.into()),
+            ("workers", self.workers.into()),
+        ])
     }
 }
 
@@ -111,23 +129,6 @@ pub struct GatewayLoadReport {
     pub cancelled: u64,
     /// Generations that ran to completion (long + short).
     pub finished: u64,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-fn bits_eq(a: &Matrix, b: &Matrix) -> bool {
-    a.rows() == b.rows()
-        && a.cols() == b.cols()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Runs the full load scenario. Deterministic workload (timings aside).
@@ -314,42 +315,20 @@ pub fn run_gateway_load(cfg: GatewayLoadConfig) -> GatewayLoadReport {
 }
 
 impl GatewayLoadReport {
-    /// Renders the report as a flat-gateable JSON object (no arrays).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{
-  "bench": "m2x_gateway_load",
-  "model": "LLaMA3-8B-scaled",
-  "dims": {{"hidden": {h}, "layers": {l}, "long_streams": {ls}, "long_decode_steps": {ld}, "short_connections": {sc}, "short_decode_steps": {sd}, "clients": {cl}, "disconnects": {dc}, "workers": {wk}}},
-  "stream_exact": {ex},
-  "zero_leak": {zl},
-  "e2e_p50_ms": {p50:.3},
-  "e2e_p99_ms": {p99:.3},
-  "churn_req_per_s": {rps:.1},
-  "stream_tok_per_s": {tps:.1},
-  "wall_s": {ws:.6},
-  "cancelled": {cn},
-  "finished": {fi}
-}}"#,
-            h = self.cfg.hidden,
-            l = self.cfg.layers,
-            ls = self.cfg.long_streams,
-            ld = self.cfg.long_decode_steps,
-            sc = self.cfg.short_connections,
-            sd = self.cfg.short_decode_steps,
-            cl = self.cfg.clients,
-            dc = self.cfg.disconnects,
-            wk = self.cfg.workers,
-            ex = self.stream_exact,
-            zl = self.zero_leak,
-            p50 = self.e2e_p50_ms,
-            p99 = self.e2e_p99_ms,
-            rps = self.churn_req_per_s,
-            tps = self.stream_tok_per_s,
-            ws = self.wall_s,
-            cn = self.cancelled,
-            fi = self.finished,
-        )
+    /// The report's (name, value) table.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("cfg", self.cfg.to_json()),
+            ("stream_exact", self.stream_exact.into()),
+            ("zero_leak", self.zero_leak.into()),
+            ("e2e_p50_ms", Json::Num(self.e2e_p50_ms, 3)),
+            ("e2e_p99_ms", Json::Num(self.e2e_p99_ms, 3)),
+            ("churn_req_per_s", Json::Num(self.churn_req_per_s, 1)),
+            ("stream_tok_per_s", Json::Num(self.stream_tok_per_s, 1)),
+            ("wall_s", Json::Num(self.wall_s, 6)),
+            ("cancelled", self.cancelled.into()),
+            ("finished", self.finished.into()),
+        ])
     }
 }
 
@@ -379,7 +358,7 @@ mod tests {
         assert_eq!(r.cancelled, 1);
         assert!(r.e2e_p99_ms >= r.e2e_p50_ms);
         assert!(r.finished > 8); // 1 long + ceil(24/3)-ish short gens
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.contains("\"stream_exact\": true"));
         assert!(json.contains("\"zero_leak\": true"));
     }

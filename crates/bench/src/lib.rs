@@ -2,7 +2,7 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (run `cargo run --release -p m2x-bench --bin <experiment>`),
-//! plus Criterion micro-benchmarks (`cargo bench`).
+//! plus the bench emitter and the CI gate over its reports.
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -23,6 +23,8 @@
 //! | `ablate_clamp` | §4.4.1 bias-clamp encoding ablation |
 //! | `ablate_adaptive` | §4.2.3 adaptive-scale ablation |
 //! | `run_all` | everything above, into `results/` |
+//! | `bench_m2xfp_json` | the bench emitter: kernels through the gateway, one JSON schema (`--profile ci\|record`) |
+//! | `ci_perf_gate` | the CI gate: a `ci` report against the committed baseline, by naming rule |
 
 pub mod e2e;
 pub mod eval;

@@ -1,4 +1,5 @@
-//! Plain-text table rendering and result persistence.
+//! Plain-text table rendering, the bench emitter's JSON tables, and
+//! result persistence.
 //!
 //! Every experiment binary prints its tables to stdout and mirrors them to
 //! `results/<experiment>.txt` so `run_all` leaves a complete record.
@@ -133,6 +134,114 @@ impl Report {
     }
 }
 
+/// One value of a bench emitter report. Every section builds its report
+/// as one (name, value) table, so each field is named once; objects nest
+/// and nothing is an array, which is the shape `ci_perf_gate` flattens.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// A measurement this host cannot take.
+    Null,
+    Bool(bool),
+    /// A number, rendered with the given count of decimals.
+    Num(f64, usize),
+    Str(&'static str),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An object from its (name, value) table, in table order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// JSON text, one field per line, nested objects indented two spaces.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Json::Num(x, decimals) => {
+                let _ = write!(out, "{x:.decimals$}");
+            }
+            Json::Str(s) => {
+                let _ = write!(out, "\"{s}\"");
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (name, value)) in fields.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { "," };
+                    let _ = write!(out, "{sep}\n{:w$}\"{name}\": ", "", w = indent + 2);
+                    value.write(out, indent + 2);
+                }
+                if !fields.is_empty() {
+                    let _ = write!(out, "\n{:indent$}", "");
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// Every non-object leaf with its dotted path (`serve.batch_exact`).
+    pub fn leaves(&self) -> Vec<(String, &Json)> {
+        let mut out = Vec::new();
+        self.collect_leaves("", &mut out);
+        out
+    }
+
+    fn collect_leaves<'a>(&'a self, path: &str, out: &mut Vec<(String, &'a Json)>) {
+        match self {
+            Json::Obj(fields) => {
+                for (name, value) in fields {
+                    let key = if path.is_empty() {
+                        name.clone()
+                    } else {
+                        format!("{path}.{name}")
+                    };
+                    value.collect_leaves(&key, out);
+                }
+            }
+            leaf => out.push((path.to_string(), leaf)),
+        }
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+impl From<Option<bool>> for Json {
+    fn from(b: Option<bool>) -> Self {
+        b.map_or(Json::Null, Json::Bool)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Self {
+        Json::Num(n as f64, 0)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Self {
+        Json::Num(n as f64, 0)
+    }
+}
+
 /// `results/` at the workspace root (falls back to CWD).
 pub fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench -> ../../results
@@ -174,6 +283,27 @@ mod tests {
         r.line("hello");
         assert!(r.body().contains("== Test =="));
         assert!(r.body().contains("hello"));
+    }
+
+    #[test]
+    fn json_renders_nested_tables_and_lists_leaves() {
+        let j = Json::obj([
+            ("bench", Json::Str("x")),
+            ("cfg", Json::obj([("k", 256usize.into())])),
+            ("exact", true.into()),
+            ("zero_alloc", None.into()),
+            ("speedup_1thread", Json::Num(8.0196, 3)),
+        ]);
+        assert_eq!(
+            j.render(),
+            "{\n  \"bench\": \"x\",\n  \"cfg\": {\n    \"k\": 256\n  },\n  \"exact\": true,\n  \
+             \"zero_alloc\": null,\n  \"speedup_1thread\": 8.020\n}\n"
+        );
+        let keys: Vec<String> = j.leaves().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            ["bench", "cfg.k", "exact", "zero_alloc", "speedup_1thread"]
+        );
     }
 
     #[test]

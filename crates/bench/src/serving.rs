@@ -1,5 +1,6 @@
-//! Serving-throughput measurement harness — behind the `serve_bench`
-//! driver binary and the `serve` section of `bench_m2xfp_json`.
+//! Serving-throughput measurement harness — behind the `serve`, `chaos`,
+//! `kv_pool` and `telemetry` sections of `bench_m2xfp_json`, and its
+//! `engine` syscall witness.
 //!
 //! Builds one shared prepared model (`Arc<ModelWeights>`), generates `M`
 //! deterministic generation requests, then measures the same workload two
@@ -14,11 +15,10 @@
 //! Both paths produce the exact same per-request token streams
 //! (`batch_exact` — hard-gated in CI), so the wall-clock ratio
 //! `speedup_batch` is a pure scheduling/batching win: one walk over each
-//! prepared weight plane per step instead of one per request. The JSON it
-//! renders is array-free so `ci_perf_gate`'s flattener can gate every
-//! field.
+//! prepared weight plane per step instead of one per request.
 
-use crate::timing::Interleaved;
+use crate::report::Json;
+use crate::timing::{bits_eq, percentile, Interleaved};
 use m2x_nn::model::{ModelBuilder, ModelWeights, SessionState, StepScratch};
 use m2x_nn::profile::ModelProfile;
 use m2x_nn::synth::activation_matrix;
@@ -54,7 +54,7 @@ pub struct ServeBenchConfig {
 }
 
 impl ServeBenchConfig {
-    /// The fixed small configuration embedded in `bench_m2xfp_json` (and
+    /// The fixed small configuration of the emitter's `ci` profile (and
     /// gated by CI): big enough that batching amortizes real weight-plane
     /// traffic, small enough for a shared runner.
     pub fn ci() -> Self {
@@ -67,6 +67,19 @@ impl ServeBenchConfig {
             max_batch: 6,
             reps: 3,
         }
+    }
+
+    /// The report's `cfg` table.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("hidden", self.hidden.into()),
+            ("layers", self.layers.into()),
+            ("requests", self.requests.into()),
+            ("prompt_tokens", self.prompt_tokens.into()),
+            ("decode_steps", self.decode_steps.into()),
+            ("max_batch", self.max_batch.into()),
+            ("reps", self.reps.into()),
+        ])
     }
 }
 
@@ -113,14 +126,6 @@ pub fn request_prompts(cfg: &ServeBenchConfig) -> Vec<Matrix> {
             activation_matrix(&profile, i, cfg.prompt_tokens, cfg.hidden).map(|v| (v * 0.25).tanh())
         })
         .collect()
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 /// Runs the full measurement. Deterministic given the configuration
@@ -192,14 +197,10 @@ pub fn run(cfg: ServeBenchConfig) -> ServeReport {
     let t = Interleaved::run(cfg.reps, [&mut solo, &mut batched]);
     let (solo_s, batch_s) = (t.best(0), t.best(1));
 
-    let batch_exact = completed.iter().zip(&solo_outs).all(|(c, solo)| {
-        c.decoded.rows() == solo.rows()
-            && c.decoded
-                .as_slice()
-                .iter()
-                .zip(solo.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    });
+    let batch_exact = completed
+        .iter()
+        .zip(&solo_outs)
+        .all(|(c, solo)| bits_eq(&c.decoded, solo));
 
     let mut latencies: Vec<f64> = completed
         .iter()
@@ -224,41 +225,24 @@ pub fn run(cfg: ServeBenchConfig) -> ServeReport {
 }
 
 impl ServeReport {
-    /// Renders the report as a flat-gateable JSON object (no arrays).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{
-  "bench": "m2x_serve",
-  "model": "LLaMA3-8B-scaled",
-  "dims": {{"hidden": {h}, "layers": {l}, "requests": {r}, "prompt_tokens": {p}, "decode_steps": {d}, "max_batch": {mb}}},
-  "batch_exact": {ex},
-  "solo_s": {ss:.6},
-  "batch_s": {bs:.6},
-  "speedup_batch": {sp:.3},
-  "req_per_s": {rps:.3},
-  "decode_tok_per_s": {tps:.2},
-  "solo_decode_tok_per_s": {stps:.2},
-  "latency_p50_steps": {p50:.1},
-  "latency_p99_steps": {p99:.1},
-  "peak_batch": {pk}
-}}"#,
-            h = self.cfg.hidden,
-            l = self.cfg.layers,
-            r = self.cfg.requests,
-            p = self.cfg.prompt_tokens,
-            d = self.cfg.decode_steps,
-            mb = self.cfg.max_batch,
-            ex = self.batch_exact,
-            ss = self.solo_s,
-            bs = self.batch_s,
-            sp = self.speedup_batch,
-            rps = self.req_per_s,
-            tps = self.decode_tok_per_s,
-            stps = self.solo_decode_tok_per_s,
-            p50 = self.latency_p50_steps,
-            p99 = self.latency_p99_steps,
-            pk = self.peak_batch,
-        )
+    /// The report's (name, value) table.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("cfg", self.cfg.to_json()),
+            ("batch_exact", self.batch_exact.into()),
+            ("solo_s", Json::Num(self.solo_s, 6)),
+            ("batch_s", Json::Num(self.batch_s, 6)),
+            ("speedup_batch", Json::Num(self.speedup_batch, 3)),
+            ("req_per_s", Json::Num(self.req_per_s, 3)),
+            ("decode_tok_per_s", Json::Num(self.decode_tok_per_s, 2)),
+            (
+                "solo_decode_tok_per_s",
+                Json::Num(self.solo_decode_tok_per_s, 2),
+            ),
+            ("latency_p50_steps", Json::Num(self.latency_p50_steps, 1)),
+            ("latency_p99_steps", Json::Num(self.latency_p99_steps, 1)),
+            ("peak_batch", self.peak_batch.into()),
+        ])
     }
 }
 
@@ -294,8 +278,8 @@ pub struct ChaosBenchConfig {
 }
 
 impl ChaosBenchConfig {
-    /// The fixed chaos scenario embedded in `bench_m2xfp_json` and gated
-    /// by CI (`serve.chaos_exact`, `serve.zero_leak`). The flood is 4× the
+    /// The fixed chaos scenario of both emitter profiles, gated by CI
+    /// (`chaos.chaos_exact`, `chaos.zero_leak`). The flood is 4× the
     /// queue, so admission control *must* shed; the plan's horizon (16)
     /// sits below the ~22+ ticks the admitted work typically drives, so
     /// the recovery wave normally runs on an exhausted plan.
@@ -314,6 +298,24 @@ impl ChaosBenchConfig {
             cancels: 3,
             fault_horizon: 16,
         }
+    }
+
+    /// The report's `cfg` table.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("hidden", self.hidden.into()),
+            ("layers", self.layers.into()),
+            ("requests", self.requests.into()),
+            ("prompt_tokens", self.prompt_tokens.into()),
+            ("decode_steps", self.decode_steps.into()),
+            ("max_batch", self.max_batch.into()),
+            ("queue_capacity", self.queue_capacity.into()),
+            ("seed", self.seed.into()),
+            ("panics", self.panics.into()),
+            ("delays", self.delays.into()),
+            ("cancels", self.cancels.into()),
+            ("fault_horizon", self.fault_horizon.into()),
+        ])
     }
 }
 
@@ -418,7 +420,7 @@ pub fn run_chaos(cfg: ChaosBenchConfig) -> ChaosReport {
     for (i, id) in ids.iter().enumerate() {
         match server.wait(*id).expect("typed outcome") {
             RequestOutcome::Finished(c) => {
-                chaos_exact &= c.decoded == solo(&prompts[i]);
+                chaos_exact &= bits_eq(&c.decoded, &solo(&prompts[i]));
             }
             RequestOutcome::Failed { error } => {
                 // Only the plan may fail requests in this scenario.
@@ -441,7 +443,7 @@ pub fn run_chaos(cfg: ChaosBenchConfig) -> ChaosReport {
             .submit(p.clone(), cfg.decode_steps)
             .expect("server is live");
         match server.wait(id).expect("typed outcome") {
-            RequestOutcome::Finished(c) => chaos_exact &= c.decoded == solo(p),
+            RequestOutcome::Finished(c) => chaos_exact &= bits_eq(&c.decoded, &solo(p)),
             RequestOutcome::Failed { error } => chaos_exact &= error.contains("injected fault"),
             // A residual planned cancel is legal; nothing here carries a
             // deadline and a serial submitter cannot be shed.
@@ -481,51 +483,23 @@ pub fn run_chaos(cfg: ChaosBenchConfig) -> ChaosReport {
 }
 
 impl ChaosReport {
-    /// Renders the report as a flat-gateable JSON object (no arrays).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{
-  "bench": "m2x_serve_chaos",
-  "model": "LLaMA3-8B-scaled",
-  "dims": {{"hidden": {h}, "layers": {l}, "requests": {r}, "decode_steps": {d}, "max_batch": {mb}, "queue_capacity": {qc}}},
-  "faults": {{"seed": {seed}, "panics": {pa}, "delays": {de}, "cancels": {ca}, "horizon": {ho}}},
-  "chaos_exact": {ex},
-  "zero_leak": {zl},
-  "shed_rate": {sr:.3},
-  "p99_step_us": {p99:.1},
-  "recovery_ticks": {rt},
-  "finished": {fi},
-  "rejected": {rj},
-  "cancelled": {cn},
-  "deadline_exceeded": {dl},
-  "failed": {fa},
-  "panics_recovered": {pr},
-  "wall_s": {ws:.6}
-}}"#,
-            h = self.cfg.hidden,
-            l = self.cfg.layers,
-            r = self.cfg.requests,
-            d = self.cfg.decode_steps,
-            mb = self.cfg.max_batch,
-            qc = self.cfg.queue_capacity,
-            seed = self.cfg.seed,
-            pa = self.cfg.panics,
-            de = self.cfg.delays,
-            ca = self.cfg.cancels,
-            ho = self.cfg.fault_horizon,
-            ex = self.chaos_exact,
-            zl = self.zero_leak,
-            sr = self.shed_rate,
-            p99 = self.p99_step_us,
-            rt = self.recovery_ticks,
-            fi = self.finished,
-            rj = self.rejected,
-            cn = self.cancelled,
-            dl = self.deadline_exceeded,
-            fa = self.failed,
-            pr = self.panics_recovered,
-            ws = self.wall_s,
-        )
+    /// The report's (name, value) table.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("cfg", self.cfg.to_json()),
+            ("chaos_exact", self.chaos_exact.into()),
+            ("zero_leak", self.zero_leak.into()),
+            ("shed_rate", Json::Num(self.shed_rate, 3)),
+            ("p99_step_us", Json::Num(self.p99_step_us, 1)),
+            ("recovery_ticks", self.recovery_ticks.into()),
+            ("finished", self.finished.into()),
+            ("rejected", self.rejected.into()),
+            ("cancelled", self.cancelled.into()),
+            ("deadline_exceeded", self.deadline_exceeded.into()),
+            ("failed", self.failed.into()),
+            ("panics_recovered", self.panics_recovered.into()),
+            ("wall_s", Json::Num(self.wall_s, 6)),
+        ])
     }
 }
 
@@ -556,7 +530,7 @@ pub struct PrefixChurnConfig {
 }
 
 impl PrefixChurnConfig {
-    /// The fixed prefix-churn scenario embedded in `bench_m2xfp_json` and
+    /// The fixed prefix-churn scenario of the emitter's `ci` profile,
     /// gated by CI (`kv_pool.reuse_exact`, `kv_pool.zero_leak`): one
     /// 32-token page of shared prefix (the default page size), distinct
     /// suffixes, admission churn from cancelled long-runners.
@@ -571,6 +545,20 @@ impl PrefixChurnConfig {
             max_batch: 4,
             cancels: 2,
         }
+    }
+
+    /// The report's `cfg` table.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("hidden", self.hidden.into()),
+            ("layers", self.layers.into()),
+            ("requests", self.requests.into()),
+            ("prefix_tokens", self.prefix_tokens.into()),
+            ("suffix_tokens", self.suffix_tokens.into()),
+            ("decode_steps", self.decode_steps.into()),
+            ("max_batch", self.max_batch.into()),
+            ("cancels", self.cancels.into()),
+        ])
     }
 }
 
@@ -621,15 +609,6 @@ pub struct PrefixChurnReport {
     pub decoded_bytes: u64,
     /// Wall time of the whole scenario (seconds), advisory.
     pub wall_s: f64,
-}
-
-fn bits_eq(a: &Matrix, b: &Matrix) -> bool {
-    a.rows() == b.rows()
-        && a.cols() == b.cols()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The churn workload's prompts: one shared `prefix_tokens`-row prefix
@@ -754,51 +733,25 @@ pub fn run_prefix_churn(cfg: PrefixChurnConfig) -> PrefixChurnReport {
 }
 
 impl PrefixChurnReport {
-    /// Renders the report as a flat-gateable JSON object (no arrays).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{
-  "bench": "m2x_kv_pool",
-  "model": "LLaMA3-8B-scaled",
-  "dims": {{"hidden": {h}, "layers": {l}, "requests": {r}, "prefix_tokens": {pt}, "suffix_tokens": {st}, "decode_steps": {d}, "max_batch": {mb}, "cancels": {ca}}},
-  "reuse_exact": {ex},
-  "zero_leak": {zl},
-  "prefix_hits": {ph},
-  "prefix_misses": {pm},
-  "hit_rate": {hr:.3},
-  "page_allocs": {pa},
-  "page_reuses": {pr},
-  "cow_clones": {cc},
-  "peak_pages": {pk},
-  "shared_pages_mid": {sm},
-  "fragmentation": {fr:.3},
-  "packed_bytes": {pb},
-  "decoded_bytes": {db},
-  "wall_s": {ws:.6}
-}}"#,
-            h = self.cfg.hidden,
-            l = self.cfg.layers,
-            r = self.cfg.requests,
-            pt = self.cfg.prefix_tokens,
-            st = self.cfg.suffix_tokens,
-            d = self.cfg.decode_steps,
-            mb = self.cfg.max_batch,
-            ca = self.cfg.cancels,
-            ex = self.reuse_exact,
-            zl = self.zero_leak,
-            ph = self.prefix_hits,
-            pm = self.prefix_misses,
-            hr = self.hit_rate,
-            pa = self.page_allocs,
-            pr = self.page_reuses,
-            cc = self.cow_clones,
-            pk = self.peak_pages,
-            sm = self.shared_pages_mid,
-            fr = self.fragmentation,
-            pb = self.packed_bytes,
-            db = self.decoded_bytes,
-            ws = self.wall_s,
-        )
+    /// The report's (name, value) table.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("cfg", self.cfg.to_json()),
+            ("reuse_exact", self.reuse_exact.into()),
+            ("zero_leak", self.zero_leak.into()),
+            ("prefix_hits", self.prefix_hits.into()),
+            ("prefix_misses", self.prefix_misses.into()),
+            ("hit_rate", Json::Num(self.hit_rate, 3)),
+            ("page_allocs", self.page_allocs.into()),
+            ("page_reuses", self.page_reuses.into()),
+            ("cow_clones", self.cow_clones.into()),
+            ("peak_pages", self.peak_pages.into()),
+            ("shared_pages_mid", self.shared_pages_mid.into()),
+            ("fragmentation", Json::Num(self.fragmentation, 3)),
+            ("packed_bytes", self.packed_bytes.into()),
+            ("decoded_bytes", self.decoded_bytes.into()),
+            ("wall_s", Json::Num(self.wall_s, 6)),
+        ])
     }
 }
 
@@ -820,8 +773,8 @@ pub struct TelemetryBenchConfig {
 }
 
 impl TelemetryBenchConfig {
-    /// The fixed configuration embedded in `bench_m2xfp_json` and gated by
-    /// CI: single-stream decode at the serving dims (hidden 256), the
+    /// The fixed configuration of both emitter profiles, gated by CI:
+    /// single-stream decode at the serving dims (hidden 256), the
     /// shape the `solo_decode_tok_per_s` headline moves — so
     /// `overhead_ratio` answers "what does leaving tracing on cost the
     /// number we actually advertise?".
@@ -834,6 +787,18 @@ impl TelemetryBenchConfig {
             decode_steps: 12,
             reps: 3,
         }
+    }
+
+    /// The report's `cfg` table.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("hidden", self.hidden.into()),
+            ("layers", self.layers.into()),
+            ("requests", self.requests.into()),
+            ("prompt_tokens", self.prompt_tokens.into()),
+            ("decode_steps", self.decode_steps.into()),
+            ("reps", self.reps.into()),
+        ])
     }
 }
 
@@ -1144,58 +1109,29 @@ pub fn run_telemetry(cfg: TelemetryBenchConfig) -> TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Renders the report as a flat-gateable JSON object (no arrays).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{
-  "bench": "m2x_telemetry",
-  "dims": {{"hidden": {h}, "layers": {l}, "requests": {r}, "prompt_tokens": {p}, "decode_steps": {d}}},
-  "trace_exact": {te},
-  "zero_alloc": {za},
-  "recording_allocs": {ra},
-  "overhead_ratio": {or:.3},
-  "traced_tok_per_s": {tt:.2},
-  "untraced_tok_per_s": {ut:.2},
-  "ticks": {ti},
-  "trace_events": {ev},
-  "trace_dropped": {dr},
-  "assemble_us": {sa:.1},
-  "encode_us": {se:.1},
-  "qgemm_us": {sq:.1},
-  "attention_us": {sat:.1},
-  "kv_append_us": {sk:.1},
-  "feedback_us": {sf:.1},
-  "stage_sum_us": {ss:.1},
-  "tick_sum_us": {ts:.1},
-  "stage_cover": {sc:.3}
-}}"#,
-            h = self.cfg.hidden,
-            l = self.cfg.layers,
-            r = self.cfg.requests,
-            p = self.cfg.prompt_tokens,
-            d = self.cfg.decode_steps,
-            te = self.trace_exact,
-            za = match self.zero_alloc {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            },
-            ra = self.recording_allocs,
-            or = self.overhead_ratio,
-            tt = self.traced_tok_per_s,
-            ut = self.untraced_tok_per_s,
-            ti = self.ticks,
-            ev = self.trace_events,
-            dr = self.trace_dropped,
-            sa = self.assemble_us,
-            se = self.encode_us,
-            sq = self.qgemm_us,
-            sat = self.attention_us,
-            sk = self.kv_append_us,
-            sf = self.feedback_us,
-            ss = self.stage_sum_us,
-            ts = self.tick_sum_us,
-            sc = self.stage_cover,
-        )
+    /// The report's (name, value) table.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("cfg", self.cfg.to_json()),
+            ("trace_exact", self.trace_exact.into()),
+            ("zero_alloc", self.zero_alloc.into()),
+            ("recording_allocs", self.recording_allocs.into()),
+            ("overhead_ratio", Json::Num(self.overhead_ratio, 3)),
+            ("traced_tok_per_s", Json::Num(self.traced_tok_per_s, 2)),
+            ("untraced_tok_per_s", Json::Num(self.untraced_tok_per_s, 2)),
+            ("ticks", self.ticks.into()),
+            ("trace_events", self.trace_events.into()),
+            ("trace_dropped", self.trace_dropped.into()),
+            ("assemble_us", Json::Num(self.assemble_us, 1)),
+            ("encode_us", Json::Num(self.encode_us, 1)),
+            ("qgemm_us", Json::Num(self.qgemm_us, 1)),
+            ("attention_us", Json::Num(self.attention_us, 1)),
+            ("kv_append_us", Json::Num(self.kv_append_us, 1)),
+            ("feedback_us", Json::Num(self.feedback_us, 1)),
+            ("stage_sum_us", Json::Num(self.stage_sum_us, 1)),
+            ("tick_sum_us", Json::Num(self.tick_sum_us, 1)),
+            ("stage_cover", Json::Num(self.stage_cover, 3)),
+        ])
     }
 }
 
@@ -1236,7 +1172,7 @@ mod tests {
         assert!(r.zero_leak, "chaos run leaked sessions: {r:?}");
         assert!(r.finished >= 1);
         assert_eq!(r.panics_recovered, 2 * r.failed, "exact attribution");
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.contains("\"chaos_exact\": true"));
         assert!(json.contains("\"zero_leak\": true"));
         assert!(json.contains("\"recovery_ticks\""));
@@ -1261,7 +1197,7 @@ mod tests {
         assert!(r.page_reuses >= 1, "churn must recycle the free list");
         assert!(r.hit_rate > 0.0);
         assert!(r.fragmentation > 0.0, "tail pages are partially filled");
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.contains("\"reuse_exact\": true"));
         assert!(json.contains("\"zero_leak\": true"));
         assert!(json.contains("\"hit_rate\""));
@@ -1314,7 +1250,7 @@ mod tests {
         );
         // The library's own test process never installs the counting
         // allocator, so the witness reports "skipped", not a vacuous pass.
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.contains("\"trace_exact\": true"));
         assert!(json.contains("\"zero_alloc\": null"));
         assert!(json.contains("\"stage_cover\""));
@@ -1336,7 +1272,7 @@ mod tests {
         assert!(r.speedup_batch > 0.0 && r.decode_tok_per_s > 0.0);
         assert!(r.latency_p99_steps >= r.latency_p50_steps);
         assert!(r.peak_batch >= 2, "peak batch {}", r.peak_batch);
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.contains("\"batch_exact\": true"));
         assert!(json.contains("\"speedup_batch\""));
     }

@@ -1,12 +1,13 @@
-//! Interleaved timing for the hard-gated within-run speedup ratios.
+//! Timing and comparison helpers shared by the bench sections.
 //!
 //! A ratio of two best-of times measured in separate blocks moves with
 //! any change of host speed between the blocks (steal on a shared host, a
 //! frequency step), and a 25% gate then fails on unchanged code. So the
-//! sides of every gated ratio are timed back to back inside each rep,
-//! which side runs first alternates from rep to rep, and the ratio
-//! reported is the median of the per-rep ratios.
+//! sides of every gated ratio are timed back to back inside each rep
+//! ([`Interleaved`]), which side runs first alternates from rep to rep,
+//! and the ratio reported is the median of the per-rep ratios.
 
+use m2x_tensor::Matrix;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -62,6 +63,19 @@ pub fn time_once<O>(f: impl FnOnce() -> O) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
+/// Fastest wall time of `reps` (at least one) calls of `f`, in seconds,
+/// with the last call's output — for times no gated ratio is built from.
+pub fn best_of<O>(reps: usize, mut f: impl FnMut() -> O) -> (f64, O) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps.max(1) {
+        let t0 = Instant::now();
+        out = Some(black_box(f()));
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    (best, out.expect("reps.max(1) calls f at least once"))
+}
+
 /// Mean wall time of one `f` call over a loop of at least `min_s`
 /// seconds, for calls too short to time alone.
 pub fn time_per_call(min_s: f64, mut f: impl FnMut()) -> f64 {
@@ -72,6 +86,28 @@ pub fn time_per_call(min_s: f64, mut f: impl FnMut()) -> f64 {
         calls += 1;
     }
     t0.elapsed().as_secs_f64() / f64::from(calls)
+}
+
+/// Nearest-rank percentile `p` (in `0..=1`) of an ascending slice; 0 when
+/// the slice is empty.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
+    sorted[idx]
+}
+
+/// Same shape and the same bits in every element: the bit-identity every
+/// `*_exact` flag checks (`-0.0` differs from `0.0`, a NaN matches only
+/// its own bits).
+pub fn bits_eq(a: &Matrix, b: &Matrix) -> bool {
+    a.rows() == b.rows()
+        && a.cols() == b.cols()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
@@ -112,5 +148,24 @@ mod tests {
         let even = Interleaved::run(2, [&mut c, &mut d, &mut e]);
         assert_eq!(even.median(|s| s[0] / s[2]), (3.0 + 1.5) / 2.0);
         assert!(time_per_call(0.0, || {}) >= 0.0);
+    }
+
+    #[test]
+    fn best_of_percentile_and_bits_eq() {
+        let mut calls = 0;
+        let (t, out) = best_of(0, || {
+            calls += 1;
+            calls
+        });
+        assert!(t >= 0.0);
+        assert_eq!((calls, out), (1, 1), "reps 0 still times one call");
+        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(percentile(&sorted, 0.5), 3.0);
+        assert_eq!(percentile(&sorted, 0.99), 5.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        let a = Matrix::from_fn(2, 2, |r, c| (r + c) as f32);
+        assert!(bits_eq(&a, &a.clone()));
+        assert!(!bits_eq(&a, &a.map(|v| if v == 0.0 { -0.0 } else { v })));
+        assert!(!bits_eq(&a, &Matrix::from_fn(1, 4, |_, c| c as f32)));
     }
 }

@@ -9,7 +9,6 @@
 //! | R1 `hot-alloc` | functions tagged `// m2x-lint: hot` contain no allocating constructs |
 //! | R2 `panic` | engine/gateway code never `unwrap`s/`panic`s; locks are poison-tolerant |
 //! | R3 `unsafe` | every `unsafe` carries an adjacent `// SAFETY:` comment |
-//! | R4 `gate` | every `GATED_EXACT` CI gate key has a live bench emitter |
 //!
 //! Run it with `cargo run -p m2x-lint` from anywhere in the workspace; it
 //! exits non-zero if any finding is produced. The marker grammar and the
@@ -18,11 +17,11 @@
 //! ## Scope policy
 //!
 //! *Engine crates* (`core`, `nn`, `serve`, `gateway`, `formats`, `tensor`,
-//! `telemetry`, `lint` itself, and the umbrella `src/`) get all four rule
+//! `telemetry`, `lint` itself, and the umbrella `src/`) get all three rule
 //! families.
-//! *Research/tooling crates* (`bench`, `baselines`, `accel`, `criterion`)
-//! are exempt from R2 — experiment drivers may `expect()` on their own
-//! config — but still get R1 (hot tags), R3 and R4. Test code
+//! *Research/tooling crates* (`bench`, `baselines`, `accel`) are exempt
+//! from R2 — experiment drivers may `expect()` on their own config — but
+//! still get R1 (hot tags) and R3. Test code
 //! (`#[cfg(test)]` regions, `tests/`, `benches/`, `examples/` trees) is
 //! exempt from R1/R2 but never from R3: unsafe in tests still needs its
 //! safety argument.
@@ -30,7 +29,7 @@
 pub mod rules;
 pub mod scan;
 
-pub use rules::{check_gate_integrity, scan_file, FileOpts, Finding, Rule};
+pub use rules::{scan_file, FileOpts, Finding, Rule};
 pub use scan::{strip_source, Line};
 
 use std::path::{Path, PathBuf};
@@ -62,10 +61,9 @@ impl Report {
 
 /// Walk the workspace rooted at `root` and apply all rule families.
 ///
-/// Scans `src/` plus every `crates/*/{src,tests,benches,examples}` tree,
-/// then runs the R4 gate-integrity cross-check once. Unreadable files
-/// become `Rule::Io` findings rather than panics, so the linter itself
-/// honours R2.
+/// Scans `src/` plus every `crates/*/{src,tests,benches,examples}` tree.
+/// Unreadable files become `Rule::Io` findings rather than panics, so the
+/// linter itself honours R2.
 pub fn scan_workspace(root: &Path) -> Report {
     let mut report = Report::default();
     let mut targets: Vec<(PathBuf, FileOpts)> = Vec::new();
@@ -122,14 +120,6 @@ pub fn scan_workspace(root: &Path) -> Report {
             }),
         }
     }
-
-    let mut gate_findings = check_gate_integrity(root);
-    for f in &mut gate_findings {
-        if let Ok(rel) = f.file.strip_prefix(root) {
-            f.file = rel.to_path_buf();
-        }
-    }
-    report.findings.extend(gate_findings);
     report
 }
 

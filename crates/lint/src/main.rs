@@ -30,7 +30,7 @@ fn main() -> ExitCode {
     }
     if report.is_clean() {
         println!(
-            "m2x-lint: clean ({} files scanned, rules R1-R4)",
+            "m2x-lint: clean ({} files scanned, rules R1-R3)",
             report.files_scanned
         );
         ExitCode::SUCCESS

@@ -1,4 +1,4 @@
-//! The four rule families, layered on top of [`crate::scan`]'s stripped
+//! The three rule families, layered on top of [`crate::scan`]'s stripped
 //! lines.
 //!
 //! * **R1 hot-path allocation discipline** — a function tagged
@@ -11,11 +11,6 @@
 //!   `.lock().unwrap()`. Escape hatch: `// m2x-lint: allow(panic) <reason>`.
 //! * **R3 unsafe audit** — every `unsafe` keyword needs a `// SAFETY:`
 //!   comment on the same line or within the three lines above it.
-//! * **R4 gate-integrity cross-check** — every key in `ci_perf_gate`'s
-//!   `GATED_EXACT` array must appear (by leaf name) in a string literal of
-//!   some bench emitter source, so a gate can never be silently disarmed
-//!   by renaming or deleting its emitter while the gate list still looks
-//!   intact.
 //!
 //! Structural tracking (brace depth, `#[cfg(test)]` regions, hot-function
 //! bodies) is a single forward pass over stripped lines; see
@@ -34,8 +29,6 @@ pub enum Rule {
     PanicDiscipline,
     /// R3: `unsafe` without an adjacent `// SAFETY:` comment.
     UnsafeSafety,
-    /// R4: `GATED_EXACT` key with no bench emitter.
-    GateIntegrity,
     /// Malformed or dangling `// m2x-lint:` marker.
     Marker,
     /// A file or directory the scanner could not read.
@@ -43,13 +36,12 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Stable short code used in reports (`R1`..`R4`, `M`, `IO`).
+    /// Stable short code used in reports (`R1`..`R3`, `M`, `IO`).
     pub fn code(self) -> &'static str {
         match self {
             Rule::HotAlloc => "R1-hot-alloc",
             Rule::PanicDiscipline => "R2-panic",
             Rule::UnsafeSafety => "R3-unsafe",
-            Rule::GateIntegrity => "R4-gate",
             Rule::Marker => "marker",
             Rule::Io => "io",
         }
@@ -60,7 +52,7 @@ impl Rule {
 #[derive(Debug, Clone)]
 pub struct Finding {
     pub file: PathBuf,
-    /// 1-based line number (0 for whole-file findings such as R4/io).
+    /// 1-based line number (0 for whole-file findings such as io).
     pub line: usize,
     pub rule: Rule,
     pub message: String,
@@ -446,105 +438,6 @@ fn fn_name_on_line(code: &str) -> String {
         }
     }
     "<fn>".into()
-}
-
-/// R4: every `GATED_EXACT` key in `ci_perf_gate.rs` must be emitted (by
-/// leaf name) somewhere in the bench crate's JSON emitters.
-pub fn check_gate_integrity(root: &Path) -> Vec<Finding> {
-    let gate_path = root.join("crates/bench/src/bin/ci_perf_gate.rs");
-    let mut findings = Vec::new();
-    let gate_src = match std::fs::read_to_string(&gate_path) {
-        Ok(s) => s,
-        Err(e) => {
-            findings.push(Finding {
-                file: gate_path,
-                line: 0,
-                rule: Rule::Io,
-                message: format!("cannot read gate source: {e}"),
-            });
-            return findings;
-        }
-    };
-    let lines = strip_source(&gate_src);
-    let mut keys: Vec<(usize, String)> = Vec::new();
-    let mut in_array = false;
-    for (i, line) in lines.iter().enumerate() {
-        if !in_array {
-            if line.code.contains("GATED_EXACT") {
-                in_array = true;
-            } else {
-                continue;
-            }
-        }
-        for s in &line.strings {
-            keys.push((i + 1, s.clone()));
-        }
-        // Stop at the array's terminator. `];` (not a bare `]`) so the
-        // `[&str; N]` type annotation on the declaration line doesn't end
-        // collection before it starts.
-        if line.code.contains("];") {
-            break;
-        }
-    }
-    if keys.is_empty() {
-        findings.push(Finding {
-            file: gate_path,
-            line: 0,
-            rule: Rule::GateIntegrity,
-            message: "no GATED_EXACT keys found — gate list missing or renamed".into(),
-        });
-        return findings;
-    }
-
-    // Collect every string literal in the bench crate outside the gate
-    // binary itself: those are the candidate emitters.
-    let mut emitter_strings: Vec<String> = Vec::new();
-    let bench_src = root.join("crates/bench/src");
-    let mut stack = vec![bench_src];
-    while let Some(dir) = stack.pop() {
-        let entries = match std::fs::read_dir(&dir) {
-            Ok(e) => e,
-            Err(e) => {
-                findings.push(Finding {
-                    file: dir,
-                    line: 0,
-                    rule: Rule::Io,
-                    message: format!("cannot read dir: {e}"),
-                });
-                continue;
-            }
-        };
-        for entry in entries.flatten() {
-            let p = entry.path();
-            if p.is_dir() {
-                stack.push(p);
-            } else if p.extension().is_some_and(|e| e == "rs")
-                && p.file_name().is_some_and(|n| n != "ci_perf_gate.rs")
-            {
-                if let Ok(src) = std::fs::read_to_string(&p) {
-                    for line in strip_source(&src) {
-                        emitter_strings.extend(line.strings);
-                    }
-                }
-            }
-        }
-    }
-
-    for (lineno, key) in &keys {
-        let leaf = key.rsplit('.').next().unwrap_or(key);
-        let emitted = emitter_strings.iter().any(|s| s.contains(leaf));
-        if !emitted {
-            findings.push(Finding {
-                file: gate_path.clone(),
-                line: *lineno,
-                rule: Rule::GateIntegrity,
-                message: format!(
-                    "gated key `{key}`: no bench emitter mentions `{leaf}` — the gate would silently disarm (missing-key = fail, but nothing would ever emit it)"
-                ),
-            });
-        }
-    }
-    findings
 }
 
 #[cfg(test)]

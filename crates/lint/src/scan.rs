@@ -2,10 +2,8 @@
 //!
 //! Rust source is reduced to per-line records in one pass: code with
 //! comment text removed and string/char literal *contents* blanked (so
-//! rule patterns never fire on prose), the comment text itself (where the
-//! `// m2x-lint:` markers and `// SAFETY:` audits live), and the extracted
-//! string-literal contents (which the R4 gate-integrity cross-check
-//! matches emitted metric keys against).
+//! rule patterns never fire on prose), and the comment text itself (where
+//! the `// m2x-lint:` markers and `// SAFETY:` audits live).
 //!
 //! The stripper is deliberately not a parser: it tracks exactly the
 //! lexical state needed to answer "is this byte code, comment, or
@@ -23,8 +21,6 @@ pub struct Line {
     pub code: String,
     /// Concatenated comment text of the line (line and block comments).
     pub comment: String,
-    /// Contents of string literals that *end* on this line.
-    pub strings: Vec<String>,
 }
 
 /// Lexical state carried across characters (and lines).
@@ -48,18 +44,14 @@ pub fn strip_source(src: &str) -> Vec<Line> {
     let mut lines = Vec::new();
     let mut line = Line::default();
     let mut state = State::Code;
-    let mut str_buf = String::new();
     let chars: Vec<char> = src.chars().collect();
     let mut i = 0usize;
     while i < chars.len() {
         let c = chars[i];
         if c == '\n' {
             // Line comments end at the newline; every other state persists.
-            // Strings keep accumulating across the break.
-            match state {
-                State::LineComment => state = State::Code,
-                State::Str(_) | State::RawStr(_) => str_buf.push('\n'),
-                _ => {}
+            if let State::LineComment = state {
+                state = State::Code;
             }
             lines.push(std::mem::take(&mut line));
             i += 1;
@@ -79,7 +71,6 @@ pub fn strip_source(src: &str) -> Vec<Line> {
                     }
                     ('"', _) => {
                         state = State::Str(false);
-                        str_buf.clear();
                         i += 1;
                     }
                     ('r', Some('"' | '#')) if is_raw_string_start(&chars, i) => {
@@ -91,13 +82,11 @@ pub fn strip_source(src: &str) -> Vec<Line> {
                         }
                         // is_raw_string_start guarantees the quote is here.
                         state = State::RawStr(hashes);
-                        str_buf.clear();
                         i = j + 1;
                     }
                     ('b', Some('"')) => {
                         line.code.push('b');
                         state = State::Str(false);
-                        str_buf.clear();
                         i += 2;
                     }
                     ('b', Some('r')) if raw_quote_after(&chars, i + 1).is_some() => {
@@ -107,7 +96,6 @@ pub fn strip_source(src: &str) -> Vec<Line> {
                         let hashes = raw_quote_after(&chars, i + 1).unwrap_or(0);
                         line.code.push_str("br");
                         state = State::RawStr(hashes);
-                        str_buf.clear();
                         i = i + 3 + hashes as usize;
                     }
                     ('\'', _) => {
@@ -154,27 +142,21 @@ pub fn strip_source(src: &str) -> Vec<Line> {
             }
             State::Str(escaped) => {
                 if escaped {
-                    str_buf.push(c);
                     state = State::Str(false);
                 } else if c == '\\' {
                     state = State::Str(true);
                 } else if c == '"' {
                     line.code.push_str("\"\"");
-                    line.strings.push(std::mem::take(&mut str_buf));
                     state = State::Code;
-                } else {
-                    str_buf.push(c);
                 }
                 i += 1;
             }
             State::RawStr(hashes) => {
                 if c == '"' && closes_raw_string(&chars, i, hashes) {
                     line.code.push_str("\"\"");
-                    line.strings.push(std::mem::take(&mut str_buf));
                     state = State::Code;
                     i += 1 + hashes as usize;
                 } else {
-                    str_buf.push(c);
                     i += 1;
                 }
             }
@@ -190,11 +172,8 @@ pub fn strip_source(src: &str) -> Vec<Line> {
             }
         }
     }
-    // A trailing unterminated string/comment: keep whatever accumulated.
-    if !str_buf.is_empty() {
-        line.strings.push(str_buf);
-    }
-    if !line.code.is_empty() || !line.comment.is_empty() || !line.strings.is_empty() {
+    // A trailing unterminated comment: keep whatever accumulated.
+    if !line.code.is_empty() || !line.comment.is_empty() {
         lines.push(line);
     }
     lines
@@ -280,33 +259,29 @@ mod tests {
     }
 
     #[test]
-    fn string_contents_are_blanked_but_recorded() {
+    fn string_contents_are_blanked() {
         let lines = strip_source("emit(\"panic! inside a string\");\n");
         assert_eq!(lines[0].code, "emit(\"\");");
-        assert_eq!(lines[0].strings, vec!["panic! inside a string"]);
     }
 
     #[test]
     fn escaped_quotes_stay_inside_the_string() {
         let lines = strip_source("let s = \"a \\\" b\"; s.unwrap();\n");
         assert_eq!(lines[0].code, "let s = \"\"; s.unwrap();");
-        assert_eq!(lines[0].strings, vec!["a \" b"]);
     }
 
     #[test]
     fn raw_strings_at_hash_depth() {
         let lines = strip_source("let s = r#\"quote \" inside\"#; done();\n");
         assert_eq!(lines[0].code, "let s = \"\"; done();");
-        assert_eq!(lines[0].strings, vec!["quote \" inside"]);
         let lines = strip_source("let s = r\"plain raw\";\n");
-        assert_eq!(lines[0].strings, vec!["plain raw"]);
+        assert_eq!(lines[0].code, "let s = \"\";");
     }
 
     #[test]
     fn byte_and_byte_raw_strings() {
         let lines = strip_source("w(b\"bytes\"); w(br#\"raw bytes\"#);\n");
         assert_eq!(lines[0].code, "w(b\"\"); w(br\"\");");
-        assert_eq!(lines[0].strings, vec!["bytes", "raw bytes"]);
     }
 
     #[test]
@@ -317,21 +292,20 @@ mod tests {
         // A quote char inside a char literal must not open a string.
         let lines = strip_source("let q = '\"'; still_code();\n");
         assert!(lines[0].code.contains("still_code"));
-        assert!(lines[0].strings.is_empty());
     }
 
     #[test]
     fn identifier_ending_in_r_is_not_a_raw_string() {
         let lines = strip_source("for r in 0..n { tr\"x\"; }\n");
         // `tr"x"` parses as ident then a plain string — not a raw string.
-        assert_eq!(lines[0].strings, vec!["x"]);
+        assert_eq!(lines[0].code, "for r in 0..n { tr\"\"; }");
     }
 
     #[test]
-    fn multiline_string_contents_attach_to_closing_line() {
+    fn multiline_string_blanks_up_to_its_closing_line() {
         let lines = strip_source("let s = \"one\ntwo\";\nafter();\n");
-        assert!(lines[0].strings.is_empty());
-        assert_eq!(lines[1].strings, vec!["one\ntwo"]);
+        assert_eq!(lines[0].code, "let s = ");
+        assert_eq!(lines[1].code, "\"\";");
         assert_eq!(lines[2].code, "after();");
     }
 }

@@ -21,7 +21,8 @@
 //! architecture queries live on [`QuantizedModel::weights`]):
 //!
 //! * [`QuantizedModel::forward_batch`] — reset the KV cache and run a full
-//!   causal batch (the throughput surface the `e2e_model` driver times);
+//!   causal batch (the throughput surface the bench emitter's `e2e_model`
+//!   section times);
 //! * [`QuantizedModel::prefill`] / [`QuantizedModel::decode`] — the
 //!   serving loop: append tokens to the session's paged KV state and
 //!   return their outputs. Prefill-then-decode is **bit-identical** to the
@@ -1311,8 +1312,8 @@ impl QuantizedModel {
     }
 
     /// [`Self::forward_batch`] that also returns the residual stream after
-    /// every layer — the per-layer observability hook the `e2e_model`
-    /// driver's NRMSE report uses.
+    /// every layer — the per-layer observability hook the bench emitter's
+    /// `e2e_model` NRMSE report uses.
     ///
     /// # Errors
     ///

@@ -24,7 +24,8 @@
 //! rows and KV cache, so each request's generation is **bit-identical to
 //! running it alone** ([`run_solo`]) — for any arrival interleaving, batch
 //! composition and worker-thread count. `tests/proptest_serve.rs` pins
-//! this; the `serve_bench` driver hard-gates it in CI (`batch_exact`).
+//! this; the bench emitter's `serve` section hard-gates it in CI
+//! (`serve.batch_exact`).
 //!
 //! **Fault tolerance:** every submitted id resolves to exactly one typed
 //! [`RequestOutcome`] (`Finished | Cancelled | DeadlineExceeded | Rejected
@@ -34,7 +35,7 @@
 //! and keeps every survivor bit-identical to its solo run (see
 //! [`scheduler`]). The [`fault`] module's deterministic [`FaultPlan`]
 //! drives the chaos property tests (`tests/proptest_chaos.rs`) and the CI
-//! hard gates `serve.chaos_exact` / `serve.zero_leak`.
+//! hard gates `chaos.chaos_exact` / `chaos.zero_leak`.
 //!
 //! **Paged KV with prefix sharing:** session KV state lives on fixed-size
 //! pages from a shared [`KvPagePool`](m2x_nn::KvPagePool) — admission
