@@ -3,10 +3,10 @@
 //!
 //! Usage: `bench_m2xfp_json [--profile ci|record]`
 //!
-//! Both profiles run every section, in this order: the `engine` syscall
-//! witness, the kernel sections, then `e2e_model`, `serve`, `chaos`,
-//! `kv_pool`, `gateway`, `telemetry` and `lint_clean`. A profile sets
-//! config values only:
+//! Both profiles run every section, in this order: `engine` (the syscall
+//! witness and the dispatched kernel path), the kernel sections, then
+//! `e2e_model`, `serve`, `chaos`, `kv_pool`, `gateway`, `telemetry` and
+//! `lint_clean`. A profile sets config values only:
 //!
 //! * `ci` (the default) — kernel dim 256 at 9 reps and every other
 //!   section at its `ci()` config, with 9 reps where it has reps. Writes
@@ -26,13 +26,13 @@ use m2x_bench::serving::{
     run as run_serve, run_chaos, run_prefix_churn, run_telemetry, zero_syscall_tick,
     ChaosBenchConfig, PrefixChurnConfig, ServeBenchConfig, TelemetryBenchConfig,
 };
-use m2x_bench::timing::{best_of, bits_eq, time_once, Interleaved};
+use m2x_bench::timing::{best_of, bits_eq, time_once, time_per_call, Interleaved};
 use m2x_telemetry::alloc_probe::CountingAlloc;
 use m2x_tensor::{Matrix, Xoshiro};
 use m2xfp::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use m2xfp::gemm::{
     qgemm, qgemm_packed, qgemm_packed_threaded, qgemm_reference, qgemv_packed, GemmScratch,
-    WeightPlane,
+    KernelPath, WeightPlane,
 };
 use m2xfp::M2xfpConfig;
 use std::hint::black_box;
@@ -179,29 +179,25 @@ fn kernels(dim: usize, reps: usize) -> Vec<(&'static str, Json)> {
 
     // Decode-kernel section: the m == 1 GEMV shape serving hits once per
     // projection per layer per decode step. A single call is microseconds
-    // at the CI dim — far inside shared-runner timer noise, and
-    // `speedup_gemv` is a hard gate — so each timed sample loops the
-    // kernel until it covers a few milliseconds and reports the per-call
-    // mean (~4 MMAC per sample).
+    // at the CI dim and a few milliseconds at the record dim — inside
+    // shared-host timer and steal noise, and `speedup_gemv` is a hard gate
+    // — so each timed sample loops its kernel for at least
+    // `DK_SAMPLE_S` and reports the per-call mean.
+    const DK_SAMPLE_S: f64 = 0.003;
     let x1 = Matrix::from_fn(1, k, |_, _| rng.laplace(1.0));
     let x1t = ActTensor::quantize(&x1, cfg);
     let x1p = PackedActTensor::from_grouped(&x1t);
     let plane = WeightPlane::decode(&wp);
     let mut scratch = GemmScratch::new();
-    let dk_iters = (4_000_000 / (k * n)).max(1);
     let mut dk_grouped = || {
-        time_once(|| {
-            for _ in 0..dk_iters {
-                black_box(qgemm(&x1t, &wt));
-            }
-        }) / dk_iters as f64
+        time_per_call(DK_SAMPLE_S, || {
+            black_box(qgemm(&x1t, &wt));
+        })
     };
     let mut dk_gemv = || {
-        time_once(|| {
-            for _ in 0..dk_iters {
-                black_box(qgemv_packed(&x1p, &plane, &mut scratch));
-            }
-        }) / dk_iters as f64
+        time_per_call(DK_SAMPLE_S, || {
+            black_box(qgemv_packed(&x1p, &plane, &mut scratch));
+        })
     };
     let dk = Interleaved::run(reps, [&mut dk_grouped, &mut dk_gemv]);
     let (t_dk_grouped, t_dk_gemv) = (dk.best(0), dk.best(1));
@@ -330,8 +326,12 @@ fn main() -> ExitCode {
     };
     // Engine witness first: `/proc/self/io` counts the reads of every
     // thread in the process, so it runs before any section starts one.
-    // `null` where the counter is unavailable.
-    let engine = Json::obj([("zero_syscall_tick", zero_syscall_tick().into())]);
+    // `null` where the counter is unavailable. `kernel` names the packed
+    // GEMM path this CPU dispatches to (a string: the gate skips it).
+    let engine = Json::obj([
+        ("zero_syscall_tick", zero_syscall_tick().into()),
+        ("kernel", Json::Str(KernelPath::detect().name())),
+    ]);
     eprintln!("kernels: M=32 K=N={}, {} reps", p.dim, p.reps);
     let mut report = vec![
         ("bench", Json::Str("m2xfp")),

@@ -22,7 +22,7 @@
 //! The advisory numbers are end-to-end: `e2e_p50_ms`/`e2e_p99_ms` are
 //! connect-to-last-byte latencies of the short generations measured
 //! **through** the gateway while the long streams are running — the
-//! head-of-line number a register-blocked decode step ultimately buys.
+//! head-of-line number a faster decode step ultimately buys.
 
 use crate::report::Json;
 use crate::timing::{bits_eq, percentile};

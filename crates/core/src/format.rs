@@ -14,7 +14,7 @@ use m2x_formats::packing::{
     nibble_at, pack_nibbles, pack_nibbles_into, set_two_bits, two_bits_at, unpack_nibbles,
     StreamLayout,
 };
-use m2x_formats::tables::FP4_VALUES;
+use m2x_formats::tables::{EXTRA_X8, FP4_ABS_KEY, FP4_VALUES};
 use m2x_formats::E8M0;
 use m2x_tensor::Matrix;
 
@@ -683,9 +683,40 @@ impl PackedActTensor {
         }
     }
 
-    /// Dequantizes back to `f32`.
+    /// Dequantizes back to `f32`, walking the packed streams directly —
+    /// bit-identical to the grouped [`ActTensor::dequantize`], with the
+    /// output as the only allocation. Every element decodes through
+    /// `FP4_VALUES` except each subgroup's top-1 (largest magnitude, lowest
+    /// index on ties), which the 2-bit metadata refines through
+    /// `EXTRA_X8`; the sign is applied to the refined magnitude, as the
+    /// float codec does, so a refined zero under a negative code stays
+    /// `-0.0`.
     pub fn dequantize(&self) -> Matrix {
-        self.to_grouped().dequantize()
+        let gs = self.s.cfg.group_size;
+        let sgs = self.s.cfg.subgroup_size;
+        let gpr = self.groups_per_row();
+        let mut data = vec![0.0f32; self.s.rows * self.s.cols];
+        for g in 0..self.group_count() {
+            let len = self.group_len(g);
+            let scale = self.group_scale(g).value();
+            let base = (g / gpr) * self.s.cols + (g % gpr) * gs;
+            for (sg, out) in data[base..base + len].chunks_mut(sgs).enumerate() {
+                let i0 = sg * sgs;
+                let mut top = (0, self.code_at(g, i0));
+                for (i, o) in out.iter_mut().enumerate() {
+                    let c = self.code_at(g, i0 + i);
+                    if FP4_ABS_KEY[c as usize] > FP4_ABS_KEY[top.1 as usize] {
+                        top = (i, c);
+                    }
+                    *o = FP4_VALUES[c as usize] * scale;
+                }
+                let (i, c) = top;
+                let mag = f32::from(EXTRA_X8[(c & 7) as usize][self.meta_at(g, sg) as usize]) / 8.0;
+                let refined = if c & 8 != 0 { -mag } else { mag };
+                out[i] = refined * scale;
+            }
+        }
+        Matrix::from_vec(self.s.rows, self.s.cols, data)
     }
 }
 

@@ -8,22 +8,21 @@
 //!
 //! Everything is exact integer arithmetic in units of 1/64 (activations are
 //! multiples of 1/8 after FP6 refinement, weights multiples of 1/2, the
-//! multiplier contributes a /4), so [`qgemm`], the packed cache-blocked
-//! [`qgemm_packed`] and the floating-point reference [`qgemm_reference`]
-//! all agree **exactly**, which the tests and property tests assert.
+//! multiplier contributes a /4), so [`qgemm`], the packed kernels and the
+//! floating-point reference [`qgemm_reference`] all agree **exactly**,
+//! which the tests and property tests assert.
 //!
-//! Several implementations are provided, all bit-identical:
+//! Several entry points are provided, all bit-identical:
 //!
 //! * [`qgemm`] — the readable per-group pipeline over the legacy grouped
 //!   tensors, decoding through the integer LUTs of `m2x_formats::tables`
 //!   (no float decode round-trip anywhere).
 //! * [`qgemm_packed_planed`] — the production hot path over a pre-decoded
-//!   [`WeightPlane`]: a register-blocked micro-kernel accumulating
-//!   `NR` output columns per activation-row pass (scale products hoisted
-//!   out of the group loop, i16×i16→i32 tiles the autovectorizer turns
-//!   into wide multiply-adds), tiled over output row chunks (scoped
-//!   threads via [`m2x_tensor::matrix::par_row_chunks`]) × `COL_TILE`
-//!   column tiles so a weight tile stays cache-hot across the row block.
+//!   [`WeightPlane`], whose weights sit in 16-column panels (see its type
+//!   docs), parallelized over output row chunks with scoped threads
+//!   ([`m2x_tensor::matrix::par_row_chunks`]). Each group ends as 16 exact
+//!   i32 column dots; the f64 epilogue then applies the scale products
+//!   once per group.
 //! * [`qgemv_packed`] — the `m == 1` decode fast path serving hits once
 //!   per projection per layer per step: no row-chunk threading, and the
 //!   activation scratch lives in a caller-held reusable [`GemmScratch`]
@@ -33,37 +32,31 @@
 //!   [`PackedWeightTensor`] streams: decodes a [`WeightPlane`] and runs the
 //!   planed kernel.
 //! * [`qgemm_reference`] — the f64 oracle every kernel is pinned against.
+//!
+//! Two kernels read the panel layout, and [`KernelPath::detect`] picks one
+//! at run time: an AVX2 micro-kernel (`_mm256_madd_epi16` over the
+//! interleaved k-pairs, the crate's only `unsafe` code) where the CPU has
+//! AVX2, and a safe portable kernel everywhere else (and under Miri,
+//! where std reports no CPU features). Both add
+//! `dot as f64 * (xs * ws)` per group in ascending group order with the
+//! same operand values, so their output bits are identical.
 
 use crate::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
-use m2x_formats::packing::two_bits_at;
+use m2x_formats::packing::{nibble_at, two_bits_at};
 use m2x_formats::tables::{top1_index, EXTRA_X8, FP4_X2, FP4_X8};
 use m2x_tensor::matrix::par_row_chunks;
 use m2x_tensor::Matrix;
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 /// Exact value of 1/64: the PE's fixed-point unit (1/8 activation × 1/2
 /// weight × 1/4 multiplier).
 const FIXED_POINT_UNIT: f64 = 1.0 / 64.0;
 
-/// Column-tile width of the packed kernel: 64 weight rows of one group
-/// (64 × 16 B codes) fit comfortably in L1 alongside the activation row.
-const COL_TILE: usize = 64;
-
-/// Output-column register block of the packed micro-kernel: [`NR`]
-/// independent i32 dot-product chains (plus their f64 accumulators) stay
-/// register-resident while one activation group is walked, so the decoded
-/// activation values are reused [`NR`] times per load and the chains give
-/// the core independent FMA work. 4 keeps `NR` f64 accumulators + `NR`
-/// group-scale pointers comfortably inside the 16 architectural vector
-/// registers of baseline x86-64 / aarch64.
-const NR: usize = 4;
-
-/// Activation-row register block: each decoded weight group loaded for the
-/// [`NR`] column chains is reused across up to [`MR`] activation rows
-/// before moving on, quartering the weight-stream traffic of batched
-/// steps (the continuous-batching scheduler's decode batches are exactly
-/// this shape: a handful of single-token rows stacked per projection).
-/// `m == 1` GEMV calls degrade gracefully to a 1×[`NR`] block.
-const MR: usize = 4;
+/// Output columns per [`WeightPlane`] panel: one panel k-pair row is 16
+/// interleaved i16 pairs, two 256-bit registers.
+const PANEL: usize = 16;
 
 /// An activation group decoded to integers: values ×8, plus the shared
 /// exponent.
@@ -82,28 +75,18 @@ struct WeightInts {
     exp: i32,
 }
 
-/// Applies the per-subgroup top-1 metadata refinement to a decoded ×8
-/// buffer. `codes` and `x8` cover one group.
-fn refine_top1_x8<T: From<i16> + Copy>(
-    codes: &[u8],
-    meta_of: impl Fn(usize) -> u8,
-    sg_size: usize,
-    x8: &mut [T],
-) {
-    for (sg_idx, sg_codes) in codes.chunks(sg_size).enumerate() {
-        let local = top1_index(sg_codes);
-        let idx = sg_idx * sg_size + local;
-        x8[idx] = T::from(EXTRA_X8[sg_codes[local] as usize][meta_of(sg_idx) as usize]);
-    }
-}
-
 fn decode_act_ints(t: &ActTensor) -> Vec<ActInts> {
     let sg_size = t.config().subgroup_size;
     t.groups()
         .iter()
         .map(|g| {
             let mut x8: Vec<i64> = g.codes.iter().map(|&c| FP4_X8[c as usize] as i64).collect();
-            refine_top1_x8(&g.codes, |sg| g.meta[sg], sg_size, &mut x8);
+            // Each subgroup's top-1 takes its metadata-refined value.
+            for (sg_idx, sg_codes) in g.codes.chunks(sg_size).enumerate() {
+                let local = top1_index(sg_codes);
+                x8[sg_idx * sg_size + local] =
+                    EXTRA_X8[sg_codes[local] as usize][g.meta[sg_idx] as usize] as i64;
+            }
             ActInts {
                 x8,
                 exp: g.scale.exponent(),
@@ -210,7 +193,7 @@ pub fn qgemm_packed(x: &PackedActTensor, w: &PackedWeightTensor) -> Matrix {
 }
 
 /// [`qgemm_packed`] with an explicit worker count: decodes the weight
-/// plane once and runs the register-blocked kernel over it.
+/// plane once and runs the panel kernel over it.
 ///
 /// # Panics
 ///
@@ -224,8 +207,8 @@ pub fn qgemm_packed_threaded(
 }
 
 /// Reusable activation scratch of the packed kernels: the decoded
-/// fixed-point activation plane (`x8`), its per-group scales (`xscale`)
-/// and the group code staging buffer (`code_buf`).
+/// fixed-point activation plane (`x8`) and its per-group scales
+/// (`xscale`).
 ///
 /// The decode hot loop of a serving session calls a GEMM once per
 /// projection per layer per step; holding one `GemmScratch` per session
@@ -244,7 +227,6 @@ pub fn qgemm_packed_threaded(
 pub struct GemmScratch {
     x8: Vec<i16>,
     xscale: Vec<f64>,
-    code_buf: Vec<u8>,
 }
 
 impl GemmScratch {
@@ -259,170 +241,204 @@ impl GemmScratch {
     pub fn reset(&mut self) {
         self.x8.clear();
         self.xscale.clear();
-        self.code_buf.clear();
     }
+}
+
+/// `2^e` for an E8M0 exponent (|e| <= 127), built from its bits: exact,
+/// and far inside f64's normal range.
+fn pow2(e: i32) -> f64 {
+    f64::from_bits(((e + 1023) as u64) << 52)
+}
+
+/// Group width in the kernel planes: the group size rounded up to whole
+/// k-pairs, so every group starts on a pair boundary.
+fn pair_width(group_size: usize) -> usize {
+    group_size.div_ceil(2) * 2
 }
 
 /// Decodes the activation stream into the scratch's flat fixed-point plane
-/// (i16 LUT lookups, no float round-trip). Padding with zeros keeps ragged
-/// trailing groups exact: zero codes contribute nothing to any product.
-/// Returns the group-padded row width `kp`.
+/// (i16 LUT lookups straight from the code bytes, no float round-trip),
+/// one [`pair_width`]-wide slot per group, then gives each subgroup's
+/// top-1 its refined value. Padding with zeros keeps ragged trailing
+/// groups exact: zero codes contribute nothing to any product.
 // m2x-lint: hot
-fn decode_act_plane(x: &PackedActTensor, s: &mut GemmScratch) -> usize {
+fn decode_act_plane(x: &PackedActTensor, s: &mut GemmScratch) {
     let gs = x.config().group_size;
+    let gsp = pair_width(gs);
     let sgs = x.config().subgroup_size;
+    let spg = gs / sgs;
     let gpr = x.groups_per_row();
-    let kp = gpr * gs;
     let m = x.shape().0;
     s.x8.clear();
-    s.x8.resize(m * kp, 0);
+    s.x8.resize(m * gpr * gsp, 0);
     s.xscale.clear();
     s.xscale.resize(m * gpr, 0.0);
-    s.code_buf.clear();
-    s.code_buf.resize(gs, 0);
-    let (x8, code_buf) = (&mut s.x8, &mut s.code_buf);
-    for (g, xs) in s.xscale.iter_mut().enumerate() {
-        let len = x.group_len(g);
-        let base = (g / gpr) * kp + (g % gpr) * gs;
-        for (i, c) in code_buf[..len].iter_mut().enumerate() {
-            *c = x.code_at(g, i);
-            x8[base + i] = FP4_X8[*c as usize] as i16;
+    let meta = x.meta();
+    let groups =
+        s.x8.chunks_exact_mut(gsp)
+            .zip(x.codes().chunks_exact(gs.div_ceil(2)))
+            .zip(s.xscale.iter_mut());
+    for (g, ((xg, bytes), xs)) in groups.enumerate() {
+        let xg = &mut xg[..x.group_len(g)];
+        for (pair, &b) in xg.chunks_mut(2).zip(bytes) {
+            for (o, code) in pair.iter_mut().zip([b & 0xF, b >> 4]) {
+                *o = i16::from(FP4_X8[usize::from(code)]);
+            }
         }
-        refine_top1_x8(
-            &code_buf[..len],
-            |sg| x.meta_at(g, sg),
-            sgs,
-            &mut x8[base..base + len],
-        );
-        *xs = (x.group_scale(g).exponent() as f64).exp2();
+        for (sg, sx) in xg.chunks_mut(sgs).enumerate() {
+            // The subgroup's top-1, as `top1_index` picks it: |FP4_X8|
+            // rises with a code's magnitude bits, so the first element
+            // with the largest decoded magnitude is the top-1 code.
+            let top_mag = sx.iter().map(|v| v.abs()).max().unwrap_or(0);
+            let top = sx.iter().position(|v| v.abs() == top_mag).unwrap_or(0);
+            let code = nibble_at(bytes, sg * sgs + top);
+            let extra = two_bits_at(meta, g * spg + sg);
+            sx[top] = EXTRA_X8[usize::from(code)][usize::from(extra)];
+        }
+        *xs = pow2(x.group_scale(g).exponent());
     }
-    kp
 }
 
-/// One i16×i16→i32 dot product over a group — the pattern the
-/// autovectorizer turns into widening multiply-adds. Per-lane products are
-/// ≤ 60·84 and a group total ≤ 32·5040, so i32 is ample. The production
-/// group size (32) takes a fixed-length path: known trip counts compile to
-/// straight-line `pmaddwd`-style chains with no loop or bounds checks.
-#[inline(always)]
-fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
-    if let (Ok(a32), Ok(b32)) = (<&[i16; 32]>::try_from(a), <&[i16; 32]>::try_from(b)) {
-        let mut s = 0i32;
-        for i in 0..32 {
-            s += a32[i] as i32 * b32[i] as i32;
-        }
-        return s;
-    }
-    let mut s = 0i32;
-    for (&x, &y) in a.iter().zip(b) {
-        s += x as i32 * y as i32;
-    }
-    s
+/// Which kernel runs the packed GEMMs over a [`WeightPlane`]. Every path
+/// computes the same bits; they differ only in speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelPath {
+    /// Safe Rust; runs on every target, and is what Miri runs.
+    Portable,
+    /// The `_mm256_madd_epi16` micro-kernel; x86-64 CPUs with AVX2 only.
+    Avx2,
 }
 
-/// The register-blocked micro-kernel over one chunk of output rows:
-/// `COL_TILE` column tiles keep a small set of decoded weight rows
-/// L1/L2-hot across the row block, and within a tile an [`MR`]×[`NR`]
-/// register block is accumulated per pass — the group loop walks each
-/// decoded weight group once while [`MR`]·[`NR`] independent
-/// i32-dot/f64-accumulate chains consume it (each weight group reused
-/// across [`MR`] activation rows, each activation group across [`NR`]
-/// columns), with the activation scale × fixed-point-unit products
-/// hoisted out of the per-column work.
-///
-/// Every output element still accumulates its groups in ascending order
-/// with the exact same f64 operand values as the scalar loop (the group
-/// sums are exact integers, the scale products exact powers of two), so
-/// any blocking order is bit-identical.
-#[allow(clippy::too_many_arguments)]
-// m2x-lint: hot
-fn kernel_row_chunk(
-    row0: usize,
-    chunk: &mut [f32],
-    x8: &[i16],
-    xscale: &[f64],
-    w16: &[i16],
-    wscale: &[f64],
+impl KernelPath {
+    /// Every path, portable first.
+    pub const ALL: [KernelPath; 2] = [KernelPath::Portable, KernelPath::Avx2];
+
+    /// The path the production kernels take on this CPU: AVX2 where
+    /// `is_x86_feature_detected!` reports it (std caches the CPUID
+    /// answer, so a call makes no syscall), the portable kernel otherwise.
+    pub fn detect() -> Self {
+        if KernelPath::Avx2.is_supported() {
+            KernelPath::Avx2
+        } else {
+            KernelPath::Portable
+        }
+    }
+
+    /// Whether this CPU can run the path.
+    pub fn is_supported(self) -> bool {
+        match self {
+            KernelPath::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            KernelPath::Avx2 => std::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelPath::Avx2 => false,
+        }
+    }
+
+    /// Lower-case name, as the bench report prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelPath::Portable => "portable",
+            KernelPath::Avx2 => "avx2",
+        }
+    }
+}
+
+/// The operands of one kernel call: the decoded activation plane (`kp =
+/// gpr · gsp` i16 per row) with its per-group scales, and a
+/// [`WeightPlane`]'s panels.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    x8: &'a [i16],
+    xscale: &'a [f64],
+    w16: &'a [i16],
+    wscale: &'a [f64],
     n: usize,
-    gs: usize,
-    kp: usize,
     gpr: usize,
-) {
-    let rows_here = chunk.len() / n;
-    for jt in (0..n).step_by(COL_TILE) {
-        let jhi = (jt + COL_TILE).min(n);
-        let mut li0 = 0;
-        while li0 < rows_here {
-            let mr = MR.min(rows_here - li0);
-            // Slice lookups clamped so the fixed-size arrays fill even on
-            // a short row block; entries past `mr` are never read.
-            let xrows: [&[i16]; MR] = std::array::from_fn(|mi| {
-                let i = row0 + li0 + mi.min(mr - 1);
-                &x8[i * kp..(i + 1) * kp]
-            });
-            let xsrs: [&[f64]; MR] = std::array::from_fn(|mi| {
-                let i = row0 + li0 + mi.min(mr - 1);
-                &xscale[i * gpr..(i + 1) * gpr]
-            });
-            let mut j = jt;
-            while j + NR <= jhi {
-                let wrows: [&[i16]; NR] =
-                    std::array::from_fn(|r| &w16[(j + r) * kp..(j + r + 1) * kp]);
-                let wsrs: [&[f64]; NR] =
-                    std::array::from_fn(|r| &wscale[(j + r) * gpr..(j + r + 1) * gpr]);
-                let mut acc = [[0.0f64; NR]; MR];
-                for g in 0..gpr {
-                    let gb = g * gs;
-                    // exp2(xe)·2^-6·exp2(we) — all exact powers of two,
-                    // bit-identical to exp2(xe + we - 6) in any order.
-                    let mut xs = [0.0f64; MR];
-                    for (mi, x) in xs.iter_mut().take(mr).enumerate() {
-                        *x = xsrs[mi][g] * FIXED_POINT_UNIT;
-                    }
-                    for (r, (wrow, wsr)) in wrows.iter().zip(&wsrs).enumerate() {
-                        let wg = &wrow[gb..gb + gs];
-                        let ws = wsr[g];
-                        for (mi, arow) in acc.iter_mut().take(mr).enumerate() {
-                            arow[r] += dot_i16(&xrows[mi][gb..gb + gs], wg) as f64 * (xs[mi] * ws);
-                        }
+    /// Group width in the planes ([`pair_width`]).
+    gsp: usize,
+}
+
+/// Runs `path`'s kernel over the output rows `row0..` that `chunk` holds.
+// m2x-lint: hot
+fn run_kernel(path: KernelPath, op: &Operands<'_>, row0: usize, chunk: &mut [f32]) {
+    if op.gpr == 0 {
+        // K = 0: every dot product is empty.
+        chunk.fill(0.0);
+        return;
+    }
+    match path {
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Avx2 => avx2::kernel_rows(op, row0, chunk),
+        _ => portable_rows(op, row0, chunk),
+    }
+}
+
+/// The portable kernel over the output rows `row0..` that `chunk` holds:
+/// for each panel, one activation row at a time, each group's 16 column
+/// dots accumulate as `[i32; 16]` lane sums over the k-pairs, then the f64
+/// epilogue adds `dot as f64 * (xs * ws)` per column. The group sums are
+/// exact integers and the scale products exact powers of two, so this
+/// equals the AVX2 kernel and the f64 reference bit for bit. It runs only
+/// where AVX2 is missing, and under Miri; on baseline x86-64 the lane
+/// sums compile to scalar multiplies.
+// m2x-lint: hot
+fn portable_rows(op: &Operands<'_>, row0: usize, chunk: &mut [f32]) {
+    let (gpr, gsp, n) = (op.gpr, op.gsp, op.n);
+    let kp = gpr * gsp;
+    let blk = gsp * PANEL;
+    let panels = op
+        .w16
+        .chunks_exact(gpr * blk)
+        .zip(op.wscale.chunks_exact(gpr * PANEL));
+    for (pn, (wp, wsp)) in panels.enumerate() {
+        let j0 = pn * PANEL;
+        let cols = PANEL.min(n - j0);
+        for (li, orow) in chunk.chunks_exact_mut(n).enumerate() {
+            let i = row0 + li;
+            let xrow = &op.x8[i * kp..(i + 1) * kp];
+            let xsr = &op.xscale[i * gpr..(i + 1) * gpr];
+            let mut acc = [0.0f64; PANEL];
+            let groups = wp.chunks_exact(blk).zip(wsp.chunks_exact(PANEL));
+            for ((wg, wsg), (xg, &xs)) in groups.zip(xrow.chunks_exact(gsp).zip(xsr)) {
+                let mut lanes = [0i32; PANEL];
+                for (wpair, xpair) in wg.chunks_exact(2 * PANEL).zip(xg.chunks_exact(2)) {
+                    let (x0, x1) = (i32::from(xpair[0]), i32::from(xpair[1]));
+                    for (l, w) in lanes.iter_mut().zip(wpair.chunks_exact(2)) {
+                        *l += x0 * i32::from(w[0]) + x1 * i32::from(w[1]);
                     }
                 }
-                for (mi, arow) in acc.iter().take(mr).enumerate() {
-                    let orow = &mut chunk[(li0 + mi) * n..(li0 + mi + 1) * n];
-                    for (r, &a) in arow.iter().enumerate() {
-                        orow[j + r] = a as f32;
-                    }
+                // exp2(xe)·2^-6·exp2(we): exact powers of two, so the
+                // product is the same in any order.
+                let xs = xs * FIXED_POINT_UNIT;
+                for ((a, &l), &ws) in acc.iter_mut().zip(&lanes).zip(wsg) {
+                    *a += f64::from(l) * (xs * ws);
                 }
-                j += NR;
             }
-            // Tail columns of the tile: plain single-column loop, same
-            // per-element group order.
-            while j < jhi {
-                let wrow = &w16[j * kp..(j + 1) * kp];
-                let wsr = &wscale[j * gpr..(j + 1) * gpr];
-                for mi in 0..mr {
-                    let (xrow, xsr) = (xrows[mi], xsrs[mi]);
-                    let mut acc = 0.0f64;
-                    for (g, xg) in xrow.chunks_exact(gs).enumerate() {
-                        acc += dot_i16(xg, &wrow[g * gs..(g + 1) * gs]) as f64
-                            * (xsr[g] * FIXED_POINT_UNIT * wsr[g]);
-                    }
-                    chunk[(li0 + mi) * n + j] = acc as f32;
-                }
-                j += 1;
+            for (o, a) in orow[j0..j0 + cols].iter_mut().zip(acc) {
+                *o = a as f32;
             }
-            li0 += mr;
         }
     }
 }
 
-/// A [`PackedWeightTensor`] LUT-decoded into the kernel's flat fixed-point
-/// form: FP4 decode ×2 with the subgroup's ×(4 + mult) shift-add refinement
-/// folded into every element (distributivity:
+/// A [`PackedWeightTensor`] LUT-decoded into the kernels' fixed-point
+/// panel form: FP4 decode ×2 with the subgroup's ×(4 + mult) shift-add
+/// refinement folded into every element (distributivity:
 /// Σ_s (4+mult_s)·Σ_t x·w == Σ_t x·(w·(4+mult)) — exact in integers).
-/// Folding eliminates the subgroup bookkeeping from the kernel, turning
-/// each group into one flat i16×i16→i32 dot product the compiler can
-/// vectorize. Max magnitude 12×7 = 84.
+/// Folding eliminates the subgroup bookkeeping from the kernels, turning
+/// each group into one flat i16×i16→i32 dot product. Max magnitude
+/// 12×7 = 84.
+///
+/// **Layout.** Rows of `W` (output columns) are grouped into 16-column
+/// panels. For each (panel, group) the plane holds one block of
+/// `pair_width(group_size) / 2` k-pair rows; a k-pair row interleaves the
+/// 16 columns' values at elements `2p` and `2p + 1`
+/// (`[c0k0, c0k1, c1k0, c1k1, …, c15k1]`), so one broadcast activation
+/// pair multiply-adds against a whole panel row. `wscale` holds
+/// exp2(group exponent) per (panel, group, column). Lanes past the last
+/// row, and elements past a ragged trailing group, are zero and add
+/// nothing.
 ///
 /// Weights are static across inference calls, so decode once (e.g. at layer
 /// construction) and reuse via [`qgemm_packed_planed`] — [`qgemm_packed`]
@@ -434,41 +450,46 @@ pub struct WeightPlane {
     k: usize,
     group_size: usize,
     subgroup_size: usize,
-    /// Value ×2 with the subgroup multiplier folded in; group-padded rows.
+    /// Value ×2 with the subgroup multiplier folded in, in panels.
     w16: Vec<i16>,
-    /// exp2(group exponent) per group.
+    /// exp2(group exponent) per (panel, group, column).
     wscale: Vec<f64>,
 }
 
-/// Decodes `w`'s rows straight into the tails of `w16`/`wscale` (the
-/// fold-the-multiplier LUT decode of [`WeightPlane`]): the shared body of
-/// [`WeightPlane::decode`] and [`WeightPlane::append`]. Rows decode
-/// independently and the plane is row-major with group-padded rows, so
-/// appending decoded rows below existing ones is bit-identical to decoding
-/// the row-concatenated tensor — and no temporary plane is materialized
-/// (the vectors grow amortized, the decode itself writes in place).
-fn decode_weight_rows_into(w: &PackedWeightTensor, w16: &mut Vec<i16>, wscale: &mut Vec<f64>) {
+/// Decodes `w`'s rows into plane rows `row0..` of the panels in
+/// `w16`/`wscale` (the fold-the-multiplier LUT decode of [`WeightPlane`]):
+/// the shared body of [`WeightPlane::decode`] and [`WeightPlane::append`].
+/// The vectors grow zero-filled by whole panels, so lanes no row has
+/// reached stay zero; rows decode independently, so decoding rows in
+/// several calls is bit-identical to decoding them in one.
+fn decode_weight_rows_into(
+    w: &PackedWeightTensor,
+    row0: usize,
+    w16: &mut Vec<i16>,
+    wscale: &mut Vec<f64>,
+) {
     let gs = w.config().group_size;
+    let gsp = pair_width(gs);
     let sgs = w.config().subgroup_size;
     let spg = gs / sgs;
     let gpr = w.groups_per_row();
-    let kp = gpr * gs;
-    let n = w.shape().0;
-    let base0 = w16.len();
-    let gbase0 = wscale.len();
-    w16.resize(base0 + n * kp, 0);
-    wscale.resize(gbase0 + n * gpr, 0.0);
+    let panels = (row0 + w.shape().0).div_ceil(PANEL);
+    w16.resize(panels * gpr * gsp * PANEL, 0);
+    wscale.resize(panels * gpr * PANEL, 0.0);
     let wmeta = w.meta();
-    for (g, ws) in wscale[gbase0..].iter_mut().enumerate() {
+    for g in 0..w.group_count() {
+        let row = row0 + g / gpr;
+        let (block, lane) = ((row / PANEL) * gpr + g % gpr, row % PANEL);
+        let out = &mut w16[block * gsp * PANEL..(block + 1) * gsp * PANEL];
         let len = w.group_len(g);
-        let base = base0 + (g / gpr) * kp + (g % gpr) * gs;
-        for (sg, chunk) in w16[base..base + len].chunks_mut(sgs).enumerate() {
+        for sg in 0..len.div_ceil(sgs) {
             let mult = (4 + two_bits_at(wmeta, g * spg + sg)) as i16;
-            for (i, out) in chunk.iter_mut().enumerate() {
-                *out = FP4_X2[w.code_at(g, sg * sgs + i) as usize] as i16 * mult;
+            for i in sg * sgs..len.min((sg + 1) * sgs) {
+                let at = (i / 2) * 2 * PANEL + 2 * lane + i % 2;
+                out[at] = FP4_X2[w.code_at(g, i) as usize] as i16 * mult;
             }
         }
-        *ws = (w.group_scale(g).exponent() as f64).exp2();
+        wscale[block * PANEL + lane] = pow2(w.group_scale(g).exponent());
     }
 }
 
@@ -478,7 +499,7 @@ impl WeightPlane {
         let (n, k) = w.shape();
         let mut w16 = Vec::new();
         let mut wscale = Vec::new();
-        decode_weight_rows_into(w, &mut w16, &mut wscale);
+        decode_weight_rows_into(w, 0, &mut w16, &mut wscale);
         WeightPlane {
             n,
             k,
@@ -494,14 +515,13 @@ impl WeightPlane {
         (self.n, self.k)
     }
 
-    /// Decode-on-append: decodes `delta`'s rows **directly into the tails**
-    /// of the existing `w16`/`wscale` vectors — O(delta) work, not
-    /// O(total), and no temporary plane per call (the KV cache calls this
-    /// once per head per decode step; materializing and copying a scratch
-    /// `WeightPlane` here was pure hot-loop allocation churn). Rows decode
-    /// independently (the plane is row-major with group-padded rows), so
-    /// the grown plane is identical to [`Self::decode`] of the
-    /// row-concatenated tensor, which the tests pin bit for bit.
+    /// Decode-on-append: decodes `delta`'s rows **directly into** the
+    /// lanes after the existing rows, zero-extending the plane by one
+    /// panel per 16 rows — O(delta) work, not O(total), and no temporary
+    /// plane per call (the KV cache calls this once per head per decode
+    /// step). Rows decode independently, so the grown plane is identical
+    /// to [`Self::decode`] of the row-concatenated tensor, which the tests
+    /// pin bit for bit.
     ///
     /// # Panics
     ///
@@ -517,7 +537,7 @@ impl WeightPlane {
             (delta.config().group_size, delta.config().subgroup_size),
             "appended plane rows use a different group geometry"
         );
-        decode_weight_rows_into(delta, &mut self.w16, &mut self.wscale);
+        decode_weight_rows_into(delta, self.n, &mut self.w16, &mut self.wscale);
         self.n += delta.shape().0;
     }
 
@@ -531,8 +551,9 @@ impl WeightPlane {
         self.n = 0;
     }
 
-    /// Heap bytes of the decoded execution planes (`w16` + `wscale`) —
-    /// the working state a packed-bytes KV accounting misses.
+    /// Heap bytes of the decoded execution planes (`w16` + `wscale`,
+    /// padding lanes of a partial last panel included) — the working
+    /// state a packed-bytes KV accounting misses.
     pub fn decoded_bytes(&self) -> usize {
         self.w16.len() * std::mem::size_of::<i16>() + self.wscale.len() * std::mem::size_of::<f64>()
     }
@@ -562,6 +583,24 @@ fn check_planed_geometry(x: &PackedActTensor, w: &WeightPlane) {
     );
 }
 
+/// Decodes `x` into `scratch` and pairs the planes as kernel operands.
+fn operands<'a>(
+    x: &PackedActTensor,
+    w: &'a WeightPlane,
+    scratch: &'a mut GemmScratch,
+) -> Operands<'a> {
+    decode_act_plane(x, scratch);
+    Operands {
+        x8: &scratch.x8,
+        xscale: &scratch.xscale,
+        w16: &w.w16,
+        wscale: &w.wscale,
+        n: w.n,
+        gpr: x.groups_per_row(),
+        gsp: pair_width(w.group_size),
+    }
+}
+
 /// [`qgemm_packed_planed`] with a caller-held reusable [`GemmScratch`]:
 /// after the first call at a given shape the activation decode reuses the
 /// scratch's buffers in place — no per-call allocations. Zero-row and
@@ -577,26 +616,47 @@ pub fn qgemm_packed_planed_scratch(
     threads: usize,
     scratch: &mut GemmScratch,
 ) -> Matrix {
-    check_planed_geometry(x, w);
+    qgemm_packed_planed_on(KernelPath::detect(), x, w, threads, scratch)
+}
+
+/// [`qgemm_packed_planed_scratch`] on a chosen [`KernelPath`] — the one
+/// way tests reach each kernel; production code takes
+/// [`KernelPath::detect`].
+///
+/// # Panics
+///
+/// Panics when this CPU cannot run `path`, or when the reduction
+/// dimensions or group geometries disagree.
+#[doc(hidden)]
+// m2x-lint: hot
+pub fn qgemm_packed_planed_on(
+    path: KernelPath,
+    x: &PackedActTensor,
+    w: &WeightPlane,
+    threads: usize,
+    scratch: &mut GemmScratch,
+) -> Matrix {
+    assert!(
+        path.is_supported(),
+        "this CPU cannot run the {} kernel",
+        path.name()
+    );
     let m = x.shape().0;
     let n = w.n;
+    check_planed_geometry(x, w);
     if m == 0 || n == 0 {
         return Matrix::zeros(m, n);
     }
-    let gs = x.config().group_size;
-    let gpr = x.groups_per_row();
-    let kp = decode_act_plane(x, scratch);
-    let (x8, xscale) = (&scratch.x8[..], &scratch.xscale[..]);
-    let (w16, wscale) = (&w.w16[..], &w.wscale[..]);
+    let op = operands(x, w, scratch);
     let mut out = Matrix::zeros(m, n);
     par_row_chunks(out.as_mut_slice(), n, threads, |row0, chunk| {
-        kernel_row_chunk(row0, chunk, x8, xscale, w16, wscale, n, gs, kp, gpr);
+        run_kernel(path, &op, row0, chunk);
     });
     out
 }
 
 /// The `m == 1` decode fast path: one activation row against a pre-decoded
-/// [`WeightPlane`], register-blocked like [`qgemm_packed_planed`] but with
+/// [`WeightPlane`], on the same kernel as [`qgemm_packed_planed`] but with
 /// no row-chunk threading overhead at all — serving hits this shape once
 /// per projection per layer per decode step, where a scoped-thread
 /// spawn/join would dwarf the kernel. The activation scratch lives in the
@@ -638,14 +698,9 @@ pub fn qgemv_packed_into(
     if w.n == 0 {
         return;
     }
-    let gs = x.config().group_size;
-    let gpr = x.groups_per_row();
-    let kp = decode_act_plane(x, scratch);
-    let (x8, xscale) = (&scratch.x8[..], &scratch.xscale[..]);
-    let (w16, wscale) = (&w.w16[..], &w.wscale[..]);
     // One row, run inline — the same single-chunk call `par_row_chunks`
     // makes at `threads <= 1`, so the bits match the threaded kernels.
-    kernel_row_chunk(0, out, x8, xscale, w16, wscale, w.n, gs, kp, gpr);
+    run_kernel(KernelPath::detect(), &operands(x, w, scratch), 0, out);
 }
 
 /// Floating-point reference: dequantizes both tensors and multiplies in
@@ -720,24 +775,35 @@ mod tests {
 
     #[test]
     fn packed_matches_reference_exactly() {
+        // The dispatched route and every kernel path this CPU runs (the
+        // portable one always), on an odd row count and a partial second
+        // panel.
         let cfg = M2xfpConfig::default();
         let xm = mat(5, 96, 0.0);
-        let wm = mat(7, 96, 9.0);
+        let wm = mat(19, 96, 9.0);
         let want = qgemm_reference(
             &ActTensor::quantize(&xm, cfg),
             &WeightTensor::quantize(&wm, cfg),
         );
         let xp = PackedActTensor::quantize(&xm, cfg);
         let wp = PackedWeightTensor::quantize(&wm, cfg);
+        let plane = WeightPlane::decode(&wp);
+        let mut scratch = GemmScratch::new();
         for threads in [1, 2, 4] {
-            let got = qgemm_packed_threaded(&xp, &wp, threads);
-            for i in 0..5 {
-                for j in 0..7 {
-                    assert_eq!(
-                        got[(i, j)].to_bits(),
-                        want[(i, j)].to_bits(),
-                        "threads={threads} ({i},{j})"
-                    );
+            let mut runs = vec![("dispatched", qgemm_packed_threaded(&xp, &wp, threads))];
+            for path in KernelPath::ALL.into_iter().filter(|p| p.is_supported()) {
+                let y = qgemm_packed_planed_on(path, &xp, &plane, threads, &mut scratch);
+                runs.push((path.name(), y));
+            }
+            for (name, got) in &runs {
+                for i in 0..5 {
+                    for j in 0..19 {
+                        assert_eq!(
+                            got[(i, j)].to_bits(),
+                            want[(i, j)].to_bits(),
+                            "{name} threads={threads} ({i},{j})"
+                        );
+                    }
                 }
             }
         }
@@ -784,11 +850,11 @@ mod tests {
     fn appended_plane_matches_full_decode() {
         // Growing a plane row-chunk by row-chunk (the KV-cache pattern) is
         // identical to decoding the fully grown tensor — bit for bit on the
-        // raw w16/wscale state via PartialEq — including ragged K and a
+        // raw w16/wscale state via PartialEq — including ragged K, chunks
+        // that start mid-panel and cross 16-row panel boundaries, and a
         // metadata granularity whose per-group run is not byte-aligned
         // (subgroup 16 → 4 bits/group). The append decodes straight into
-        // the existing vectors' tails; no intermediate plane exists to
-        // diverge.
+        // the panel lanes; no intermediate plane exists to diverge.
         for cfg in [
             M2xfpConfig::default(),
             M2xfpConfig {
@@ -797,19 +863,25 @@ mod tests {
             },
         ] {
             for cols in [64usize, 80] {
-                let full = mat(7, cols, 3.0);
+                let full = mat(35, cols, 3.0);
                 let want = WeightPlane::decode(&PackedWeightTensor::quantize(&full, cfg));
                 let mut grown = WeightPlane::decode(&PackedWeightTensor::quantize(
                     &Matrix::zeros(0, cols),
                     cfg,
                 ));
                 let mut row = 0usize;
-                for chunk in [2usize, 1, 3, 1] {
+                for chunk in [2usize, 13, 3, 17] {
                     let delta = Matrix::from_fn(chunk, cols, |r, c| full[(row + r, c)]);
                     grown.append(&PackedWeightTensor::quantize(&delta, cfg));
                     row += chunk;
                 }
                 assert_eq!(grown, want, "cols={cols} sg={}", cfg.subgroup_size);
+                // A cleared plane regrows to the same state (the KV
+                // page-frame recycling path).
+                let mut regrown = grown.clone();
+                regrown.clear_rows();
+                regrown.append(&PackedWeightTensor::quantize(&full, cfg));
+                assert_eq!(regrown, want, "regrown cols={cols}");
                 // And the kernel consumes the grown plane bit-identically.
                 let xp = PackedActTensor::quantize(&mat(3, cols, 1.0), cfg);
                 assert_eq!(
@@ -824,7 +896,7 @@ mod tests {
     fn gemv_matches_reference_bitwise() {
         // The decode fast path (reused scratch) and the one-shot route
         // agree with the f64 reference on the m == 1 serving shape,
-        // including NR-unaligned n and ragged K.
+        // including partial panels and ragged K.
         let cfg = M2xfpConfig::default();
         let mut scratch = GemmScratch::new();
         for (n, cols) in [(1usize, 64usize), (5, 80), (7, 96), (13, 41)] {
@@ -869,6 +941,13 @@ mod tests {
         assert_eq!(dims(&qgemm_packed(&xm, &w0)), (3, 0));
         let x1 = PackedActTensor::quantize(&mat(1, 64, 5.0), cfg);
         assert_eq!(dims(&qgemv_packed(&x1, &plane0, &mut scratch)), (1, 0));
+        // K = 0 gives zeros on every path.
+        let xk0 = PackedActTensor::quantize(&Matrix::zeros(3, 0), cfg);
+        let wk0 = WeightPlane::decode(&PackedWeightTensor::quantize(&Matrix::zeros(4, 0), cfg));
+        for path in KernelPath::ALL.into_iter().filter(|p| p.is_supported()) {
+            let y = qgemm_packed_planed_on(path, &xk0, &wk0, 1, &mut scratch);
+            assert_eq!(y, Matrix::zeros(3, 4), "{path:?}");
+        }
         // The grouped kernels agree on the shapes.
         let g0 = ActTensor::quantize(&Matrix::zeros(0, 64), cfg);
         let gw = WeightTensor::quantize(&Matrix::zeros(0, 64), cfg);

@@ -37,6 +37,10 @@
 //! assert_eq!(xq.rows(), 4);
 //! ```
 
+// `unsafe` is confined to `gemm::avx2` (the `std::arch` SIMD kernel
+// cannot be written without it); everything else in the crate is safe.
+#![deny(unsafe_code)]
+
 pub mod activation;
 pub mod dse;
 pub mod ebw;

@@ -18,7 +18,7 @@ use m2xfp::{Error, M2xfpConfig};
 
 /// `Q_a(x) · Wᵀ` against a decoded weight plane: online activation encode
 /// (auto-threaded above the work threshold), then the GEMV fast path for
-/// one row or the register-blocked planed kernel for a batch, both reusing
+/// one row or the planed panel kernel for a batch, both reusing
 /// the caller's scratch. The one engine path every layer forward and every
 /// attention score GEMM takes.
 pub(crate) fn packed_forward(

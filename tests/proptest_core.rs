@@ -5,8 +5,8 @@
 use m2xfp_repro::core::activation::{dequantize_group, fake_quantize_group, quantize_group};
 use m2xfp_repro::core::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use m2xfp_repro::core::gemm::{
-    qgemm, qgemm_packed_planed_scratch, qgemm_packed_threaded, qgemm_reference, qgemv_packed,
-    GemmScratch, WeightPlane,
+    qgemm, qgemm_packed_planed_on, qgemm_packed_planed_scratch, qgemm_packed_threaded,
+    qgemm_reference, qgemv_packed, GemmScratch, KernelPath, WeightPlane,
 };
 use m2xfp_repro::core::strategy::{MetadataStrategy, ScaleMode};
 use m2xfp_repro::core::weight;
@@ -184,13 +184,70 @@ fn packed_streams_equal_grouped_representation() {
     });
 }
 
-/// The packed cache-blocked qGEMM and the grouped PE pipeline both equal
-/// the f64 reference bit for bit — for any thread count, ragged trailing
-/// groups, both metadata granularities (subgroup 8 and 16), every
-/// `ScaleRule`, fixed and adaptive weight scales, and weight magnitudes
-/// across three decades.
+/// `PackedActTensor::dequantize` walks the packed streams directly and
+/// equals the grouped round trip bit for bit: ragged widths, subgroup
+/// sizes 8 and 16, every `ScaleRule`, and (in half the cases) runs of
+/// eight tiny negatives beside large values, so subgroups of
+/// negative-zero codes reach the top-1 refinement.
+#[test]
+fn packed_act_dequantize_bit_exact() {
+    cases(96, |g| {
+        let cfg = M2xfpConfig {
+            subgroup_size: [8usize, 16][g.below(2)],
+            scale_rule: ScaleRule::ALL[g.below(5)],
+            ..M2xfpConfig::default()
+        };
+        let rows = 1 + g.below(3);
+        let cols = 1 + g.below(100); // frequently ragged
+        let tiny = g.below(2) == 0;
+        let data: Vec<f32> = g
+            .vec_f32(rows * cols, -32.0, 32.0)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| {
+                if tiny && (i % cols) % 16 < 8 {
+                    -v.abs() * 1e-6
+                } else {
+                    v
+                }
+            })
+            .collect();
+        let p = PackedActTensor::quantize(&Matrix::from_vec(rows, cols, data), cfg);
+        let (got, want) = (p.dequantize(), p.to_grouped().dequantize());
+        assert_eq!((got.rows(), got.cols()), (rows, cols), "case {}", g.case);
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "case {} element {i} cols={cols} sg={} rule={:?}",
+                g.case,
+                cfg.subgroup_size,
+                cfg.scale_rule
+            );
+        }
+    });
+}
+
+/// Every kernel path this CPU can run, the portable one always first.
+fn supported_paths() -> Vec<KernelPath> {
+    let paths: Vec<KernelPath> = KernelPath::ALL
+        .into_iter()
+        .filter(|p| p.is_supported())
+        .collect();
+    assert_eq!(paths[0], KernelPath::Portable);
+    paths
+}
+
+/// The packed qGEMM on every kernel path this CPU runs, the dispatched
+/// route and the grouped PE pipeline all equal the f64 reference bit for
+/// bit — for any thread count, row counts odd and even, output widths
+/// across several 16-column panels, ragged trailing groups, both metadata
+/// granularities (subgroup 8 and 16), every `ScaleRule`, fixed and
+/// adaptive weight scales, and weight magnitudes across three decades.
 #[test]
 fn packed_qgemm_bit_exact() {
+    let paths = supported_paths();
+    let mut scratch = GemmScratch::new();
     cases(64, |g| {
         let cfg = M2xfpConfig {
             subgroup_size: [8usize, 16][g.below(2)],
@@ -198,8 +255,8 @@ fn packed_qgemm_bit_exact() {
             adaptive_weight_scale: g.below(2) == 0,
             ..M2xfpConfig::default()
         };
-        let m = 1 + g.below(6);
-        let n = 1 + g.below(12);
+        let m = 1 + g.below(9);
+        let n = 1 + g.below(40);
         let k = 1 + g.below(100); // frequently ragged
         let scale = [0.03f32, 1.0, 40.0][g.below(3)];
         let xm = Matrix::from_vec(m, k, g.vec_f32(m * k, -16.0, 16.0));
@@ -208,14 +265,25 @@ fn packed_qgemm_bit_exact() {
         let wpacked = PackedWeightTensor::quantize_parallel(&wm, cfg);
         let wt = wpacked.to_grouped();
         let want = qgemm_reference(&xa, &wt);
-        let grouped = qgemm(&xa, &wt);
         let threads = 1 + g.below(4);
-        let packed = qgemm_packed_threaded(&PackedActTensor::quantize(&xm, cfg), &wpacked, threads);
-        for (name, got) in [("grouped", &grouped), ("packed", &packed)] {
+        let xp = PackedActTensor::quantize(&xm, cfg);
+        let plane = WeightPlane::decode(&wpacked);
+        let mut got = vec![
+            ("grouped".to_string(), qgemm(&xa, &wt)),
+            (
+                "dispatched".to_string(),
+                qgemm_packed_threaded(&xp, &wpacked, threads),
+            ),
+        ];
+        for &path in &paths {
+            let y = qgemm_packed_planed_on(path, &xp, &plane, threads, &mut scratch);
+            got.push((path.name().to_string(), y));
+        }
+        for (name, y) in &got {
             for i in 0..m {
                 for j in 0..n {
                     assert_eq!(
-                        got[(i, j)].to_bits(),
+                        y[(i, j)].to_bits(),
                         want[(i, j)].to_bits(),
                         "case {} {name} ({i},{j}) m={m} n={n} k={k} threads={threads} sg={} \
                          rule={:?} adaptive={}",
@@ -232,12 +300,14 @@ fn packed_qgemm_bit_exact() {
 
 /// The decode micro-kernels — the `m == 1` GEMV fast path over a cached
 /// `WeightPlane` (with its scratch reused across cases, the serving
-/// pattern) and the scratch-backed planed kernel — are bit-identical to
-/// the f64 reference: ragged trailing groups, both metadata granularities
-/// (subgroup 8 and 16), every `ScaleRule`, any thread count, and
-/// NR-unaligned output widths.
+/// pattern), the scratch-backed planed kernel, and the `m == 1` shape on
+/// every kernel path this CPU runs — are bit-identical to the f64
+/// reference: ragged trailing groups, both metadata granularities
+/// (subgroup 8 and 16), every `ScaleRule`, any thread count, and output
+/// widths that end mid-panel.
 #[test]
 fn decode_kernels_bit_exact() {
+    let paths = supported_paths();
     let mut scratch = GemmScratch::new();
     cases(64, |g| {
         let cfg = M2xfpConfig {
@@ -245,7 +315,7 @@ fn decode_kernels_bit_exact() {
             scale_rule: ScaleRule::ALL[g.below(5)],
             ..M2xfpConfig::default()
         };
-        let n = 1 + g.below(14); // frequently not a multiple of the register block
+        let n = 1 + g.below(40); // up to three 16-column panels, often partial
         let k = 1 + g.below(100); // frequently ragged
         let xm = Matrix::from_vec(1, k, g.vec_f32(k, -16.0, 16.0));
         let wm = Matrix::from_vec(n, k, g.vec_f32(n * k, -4.0, 4.0));
@@ -259,6 +329,15 @@ fn decode_kernels_bit_exact() {
         let gemv = qgemv_packed(&xp, &plane, &mut scratch);
         let threads = 1 + g.below(4);
         let planed = qgemm_packed_planed_scratch(&xp, &plane, threads, &mut scratch);
+        let on_paths: Vec<_> = paths
+            .iter()
+            .map(|&p| {
+                (
+                    p,
+                    qgemm_packed_planed_on(p, &xp, &plane, threads, &mut scratch),
+                )
+            })
+            .collect();
         for j in 0..n {
             let w = want[(0, j)].to_bits();
             assert_eq!(
@@ -275,6 +354,15 @@ fn decode_kernels_bit_exact() {
                 "case {} planed j={j} n={n} k={k} threads={threads}",
                 g.case
             );
+            for (p, y) in &on_paths {
+                assert_eq!(
+                    y[(0, j)].to_bits(),
+                    w,
+                    "case {} {} j={j} n={n} k={k} threads={threads}",
+                    g.case,
+                    p.name()
+                );
+            }
         }
     });
 }
