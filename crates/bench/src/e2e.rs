@@ -5,10 +5,11 @@
 //! [`m2x_nn::model::ModelBuilder`], times offline quantization, batched
 //! forward throughput and the prefill→decode serving loop, and measures
 //! per-layer + whole-model NRMSE against the f32 reference path. The
-//! engine is checked at kernel level over the model's seven projection
-//! shapes: the packed layer forward against the grouped `qgemm` and the
-//! f64 `qgemm_reference` oracles, bit for bit, with the grouped-over-packed
-//! time ratio.
+//! packed kernels are probed over the seven per-kind projection shapes
+//! (q, k, v, o, gate, up, down; the engine itself runs each block as four
+//! stacked linears, `qkv`, `o`, `up`, `down`): the packed layer forward
+//! against the grouped `qgemm` and the f64 `qgemm_reference` oracles, bit
+//! for bit, with the grouped-over-packed time ratio.
 
 use crate::report::Json;
 use crate::timing::{best_of, bits_eq, time_per_call, Interleaved};
@@ -85,8 +86,8 @@ pub struct E2eReport {
     pub forward_packed_s: f64,
     /// Whole-model throughput of the batched forward (GMAC/s).
     pub gmacs: f64,
-    /// One call of each of the seven projections at the batch's token
-    /// count through the packed layer forward, summed; fastest rep
+    /// One call of each of the seven per-kind projections at the batch's
+    /// token count through the packed layer forward, summed; fastest rep
     /// (seconds).
     pub proj_packed_s: f64,
     /// The same calls through the grouped PE pipeline (`ActTensor`
@@ -96,8 +97,9 @@ pub struct E2eReport {
     /// over reps of each rep's summed grouped time over its summed packed
     /// time, the two sides timed back to back (see [`crate::timing`]).
     pub speedup_packed: f64,
-    /// Over all seven projection shapes, the packed layer forward, the
-    /// grouped `qgemm` and the f64 `qgemm_reference` agree bit for bit.
+    /// Over all seven per-kind projection shapes, the packed layer
+    /// forward, the grouped `qgemm` and the f64 `qgemm_reference` agree
+    /// bit for bit.
     pub backends_exact: bool,
     /// Decode throughput after a half-batch prefill (tokens/s).
     pub decode_tokens_per_s: f64,
@@ -126,7 +128,8 @@ fn build(profile: &ModelProfile, cfg: &E2eConfig) -> QuantizedModel {
         .expect("scaled dimensions are group-aligned")
 }
 
-/// The seven projections of one block: `(kind, out_features, in_features)`.
+/// The seven per-kind projection shapes of one block, the kernel probes:
+/// `(kind, out_features, in_features)`.
 fn projection_shapes(w: &ModelWeights) -> [(LayerKind, usize, usize); 7] {
     let (h, i) = (w.hidden(), w.intermediate());
     let kv = w.kv_heads() * w.head_dim();
@@ -141,7 +144,7 @@ fn projection_shapes(w: &ModelWeights) -> [(LayerKind, usize, usize); 7] {
     ]
 }
 
-/// Kernel-level engine check over the model's seven projection shapes at
+/// Kernel-level check over the seven per-kind projection shapes at
 /// `tokens` rows: whether the packed forward is bit-exact against both
 /// oracles, plus the interleaved grouped (side 0) and packed (side 1)
 /// times, each side one call per shape summed. Both sides include their

@@ -5,7 +5,7 @@
 //! [`Error`]. Variants carry the name of the tensor or layer involved so a
 //! failure deep inside a model forward still names its site;
 //! [`Error::for_tensor`] rewrites that context as an error propagates
-//! outward (e.g. a generic shape mismatch becomes "layer 3 q_proj").
+//! outward (e.g. a generic shape mismatch becomes "layer 3 qkv_proj").
 
 use std::fmt;
 

@@ -1,13 +1,15 @@
 //! Model-level quantized inference — the §6 end-to-end setting as an API.
 //!
 //! [`ModelBuilder`] takes a [`ModelProfile`] + [`M2xfpConfig`], synthesizes
-//! every linear weight of a transformer stack (deterministic, from the
-//! profile's seed), quantizes each through the threaded integer-LUT Sg-EM
-//! search (`PackedWeightTensor::quantize_parallel`, via
+//! every projection weight of a transformer stack (deterministic, from the
+//! profile's seed), stacks the projections that read the same input —
+//! `[q;k;v]` and, for gated MLPs, `[gate;up]` — so each block holds four
+//! linears (`qkv`, `o`, `up`, `down`), quantizes each through the threaded
+//! integer-LUT Sg-EM search (`PackedWeightTensor::quantize_parallel`, via
 //! [`QuantizedLinear`]) and decodes its kernel plane once. The result
 //! splits into two halves:
 //!
-//! * [`ModelWeights`] — the **immutable, shareable** half: every projection
+//! * [`ModelWeights`] — the **immutable, shareable** half: every linear
 //!   decoded once, held behind an `Arc` so any number of concurrent
 //!   sessions (threads, serving requests) run against the same weight
 //!   planes. N sessions cost N KV caches, never N weight copies.
@@ -83,19 +85,10 @@ fn rms_norm(m: &Matrix) -> Matrix {
     out
 }
 
-/// SiLU (x·σ(x)) applied element-wise — the gated-MLP activation.
-fn silu(m: &Matrix) -> Matrix {
-    m.map(|v| v / (1.0 + (-v).exp()))
-}
-
-/// ReLU applied element-wise — the plain-MLP activation.
-fn relu(m: &Matrix) -> Matrix {
-    m.map(|v| v.max(0.0))
-}
-
-/// Copies `width` columns starting at `start` out of `m`.
-fn slice_cols(m: &Matrix, start: usize, width: usize) -> Matrix {
-    Matrix::from_fn(m.rows(), width, |r, c| m[(r, start + c)])
+/// Copies the `rows × cols` block whose top-left corner is (`r0`, `c0`)
+/// out of `m`.
+fn slice_block(m: &Matrix, r0: usize, c0: usize, rows: usize, cols: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |r, c| m[(r0 + r, c0 + c)])
 }
 
 /// Copies `count` rows starting at `start` out of `m`.
@@ -121,17 +114,20 @@ fn write_block(out: &mut Matrix, src: &Matrix, r0: usize, c0: usize) {
     }
 }
 
-/// One transformer block's quantized projections.
+/// One transformer block's projections: [`QuantizedLinear`]s for the
+/// engine, f32 weights (transposed `[out, in]`) for the reference oracle.
+/// Projections that read the same input are stacked row-wise into one
+/// linear: `qkv` holds the Q rows, then K, then V, and `up` holds the
+/// gate rows above the up rows for gated MLPs. Weights quantize per
+/// output row and activations per group along the reduction dimension,
+/// so each column block of a stacked forward is bit-identical to the
+/// separate projection's forward.
 #[derive(Debug, Clone)]
-struct Block {
-    q: QuantizedLinear,
-    k: QuantizedLinear,
-    v: QuantizedLinear,
-    o: QuantizedLinear,
-    /// `Some` for gated (SwiGLU) MLPs, `None` for plain two-matrix MLPs.
-    gate: Option<QuantizedLinear>,
-    up: QuantizedLinear,
-    down: QuantizedLinear,
+struct Block<T> {
+    qkv: T,
+    o: T,
+    up: T,
+    down: T,
 }
 
 /// One `(session, KV head)` attention work item of a step: the query
@@ -145,19 +141,6 @@ struct KvHeadItem<'a> {
     r0: usize,
     t: usize,
     p0: usize,
-}
-
-/// One block's f32 weights (transposed `[out, in]`), kept when the builder
-/// is asked for the full-precision oracle path.
-#[derive(Debug, Clone)]
-struct RefBlock {
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    o: Matrix,
-    gate: Option<Matrix>,
-    up: Matrix,
-    down: Matrix,
 }
 
 /// Accumulates `out += P[:, col0..col0+len] · rhs` with the exact
@@ -498,44 +481,45 @@ impl ModelBuilder {
         let (h, inter) = (self.hidden, self.intermediate);
         let head_dim = h / self.heads;
         let kv_dim = self.kv_heads * head_dim;
-        let gated = self.profile.mlp == MlpKind::Gated;
 
         let mut blocks = Vec::with_capacity(self.layers);
         let mut reference = self.keep_reference.then(Vec::new);
+        // The `(kind, out features)` row blocks of the stacked linears.
+        let qkv_rows = [
+            (LayerKind::Q, h),
+            (LayerKind::K, kv_dim),
+            (LayerKind::V, kv_dim),
+        ];
+        let up_rows: &[_] = match self.profile.mlp {
+            MlpKind::Gated => &[(LayerKind::Gate, inter), (LayerKind::Up, inter)],
+            MlpKind::Plain => &[(LayerKind::Up, inter)],
+        };
         for l in 0..self.layers {
-            let synth = |kind: LayerKind, n: usize, k: usize| -> Matrix {
-                weight_matrix(&self.profile, kind, l, n, k)
+            let synth = |rows: &[(LayerKind, usize)], k: usize| -> Matrix {
+                let mut w = Matrix::zeros(0, k);
+                for &(kind, n) in rows {
+                    w.push_rows(&weight_matrix(&self.profile, kind, l, n, k));
+                }
+                w
             };
             let quant = |w: &Matrix, name: &str| -> Result<QuantizedLinear, Error> {
                 QuantizedLinear::from_weights(w, self.cfg)
                     .map_err(|e| e.for_tensor(format!("layer {l} {name}")))
             };
-            let wq = synth(LayerKind::Q, h, h);
-            let wk = synth(LayerKind::K, kv_dim, h);
-            let wv = synth(LayerKind::V, kv_dim, h);
-            let wo = synth(LayerKind::O, h, h);
-            let wgate = gated.then(|| synth(LayerKind::Gate, inter, h));
-            let wup = synth(LayerKind::Up, inter, h);
-            let wdown = synth(LayerKind::Down, h, inter);
+            let w = Block {
+                qkv: synth(&qkv_rows, h),
+                o: synth(&[(LayerKind::O, h)], h),
+                up: synth(up_rows, h),
+                down: synth(&[(LayerKind::Down, h)], inter),
+            };
             blocks.push(Block {
-                q: quant(&wq, "q_proj")?,
-                k: quant(&wk, "k_proj")?,
-                v: quant(&wv, "v_proj")?,
-                o: quant(&wo, "o_proj")?,
-                gate: wgate.as_ref().map(|w| quant(w, "mlp_gate")).transpose()?,
-                up: quant(&wup, "mlp_up")?,
-                down: quant(&wdown, "mlp_down")?,
+                qkv: quant(&w.qkv, "qkv_proj")?,
+                o: quant(&w.o, "o_proj")?,
+                up: quant(&w.up, "mlp_up")?,
+                down: quant(&w.down, "mlp_down")?,
             });
             if let Some(r) = reference.as_mut() {
-                r.push(RefBlock {
-                    q: wq,
-                    k: wk,
-                    v: wv,
-                    o: wo,
-                    gate: wgate,
-                    up: wup,
-                    down: wdown,
-                });
+                r.push(w);
             }
         }
 
@@ -580,8 +564,8 @@ pub struct ModelWeights {
     heads: usize,
     kv_heads: usize,
     head_dim: usize,
-    blocks: Vec<Block>,
-    reference: Option<Vec<RefBlock>>,
+    blocks: Vec<Block<QuantizedLinear>>,
+    reference: Option<Vec<Block<Matrix>>>,
     /// Live [`SessionState`] count opened against this weight family.
     /// Clones of the weights share the counter (and the KV pool), so it
     /// meters the family, not one `Arc` handle.
@@ -637,14 +621,8 @@ impl ModelWeights {
     pub fn weight_bytes(&self) -> usize {
         self.blocks
             .iter()
-            .map(|b| {
-                [Some(&b.q), Some(&b.k), Some(&b.v), Some(&b.o)]
-                    .into_iter()
-                    .chain([b.gate.as_ref(), Some(&b.up), Some(&b.down)])
-                    .flatten()
-                    .map(QuantizedLinear::weight_bytes)
-                    .sum::<usize>()
-            })
+            .flat_map(|b| [&b.qkv, &b.o, &b.up, &b.down])
+            .map(QuantizedLinear::weight_bytes)
             .sum()
     }
 
@@ -825,23 +803,15 @@ impl ModelWeights {
             let ctx = |e: Error, what: &str| e.for_tensor(format!("layer {li} {what}"));
             let hn = tally.time(stage::ENCODE, || rms_norm(&h));
             let block = &self.blocks[li];
-            let (q, k, v) = {
+            // q in columns [0, hidden), then k and v, `kv_dim` wide each.
+            let qkv = {
                 // The guard (not the closure form) because `?` exits the
                 // region early: the drop still books the elapsed time.
                 let _t = StageTimer::start(&mut tally, stage::QGEMM);
-                let q = block
-                    .q
+                block
+                    .qkv
                     .forward_scratch(&hn, &mut scr.main)
-                    .map_err(|e| ctx(e, "q_proj"))?;
-                let k = block
-                    .k
-                    .forward_scratch(&hn, &mut scr.main)
-                    .map_err(|e| ctx(e, "k_proj"))?;
-                let v = block
-                    .v
-                    .forward_scratch(&hn, &mut scr.main)
-                    .map_err(|e| ctx(e, "v_proj"))?;
-                (q, k, v)
+                    .map_err(|e| ctx(e, "qkv_proj"))?
             };
 
             // Grow every session's paged cache with its own K/V rows
@@ -849,9 +819,11 @@ impl ModelWeights {
             // independent of history; shared pages fork copy-on-write).
             {
                 let _t = StageTimer::start(&mut tally, stage::KV_APPEND);
+                let kv_dim = self.kv_heads * self.head_dim;
                 for (i, s) in sessions.iter_mut().enumerate() {
-                    let ks = slice_rows(&k, offsets[i], counts[i]);
-                    let vs = slice_rows(&v, offsets[i], counts[i]);
+                    let (r0, t) = (offsets[i], counts[i]);
+                    let ks = slice_block(&qkv, r0, self.hidden, t, kv_dim);
+                    let vs = slice_block(&qkv, r0, self.hidden + kv_dim, t, kv_dim);
                     s.kv.append_layer(li, &ks, &vs)
                         .map_err(|e| ctx(e, "kv cache"))?;
                 }
@@ -883,13 +855,13 @@ impl ModelWeights {
                 // heads straight into the attention matrix.
                 for it in items.iter().map(item) {
                     let at = (it.r0, it.kvh * group_cols);
-                    self.attention_kv_head(li, it, &q, &mut scr.main, &mut attn, at);
+                    self.attention_kv_head(li, it, &qkv, &mut scr.main, &mut attn, at);
                 }
             } else {
                 let per = items.len().div_ceil(attn_workers);
                 let compute = |it: KvHeadItem<'_>, sc: &mut GemmScratch| -> Matrix {
                     let mut block = Matrix::zeros(it.t, group_cols);
-                    self.attention_kv_head(li, it, &q, sc, &mut block, (0, 0));
+                    self.attention_kv_head(li, it, &qkv, sc, &mut block, (0, 0));
                     block
                 };
                 let chunk_results: Vec<Vec<Matrix>> = std::thread::scope(|sc| {
@@ -928,7 +900,7 @@ impl ModelWeights {
             drop(_t_attn);
             #[cfg(test)]
             if let Some(log) = scr.attn_log.as_mut() {
-                log.push((q.clone(), attn.clone()));
+                log.push((qkv.clone(), attn.clone()));
             }
 
             let o = {
@@ -942,40 +914,18 @@ impl ModelWeights {
                 h = h.add(&o);
                 rms_norm(&h)
             });
-            // The MLP is booked whole against `qgemm`: its three
-            // projections dominate, and the fused elementwise glue
-            // (silu/relu, gate⊙up) is not worth a stage boundary.
+            // The MLP is booked whole against `qgemm`: its two
+            // projections dominate, and the elementwise glue
+            // ([`Self::mlp_act`]) is not worth a stage boundary.
             let _t_mlp = StageTimer::start(&mut tally, stage::QGEMM);
-            let m = match &block.gate {
-                Some(gate) => {
-                    let g = silu(
-                        &gate
-                            .forward_scratch(&hn, &mut scr.main)
-                            .map_err(|e| ctx(e, "mlp_gate"))?,
-                    );
-                    let u = block
-                        .up
-                        .forward_scratch(&hn, &mut scr.main)
-                        .map_err(|e| ctx(e, "mlp_up"))?;
-                    let gu = Matrix::from_fn(g.rows(), g.cols(), |r, c| g[(r, c)] * u[(r, c)]);
-                    block
-                        .down
-                        .forward_scratch(&gu, &mut scr.main)
-                        .map_err(|e| ctx(e, "mlp_down"))?
-                }
-                None => {
-                    let u = relu(
-                        &block
-                            .up
-                            .forward_scratch(&hn, &mut scr.main)
-                            .map_err(|e| ctx(e, "mlp_up"))?,
-                    );
-                    block
-                        .down
-                        .forward_scratch(&u, &mut scr.main)
-                        .map_err(|e| ctx(e, "mlp_down"))?
-                }
-            };
+            let u = block
+                .up
+                .forward_scratch(&hn, &mut scr.main)
+                .map_err(|e| ctx(e, "mlp_up"))?;
+            let m = block
+                .down
+                .forward_scratch(&self.mlp_act(&u), &mut scr.main)
+                .map_err(|e| ctx(e, "mlp_down"))?;
             drop(_t_mlp);
             tally.time(stage::ENCODE, || {
                 h = h.add(&m);
@@ -1006,8 +956,9 @@ impl ModelWeights {
     /// plane grew on append), online Elem-EM quantization of P, cached
     /// dequantized Sg-EM V rows.
     ///
-    /// The `heads_per_kv` query heads that share the KV head are stacked
-    /// head-major as rows of one `[heads_per_kv·t, head_dim]` block
+    /// The `heads_per_kv` query heads that share the KV head are read from
+    /// the q columns of the step's stacked projection output `qkv` and
+    /// stacked head-major as rows of one `[heads_per_kv·t, head_dim]` block
     /// (stacked row `j·t + i` is head `j` at chunk row `i`), encoded once
     /// and run through one score GEMM per page. MX groups run along
     /// `head_dim`, so no group spans two heads: every stacked row encodes
@@ -1031,7 +982,7 @@ impl ModelWeights {
         &self,
         li: usize,
         it: KvHeadItem<'_>,
-        q: &Matrix,
+        qkv: &Matrix,
         scratch: &mut GemmScratch,
         out: &mut Matrix,
         at: (usize, usize),
@@ -1043,7 +994,9 @@ impl ModelWeights {
         let pt = kv.pool().page_tokens();
         let pages = seq.div_ceil(pt);
         let q_c0 = it.kvh * (self.hidden / self.kv_heads);
-        let qs = Matrix::from_fn(rows, hd, |r, c| q[(it.r0 + r % t, q_c0 + (r / t) * hd + c)]);
+        let qs = Matrix::from_fn(rows, hd, |r, c| {
+            qkv[(it.r0 + r % t, q_c0 + (r / t) * hd + c)]
+        });
         let xq = PackedActTensor::quantize_parallel(&qs, self.cfg);
         let mut scores = Matrix::zeros(rows, seq);
         for pi in 0..pages {
@@ -1141,6 +1094,22 @@ impl ModelWeights {
         oh
     }
 
+    /// The MLP activation on the `up` linear's output: SiLU(gate) ⊙ up over
+    /// its two column halves for gated MLPs, ReLU for plain ones. The
+    /// engine and the f32 oracle share it.
+    fn mlp_act(&self, u: &Matrix) -> Matrix {
+        match self.mlp {
+            MlpKind::Gated => {
+                let i = self.intermediate;
+                Matrix::from_fn(u.rows(), i, |r, c| {
+                    let g = u[(r, c)];
+                    g / (1.0 + (-g).exp()) * u[(r, i + c)]
+                })
+            }
+            MlpKind::Plain => u.map(|v| v.max(0.0)),
+        }
+    }
+
     /// Full-precision (f32) forward over the same synthesized weights and
     /// architecture — the oracle the whole-model NRMSE is measured against.
     /// Stateless (always starts from position 0) and available only when
@@ -1173,22 +1142,23 @@ impl ModelWeights {
                 got: x.cols(),
             });
         }
-        let hd = self.head_dim;
+        let (hd, t) = (self.head_dim, x.rows());
         let heads_per_kv = self.heads / self.kv_heads;
+        // Column offsets of K and V in the stacked `qkv` output.
+        let (k0, v0) = (self.hidden, self.hidden + self.kv_heads * hd);
         let scale = 1.0 / (hd as f32).sqrt();
         let mut trace = Vec::with_capacity(reference.len());
         let mut h = x.clone();
         for block in reference {
             let hn = rms_norm(&h);
             let lin = |w: &Matrix, x: &Matrix| x.matmul(&w.transpose());
-            let (q, k, v) = (lin(&block.q, &hn), lin(&block.k, &hn), lin(&block.v, &hn));
-            let t = q.rows();
+            let qkv = lin(&block.qkv, &hn);
             let mut attn = Matrix::zeros(t, self.hidden);
             for head in 0..self.heads {
                 let kvh = head / heads_per_kv;
-                let qh = slice_cols(&q, head * hd, hd);
-                let kh = slice_cols(&k, kvh * hd, hd);
-                let vh = slice_cols(&v, kvh * hd, hd);
+                let qh = slice_block(&qkv, 0, head * hd, t, hd);
+                let kh = slice_block(&qkv, 0, k0 + kvh * hd, t, hd);
+                let vh = slice_block(&qkv, 0, v0 + kvh * hd, t, hd);
                 let mut scores = qh.matmul(&kh.transpose());
                 for i in 0..t {
                     let row = scores.row_mut(i);
@@ -1205,16 +1175,7 @@ impl ModelWeights {
             }
             h = h.add(&lin(&block.o, &attn));
             let hn = rms_norm(&h);
-            let m = match &block.gate {
-                Some(gate) => {
-                    let g = silu(&lin(gate, &hn));
-                    let u = lin(&block.up, &hn);
-                    let gu = Matrix::from_fn(g.rows(), g.cols(), |r, c| g[(r, c)] * u[(r, c)]);
-                    lin(&block.down, &gu)
-                }
-                None => lin(&block.down, &relu(&lin(&block.up, &hn))),
-            };
-            h = h.add(&m);
+            h = h.add(&lin(&block.down, &self.mlp_act(&lin(&block.up, &hn))));
             trace.push(h.clone());
         }
         Ok((h, trace))
@@ -1564,6 +1525,65 @@ mod tests {
                             }
                             r0 += t;
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stacked_projections_match_separate_linears_bitwise() {
+        // Each block stacks [q;k;v] and [gate;up] into one linear. Every
+        // column block of a stacked forward must equal the separate
+        // projection's forward, and the stacked packed streams the
+        // per-kind streams joined in order. The solo ≡ batched tests
+        // cannot see a stack that is wrong the same way on every path
+        // (say K and V swapped); this test does.
+        let (llama, opt) = (ModelProfile::llama3_8b(), ModelProfile::opt_6_7b());
+        for (profile, heads) in [(&llama, (4, 1)), (&llama, (4, 2)), (&opt, (4, 4))] {
+            let w = ModelBuilder::scaled(profile, 256, 2)
+                .heads(heads.0, heads.1)
+                .build_weights()
+                .unwrap();
+            let (h, kv, inter) = (w.hidden, w.kv_heads * w.head_dim, w.intermediate);
+            let qkv = [(LayerKind::Q, h), (LayerKind::K, kv), (LayerKind::V, kv)];
+            let up: &[_] = match profile.mlp {
+                MlpKind::Gated => &[(LayerKind::Gate, inter), (LayerKind::Up, inter)],
+                MlpKind::Plain => &[(LayerKind::Up, inter)],
+            };
+            for (l, block) in w.blocks.iter().enumerate() {
+                for (stacked, kinds) in [(&block.qkv, &qkv[..]), (&block.up, up)] {
+                    let what = format!("{} heads {heads:?} layer {l}", profile.name);
+                    let parts: Vec<QuantizedLinear> = kinds
+                        .iter()
+                        .map(|&(kind, n)| {
+                            let wk = weight_matrix(profile, kind, l, n, h);
+                            QuantizedLinear::from_weights(&wk, w.cfg).unwrap()
+                        })
+                        .collect();
+                    let mut joined = parts[0].packed_weights().clone();
+                    for p in &parts[1..] {
+                        joined.append_packed(p.packed_weights().clone()).unwrap();
+                    }
+                    assert!(
+                        stacked.packed_weights() == &joined,
+                        "{what}: packed streams"
+                    );
+                    for rows in [1, 5, 33] {
+                        let x = tokens(rows, h);
+                        let y = stacked.forward(&x).unwrap();
+                        let mut c0 = 0;
+                        for (&(kind, n), part) in kinds.iter().zip(&parts) {
+                            let got = slice_block(&y, 0, c0, rows, n);
+                            let want = part.forward(&x).unwrap();
+                            assert!(
+                                (got.as_slice().iter().zip(want.as_slice()))
+                                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                                "{what}: {kind:?} block, {rows} rows"
+                            );
+                            c0 += n;
+                        }
+                        assert_eq!(c0, y.cols(), "{what}: stacked width");
                     }
                 }
             }

@@ -27,9 +27,9 @@ pub const ASSEMBLE: u16 = 2;
 /// projection's activation encode runs inside [`QGEMM`], and the Q and P
 /// encodes inside [`ATTENTION`].
 pub const ENCODE: u16 = 3;
-/// Quantized GEMM/GEMV projections (q/k/v, attention out, MLP), each with
-/// the online activation encode of its input, plus the MLP's elementwise
-/// glue (SiLU/ReLU, gate⊙up).
+/// Quantized GEMM/GEMV linears (`qkv`, `o`, `up`, `down`), each with the
+/// online activation encode of its input, plus the MLP's elementwise glue
+/// (SiLU(gate)⊙up or ReLU).
 pub const QGEMM: u16 = 4;
 /// Attention over the KV cache per `(session, KV head)` work item, inline
 /// or sharded: the Q encode, per-page score GEMMs, mask and softmax, the

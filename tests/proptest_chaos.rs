@@ -24,6 +24,7 @@ use m2xfp_repro::serve::{
 use m2xfp_repro::tensor::Matrix;
 use m2xfp_repro::testkit::cases;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
     assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
@@ -250,7 +251,46 @@ fn churn_returns_session_accounting_to_zero_and_readmits_full_batch() {
             );
         }
 
-        // Post-churn, a fresh burst fills the whole admission window.
+        // Post-churn, the whole admission window opens again: hold
+        // `max_batch` long requests in flight and wait until every one is
+        // admitted (a session each). Admission and the peak update share
+        // one lock hold, so the peak read after that cannot race a
+        // request's completion.
+        let holds: Vec<u64> = (0..max_batch)
+            .map(|i| {
+                let p = prompt(2, g.case * 131 + 8000 + i, 64);
+                server.submit(p, 10_000).unwrap()
+            })
+            .collect();
+        let t0 = Instant::now();
+        while weights.open_sessions() < max_batch {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "case {}: churn stranded admission slots: {} of {max_batch} admitted after 10 s",
+                g.case,
+                weights.open_sessions()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            server.stats().peak_batch,
+            max_batch,
+            "case {}: churn must not strand admission slots",
+            g.case
+        );
+        for id in &holds {
+            server.cancel(*id).unwrap();
+        }
+        for id in holds {
+            let outcome = server.wait(id).unwrap();
+            assert!(
+                matches!(outcome, RequestOutcome::Cancelled { .. }),
+                "case {}: held request must resolve Cancelled, got {outcome:?}",
+                g.case
+            );
+        }
+
+        // A fresh burst after the churn stays bit-identical to solo runs.
         let reqs: Vec<(Matrix, usize)> = (0..max_batch)
             .map(|i| (prompt(2, g.case * 131 + 9000 + i, 64), 12))
             .collect();
@@ -270,12 +310,6 @@ fn churn_returns_session_accounting_to_zero_and_readmits_full_batch() {
                 &format!("case {}: post-churn request {i}", g.case),
             );
         }
-        assert_eq!(
-            server.stats().peak_batch,
-            max_batch,
-            "case {}: churn must not strand admission slots",
-            g.case
-        );
         drop(server);
         assert_eq!(weights.open_sessions(), 0, "case {}: leak", g.case);
     });
