@@ -3,7 +3,7 @@
 //! evaluation size used by every table.
 
 use m2x_nn::profile::ModelProfile;
-use m2x_nn::propagate::{evaluate, EvalConfig, W4a4Error};
+use m2x_nn::propagate::{evaluate, EvalConfig, W4a4Stats};
 use m2x_serve::sync::lock_poisoned;
 use m2xfp::TensorQuantizer;
 use std::collections::HashMap;
@@ -23,7 +23,7 @@ pub fn standard_cfg() -> EvalConfig {
 /// A memoizing evaluator.
 #[derive(Default)]
 pub struct Evaluator {
-    cache: Mutex<HashMap<(String, String), W4a4Error>>,
+    cache: Mutex<HashMap<(String, String), W4a4Stats>>,
     cfg: Option<EvalConfig>,
 }
 
@@ -49,7 +49,7 @@ impl Evaluator {
     }
 
     /// Measured W4A4 error of `(model, format)`, memoized.
-    pub fn error(&self, model: &ModelProfile, q: &dyn TensorQuantizer) -> W4a4Error {
+    pub fn error(&self, model: &ModelProfile, q: &dyn TensorQuantizer) -> W4a4Stats {
         let key = (model.name.to_string(), q.name());
         if let Some(hit) = lock_poisoned(&self.cache).get(&key) {
             return hit.clone();

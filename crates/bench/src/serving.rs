@@ -683,7 +683,7 @@ pub fn run_prefix_churn(cfg: PrefixChurnConfig) -> PrefixChurnReport {
         .iter()
         .map(|p| server.submit(p.clone(), cfg.decode_steps).expect("submit"))
         .collect();
-    let shared_pages_mid = server.stats().kv_shared_pages;
+    let shared_pages_mid = server.stats().kv_pool.shared_pages;
     for v in &victims {
         let _ = server.cancel(*v);
     }
@@ -701,20 +701,20 @@ pub fn run_prefix_churn(cfg: PrefixChurnConfig) -> PrefixChurnReport {
     let wall_s = t0.elapsed().as_secs_f64();
 
     let stats = server.shutdown();
-    let pool = weights.kv_pool().stats();
+    let pool = stats.kv_pool;
     let zero_leak = weights.open_sessions() == 0 && pool.pages_in_use == 0;
     // Non-vacuity: every adopter must actually have hit the prefix cache
     // (requests − 1 adopters × exactly 1 frozen prefix page each), and
     // churn must have recycled at least one page through the free list.
-    reuse_exact &= stats.kv_prefix_hits == (cfg.requests - 1) as u64;
-    reuse_exact &= stats.kv_page_reuses >= 1;
+    reuse_exact &= pool.prefix_hits == (cfg.requests - 1) as u64;
+    reuse_exact &= pool.page_reuses >= 1;
     let grabs = pool.page_allocs + pool.page_reuses;
     PrefixChurnReport {
         cfg,
         reuse_exact,
         zero_leak,
-        prefix_hits: stats.kv_prefix_hits,
-        prefix_misses: stats.kv_prefix_misses,
+        prefix_hits: pool.prefix_hits,
+        prefix_misses: pool.prefix_misses,
         hit_rate: if grabs == 0 {
             0.0
         } else {

@@ -38,10 +38,6 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
     a
 }
 
-/// Error from packing/unpacking a tensor — an alias of the engine-wide
-/// [`enum@Error`], kept so pre-unification call sites keep compiling.
-pub type LayoutError = Error;
-
 fn check_aligned(tensor: &str, cols: usize, cfg: &M2xfpConfig) -> Result<(), Error> {
     if cols % cfg.group_size != 0 {
         return Err(Error::Misaligned {
@@ -114,7 +110,7 @@ impl ActTensor {
     ///
     /// Fails when `cols` is not a multiple of the group size (hardware
     /// layouts require aligned rows).
-    pub fn pack(&self) -> Result<Vec<u8>, LayoutError> {
+    pub fn pack(&self) -> Result<Vec<u8>, Error> {
         check_aligned("activation tensor", self.cols, &self.cfg)?;
         pack_streams(
             self.layout(),
@@ -129,12 +125,7 @@ impl ActTensor {
     /// # Errors
     ///
     /// Fails on misaligned shapes or a buffer of the wrong length.
-    pub fn unpack(
-        buf: &[u8],
-        rows: usize,
-        cols: usize,
-        cfg: M2xfpConfig,
-    ) -> Result<Self, LayoutError> {
+    pub fn unpack(buf: &[u8], rows: usize, cols: usize, cfg: M2xfpConfig) -> Result<Self, Error> {
         check_aligned("activation tensor", cols, &cfg)?;
         let layout = StreamLayout {
             groups: rows * (cols / cfg.group_size),
@@ -250,7 +241,7 @@ impl WeightTensor {
     /// # Errors
     ///
     /// Fails when `cols` is not a multiple of the group size.
-    pub fn pack(&self) -> Result<Vec<u8>, LayoutError> {
+    pub fn pack(&self) -> Result<Vec<u8>, Error> {
         check_aligned("weight tensor", self.cols, &self.cfg)?;
         let layout = StreamLayout {
             groups: self.groups.len(),
@@ -271,12 +262,7 @@ impl WeightTensor {
     /// # Errors
     ///
     /// Fails on misaligned shapes or a buffer of the wrong length.
-    pub fn unpack(
-        buf: &[u8],
-        rows: usize,
-        cols: usize,
-        cfg: M2xfpConfig,
-    ) -> Result<Self, LayoutError> {
+    pub fn unpack(buf: &[u8], rows: usize, cols: usize, cfg: M2xfpConfig) -> Result<Self, Error> {
         check_aligned("weight tensor", cols, &cfg)?;
         let layout = StreamLayout {
             groups: rows * (cols / cfg.group_size),
@@ -896,7 +882,7 @@ impl PackedWeightTensor {
 fn pack_streams<'a>(
     layout: StreamLayout,
     groups: impl Iterator<Item = (&'a [u8], u8, &'a [u8])> + Clone,
-) -> Result<Vec<u8>, LayoutError> {
+) -> Result<Vec<u8>, Error> {
     if layout.meta_bits_per_group > 8 {
         return Err(Error::MetaOverflow {
             bits: layout.meta_bits_per_group,
@@ -924,7 +910,7 @@ fn unpack_streams(
     tensor: &str,
     buf: &[u8],
     layout: StreamLayout,
-) -> Result<Vec<(Vec<u8>, u8, u8)>, LayoutError> {
+) -> Result<Vec<(Vec<u8>, u8, u8)>, Error> {
     if buf.len() != layout.total_bytes() {
         return Err(Error::BufferLength {
             tensor: tensor.to_string(),

@@ -286,7 +286,8 @@ fn limit_len(s: &str) -> String {
     }
 }
 
-/// Writes a complete non-streaming response with a `Content-Length` body.
+/// Writes a complete non-streaming response with a `Content-Length` body,
+/// head and body in one write.
 pub fn write_response(
     w: &mut impl Write,
     status: u16,
@@ -296,20 +297,19 @@ pub fn write_response(
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
-    let mut head = format!(
+    let mut out = Vec::with_capacity(256 + body.len());
+    write!(
+        out,
         "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n",
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    );
+    )?;
     for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        write!(out, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -340,22 +340,27 @@ pub fn write_stream_head(
 /// [`RequestOutcome`](m2x_serve::RequestOutcome) kind of a token stream.
 pub const OUTCOME_TRAILER: &str = "x-m2x-outcome";
 
-/// Writes one chunk of a chunked response and flushes it (each SSE frame
-/// must reach the client as soon as the scheduler produced it).
+/// Writes one chunk of a chunked response in one write and flushes it
+/// (each SSE frame must reach the client as soon as the scheduler
+/// produced it, and on a `TCP_NODELAY` socket each write is a segment).
 pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> io::Result<()> {
-    write!(w, "{:x}\r\n", data.len())?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")?;
+    let mut chunk = Vec::with_capacity(data.len() + 20);
+    write!(chunk, "{:x}\r\n", data.len())?;
+    chunk.extend_from_slice(data);
+    chunk.extend_from_slice(b"\r\n");
+    w.write_all(&chunk)?;
     w.flush()
 }
 
-/// Terminates a chunked response: zero-length chunk, then trailers.
+/// Terminates a chunked response in one write: zero-length chunk, then
+/// trailers.
 pub fn write_last_chunk(w: &mut impl Write, trailers: &[(&str, String)]) -> io::Result<()> {
-    w.write_all(b"0\r\n")?;
+    let mut last = b"0\r\n".to_vec();
     for (name, value) in trailers {
-        write!(w, "{name}: {value}\r\n")?;
+        write!(last, "{name}: {value}\r\n")?;
     }
-    w.write_all(b"\r\n")?;
+    last.extend_from_slice(b"\r\n");
+    w.write_all(&last)?;
     w.flush()
 }
 
@@ -532,6 +537,39 @@ mod tests {
                 expects_continue: false,
             }
         );
+    }
+
+    /// A `Write` that keeps every `write` call's bytes apart.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_chunk_and_response_goes_out_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_chunk(&mut w, b"data: {\"index\":0}\n\n").unwrap();
+        write_last_chunk(&mut w, &[(OUTCOME_TRAILER, "finished".to_string())]).unwrap();
+        let id = [("x-m2x-request-id", "7".to_string())];
+        write_response(&mut w, 200, "OK", "application/json", &id, b"{}\n", true).unwrap();
+        let expected: [&[u8]; 3] = [
+            b"13\r\ndata: {\"index\":0}\n\n\r\n",
+            b"0\r\nx-m2x-outcome: finished\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 3\r\n\
+              connection: keep-alive\r\nx-m2x-request-id: 7\r\n\r\n{}\n",
+        ];
+        assert_eq!(w.writes, expected.map(<[u8]>::to_vec));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! carries (f32 activations round-trip exactly through their shortest
 //! decimal form).
 
+use std::fmt::Write as _;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -354,14 +356,20 @@ pub fn escape(s: &str) -> String {
 /// bits — the property the gateway's bit-identity guarantee rides on
 /// (Rust's `Display` for floats is shortest-round-trip by definition).
 pub fn f32_repr(v: f32) -> String {
+    let mut s = String::new();
+    push_f32(&mut s, v);
+    s
+}
+
+/// Appends [`f32_repr`]`(v)` to `out` with no intermediate `String`.
+pub(crate) fn push_f32(out: &mut String, v: f32) {
     if v.is_finite() {
-        let s = format!("{v}");
-        // `Display` omits the fraction for integral floats; keep the value
-        // a JSON number either way (it already is).
-        s
+        // `Display` omits the fraction for integral floats; the value is
+        // a JSON number either way.
+        let _ = write!(out, "{v}");
     } else {
         // Engine outputs are finite by construction; belt-and-braces.
-        "null".to_string()
+        out.push_str("null");
     }
 }
 

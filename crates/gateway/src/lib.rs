@@ -618,64 +618,64 @@ fn render_metrics(ctx: &Ctx) -> String {
         o,
         "m2x_serve_kv_pages_in_use",
         "gauge",
-        "KV pool pages held by live sessions (shared pages count once per holder).",
-        s.kv_pages_in_use,
+        "KV pool pages in use by sessions or the prefix index, each counted once.",
+        s.kv_pool.pages_in_use,
     );
     render_metric(
         o,
         "m2x_serve_kv_peak_pages",
         "gauge",
         "High-water mark of KV pool pages in use.",
-        s.kv_peak_pages,
+        s.kv_pool.peak_pages,
     );
     render_metric(
         o,
         "m2x_serve_kv_page_allocs",
         "counter",
         "KV pool pages allocated fresh (free list empty).",
-        s.kv_page_allocs,
+        s.kv_pool.page_allocs,
     );
     render_metric(
         o,
         "m2x_serve_kv_page_reuses",
         "counter",
         "KV pool pages recycled from the free list.",
-        s.kv_page_reuses,
+        s.kv_pool.page_reuses,
     );
     render_metric(
         o,
         "m2x_serve_kv_cow_clones",
         "counter",
         "Copy-on-write forks of shared or frozen KV pages.",
-        s.kv_cow_clones,
+        s.kv_pool.cow_clones,
     );
     render_metric(
         o,
         "m2x_serve_kv_prefix_hits",
         "counter",
         "Frozen prefix pages adopted by admitted requests.",
-        s.kv_prefix_hits,
+        s.kv_pool.prefix_hits,
     );
     render_metric(
         o,
         "m2x_serve_kv_prefix_misses",
         "counter",
         "Prefix-cache lookups that adopted nothing.",
-        s.kv_prefix_misses,
+        s.kv_pool.prefix_misses,
     );
     render_metric(
         o,
         "m2x_serve_kv_shared_pages",
         "gauge",
         "KV pages currently referenced by more than one holder.",
-        s.kv_shared_pages,
+        s.kv_pool.shared_pages,
     );
     render_metric(
         o,
         "m2x_serve_kv_free_pages",
         "gauge",
         "KV pages parked on the pool free list.",
-        s.kv_free_pages,
+        s.kv_pool.free_pages,
     );
     render_metric(
         o,
@@ -916,15 +916,12 @@ impl Drop for StreamSpan<'_> {
 // m2x-lint: hot
 fn token_frame(index: usize, row: &Matrix) -> Vec<u8> {
     let mut frame = String::with_capacity(32 + row.cols() * 12);
-    frame.push_str("data: {\"index\":");
-    // m2x-lint: allow(alloc) short per-frame index formatting; the frame String itself is the payload
-    frame.push_str(&index.to_string());
-    frame.push_str(",\"token\":[");
+    let _ = write!(frame, "data: {{\"index\":{index},\"token\":[");
     for (c, v) in row.as_slice().iter().enumerate() {
         if c > 0 {
             frame.push(',');
         }
-        frame.push_str(&json::f32_repr(*v));
+        json::push_f32(&mut frame, *v);
     }
     frame.push_str("]}\n\n");
     frame.into_bytes()
@@ -1123,7 +1120,7 @@ m2x_serve_peak_queue_depth 0
 # HELP m2x_serve_p99_step_us p99 engine step latency in microseconds.
 # TYPE m2x_serve_p99_step_us gauge
 m2x_serve_p99_step_us 0
-# HELP m2x_serve_kv_pages_in_use KV pool pages held by live sessions (shared pages count once per holder).
+# HELP m2x_serve_kv_pages_in_use KV pool pages in use by sessions or the prefix index, each counted once.
 # TYPE m2x_serve_kv_pages_in_use gauge
 m2x_serve_kv_pages_in_use 0
 # HELP m2x_serve_kv_peak_pages High-water mark of KV pool pages in use.
@@ -1263,6 +1260,44 @@ m2x_gateway_healthy 1
     fn fresh_metrics_text_is_pinned() {
         let ctx = test_ctx();
         assert_eq!(render_metrics(&ctx), FRESH_METRICS);
+    }
+
+    /// docs/HTTP_API.md's `/metrics` table lists exactly the families a
+    /// fresh server renders, each with its rendered `# TYPE`.
+    #[test]
+    fn metrics_doc_table_matches_rendered_families() {
+        let body = render_metrics(&test_ctx());
+        let rendered: Vec<(&str, &str)> = body
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+            .collect();
+        let doc = include_str!("../../../docs/HTTP_API.md");
+        let section = doc
+            .split_once("## `GET /metrics`")
+            .and_then(|(_, rest)| rest.split("\n## ").next())
+            .expect("HTTP_API.md has a `GET /metrics` section");
+        let documented: Vec<(&str, &str)> = section
+            .lines()
+            .filter_map(|l| {
+                let mut cells = l.strip_prefix('|')?.split('|').map(str::trim);
+                let name = cells.next()?.strip_prefix('`')?.strip_suffix('`')?;
+                Some((name, cells.next()?))
+            })
+            .collect();
+        for (name, kind) in &rendered {
+            let listed = documented.iter().find(|(n, _)| n == name);
+            assert_eq!(
+                listed.map(|(_, k)| *k),
+                Some(*kind),
+                "/metrics renders `{name}` as a {kind}; HTTP_API.md's table must list it so"
+            );
+        }
+        for (name, _) in &documented {
+            assert!(
+                rendered.iter().any(|(n, _)| n == name),
+                "HTTP_API.md lists `{name}`, which /metrics does not render"
+            );
+        }
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub use kv_pool::{KvPagePool, PageHandle, PagedKv, PoolGeometry, PoolStats, Pref
 pub use linear::QuantizedLinear;
 pub use model::{ModelBuilder, ModelWeights, QuantizedModel, SessionState};
 pub use profile::ModelProfile;
-pub use propagate::{W4a4Error, W4a4Stats};
+pub use propagate::W4a4Stats;

@@ -71,11 +71,6 @@ pub struct W4a4Stats {
     pub mean_nmse: f64,
 }
 
-/// Pre-unification name of [`W4a4Stats`], kept so existing call sites keep
-/// compiling (it is a measurement record, not an error type — Rust errors
-/// now all live in [`m2xfp::Error`]).
-pub type W4a4Error = W4a4Stats;
-
 impl W4a4Stats {
     /// Relative RMS output error (√NMSE) — the proxies' noise magnitude.
     pub fn nrmse(&self) -> f64 {

@@ -42,7 +42,7 @@
 //! releases return pages to a free list for O(1) reuse, and a request
 //! whose prompt starts with an already-served prefix **adopts** the
 //! frozen prefix pages copy-on-write instead of recomputing them
-//! (`ServeStats::kv_prefix_hits`). Sharing never bends bit-identity: the
+//! (`ServeStats::kv_pool.prefix_hits`). Sharing never bends bit-identity: the
 //! adopted pages are verified byte-equal to what prefilling would
 //! produce, a shared page is never mutated in place, and recovery
 //! replays run the full prompt from scratch. `tests/proptest_kv_pool.rs`
@@ -822,8 +822,12 @@ mod tests {
         let out_c = wait_finished(&server, c_id);
         assert_bits_eq(&out_c.decoded, &run_solo(&w, &fork, 2).unwrap());
         let stats = server.stats();
-        assert!(stats.kv_prefix_hits >= 2, "hits {}", stats.kv_prefix_hits);
-        assert!(stats.kv_page_allocs > 0);
+        assert!(
+            stats.kv_pool.prefix_hits >= 2,
+            "hits {}",
+            stats.kv_pool.prefix_hits
+        );
+        assert!(stats.kv_pool.page_allocs > 0);
         drop(server);
         assert_eq!(w.open_sessions(), 0);
         // Shutdown cleared the prefix index: every page is back on the

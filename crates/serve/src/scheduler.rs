@@ -48,6 +48,7 @@
 use crate::fault::{Fault, FaultPlan};
 use crate::sync::{lock_poisoned, wait_poisoned};
 use crate::{feedback_token, RequestOptions, ServeConfig};
+use m2x_nn::kv_pool::PoolStats;
 use m2x_nn::model::{ModelWeights, SessionState, StepScratch};
 use m2x_telemetry::{stage, Histogram, StageTally, Telemetry, TraceHandle};
 use m2x_tensor::Matrix;
@@ -248,32 +249,12 @@ pub struct ServeStats {
     /// from the step-latency [`Histogram`] (0 until a step has run;
     /// quantiles carry the histogram's ≤ 1/16 relative bucket error).
     pub p99_step_us: f64,
-    /// KV pool pages currently held by live sessions (gauge; shared
-    /// prefix pages count once per holder).
-    pub kv_pages_in_use: u64,
-    /// High-water mark of [`kv_pages_in_use`](Self::kv_pages_in_use).
-    pub kv_peak_pages: u64,
-    /// KV pool pages allocated fresh (free list empty at acquire).
-    pub kv_page_allocs: u64,
-    /// KV pool pages recycled from the free list — the pool's hit
-    /// counter; `reuses / (allocs + reuses)` is the hit rate.
-    pub kv_page_reuses: u64,
-    /// Copy-on-write forks: a session wrote into a page shared with
-    /// another holder (or frozen in the prefix index) and got a private
-    /// copy instead of mutating the shared bits.
-    pub kv_cow_clones: u64,
-    /// Prefix-cache hits: frozen pages adopted by an admitted request
-    /// whose prompt starts with an already-served prefix.
-    pub kv_prefix_hits: u64,
-    /// Prefix-cache lookups that adopted nothing (no indexed prefix, or
-    /// the first page already diverged).
-    pub kv_prefix_misses: u64,
-    /// Pages currently referenced by more than one holder (gauge) —
-    /// nonzero exactly while prefix sharing is live.
-    pub kv_shared_pages: u64,
-    /// Pages parked on the pool's free list, ready for O(1) reuse
-    /// (gauge).
-    pub kv_free_pages: u64,
+    /// The KV page pool's counters, read live by [`Server::stats`]: pages
+    /// in use (each page once, the prefix index's retained pages
+    /// included) and their high-water mark, fresh allocs and free-list
+    /// reuses, copy-on-write forks, prefix hits and misses, and the
+    /// shared and free page gauges.
+    pub kv_pool: PoolStats,
     /// **Packed** KV bytes held by in-flight sessions (gauge): the
     /// three-stream payload (FP4 codes | E8M0 scales | 2-bit meta) —
     /// exactly what [`ServeConfig::kv_budget_bytes`](crate::ServeConfig)
@@ -335,27 +316,32 @@ pub enum StreamEvent {
     Done(RequestOutcome),
 }
 
+/// When a request expires, fixed at submission and checked between steps
+/// whether the request is still queued or already running.
+struct Deadline {
+    /// Step counter to expire at, if a step deadline was set.
+    step: Option<u64>,
+    /// Wall-clock instant to expire at, if a wall deadline was set.
+    at: Option<Instant>,
+}
+
+impl Deadline {
+    fn passed(&self, now_step: u64, now: Instant) -> bool {
+        self.step.is_some_and(|s| now_step >= s) || self.at.is_some_and(|t| now >= t)
+    }
+}
+
 struct Pending {
     id: u64,
     prompt: Matrix,
     decode_steps: usize,
-    /// Step counter to expire at, if a step deadline was set.
-    expires_step: Option<u64>,
-    /// Wall-clock instant to expire at, if a wall deadline was set.
-    expires_at: Option<Instant>,
+    deadline: Deadline,
     /// Publish decode rows incrementally ([`RequestOptions::stream`]).
     stream: bool,
     /// When the request was submitted (queue-wait / TTFT base).
     submitted_at: Instant,
     /// Submission time on the telemetry clock, for lifecycle spans.
     submitted_us: u64,
-}
-
-impl Pending {
-    fn expired(&self, now_step: u64, now: Instant) -> bool {
-        self.expires_step.is_some_and(|s| now_step >= s)
-            || self.expires_at.is_some_and(|t| now >= t)
-    }
 }
 
 /// One in-flight request, owned by the engine thread between steps.
@@ -372,8 +358,7 @@ struct Active {
     prefill_out: Matrix,
     decoded: Matrix,
     arrived_step: u64,
-    expires_step: Option<u64>,
-    expires_at: Option<Instant>,
+    deadline: Deadline,
     stream: bool,
     /// When the request was submitted (TTFT base).
     submitted_at: Instant,
@@ -381,13 +366,12 @@ struct Active {
     /// once and kept across recovery replays so the lifecycle trace shows
     /// each transition exactly once.
     prefill_traced: bool,
-    /// Decode-token trace events emitted so far. Like the streaming
-    /// buffers, this only ever grows: a recovery replay regrowing
-    /// `decoded` from zero re-derives identical tokens, so traced indices
-    /// stay valid and are never re-emitted.
-    traced_tokens: u64,
-    /// Whether this request's TTFT histogram sample has been recorded.
-    ttft_recorded: bool,
+    /// Decode rows reported so far: each got its token trace instant and,
+    /// for a streaming request, its published row, and the first one the
+    /// TTFT sample. A high-water mark: a recovery replay regrowing
+    /// `decoded` from zero re-derives identical rows, so reported rows
+    /// stay valid and are never reported twice.
+    reported: usize,
     /// Prefill output rows of an adopted shared prefix (frozen alongside
     /// the pages, so they are bit-identical to recomputing them).
     /// `consume` stitches them in front of the suffix prefill output so
@@ -428,13 +412,11 @@ impl Active {
             prefill_out: Matrix::zeros(0, hidden),
             decoded: Matrix::zeros(0, hidden),
             arrived_step,
-            expires_step: p.expires_step,
-            expires_at: p.expires_at,
+            deadline: p.deadline,
             stream: p.stream,
             submitted_at: p.submitted_at,
             prefill_traced: false,
-            traced_tokens: 0,
-            ttft_recorded: false,
+            reported: 0,
             adopted_out,
             registered: false,
         }
@@ -465,11 +447,6 @@ impl Active {
 
     fn finished(&self) -> bool {
         !self.prefilling && self.remaining == 0
-    }
-
-    fn expired(&self, now_step: u64, now: Instant) -> bool {
-        self.expires_step.is_some_and(|s| now_step >= s)
-            || self.expires_at.is_some_and(|t| now >= t)
     }
 
     /// Rewinds the request to its prompt for a recovery replay: fresh KV
@@ -508,9 +485,9 @@ struct Queues {
     done: BTreeMap<u64, RequestOutcome>,
     /// Ids whose [`RequestOutcome`] has already been handed to a waiter.
     claimed: BTreeSet<u64>,
-    /// Cancellation flags for in-flight ids, drained by the engine
-    /// between steps (pending ids are cancelled inline by
-    /// [`Server::cancel`]).
+    /// Cancellation flags for in-flight ids, acted on by the engine
+    /// between steps and cleared when the id resolves (pending ids are
+    /// cancelled inline by [`Server::cancel`]).
     cancels: BTreeSet<u64>,
     /// Decode rows published so far for streaming requests
     /// ([`RequestOptions::stream`]), appended by the engine between steps
@@ -533,6 +510,48 @@ struct Queues {
     engine_down: Option<String>,
     /// Set when the engine thread exits for any reason.
     engine_exited: bool,
+}
+
+impl Queues {
+    /// Resolves `id` to `outcome`, the one exit of every request: bumps
+    /// the outcome's counter, emits its terminal instant on `ring`
+    /// (valued at the decoded tokens, or the queue depth for
+    /// [`RequestOutcome::Rejected`]), records the `tokens_per_request`
+    /// sample, drops any cancel flag and stores the outcome for its
+    /// waiter. The caller notifies `done_cv`.
+    // m2x-lint: hot
+    fn resolve(&mut self, ring: &TraceHandle, id: u64, outcome: RequestOutcome) {
+        let (event, tokens, value) = match &outcome {
+            RequestOutcome::Finished(c) => {
+                let n = c.decoded.rows() as u64;
+                (stage::REQ_FINISHED, n, n)
+            }
+            RequestOutcome::Cancelled { decoded_tokens: n } => {
+                self.stats.cancelled += 1;
+                (stage::REQ_CANCELLED, *n, *n)
+            }
+            RequestOutcome::DeadlineExceeded { decoded_tokens: n } => {
+                self.stats.deadline_exceeded += 1;
+                (stage::REQ_DEADLINE, *n, *n)
+            }
+            RequestOutcome::Rejected { queue_depth } => {
+                self.stats.rejected += 1;
+                (stage::REQ_REJECTED, 0, *queue_depth as u64)
+            }
+            RequestOutcome::Failed { .. } => {
+                self.stats.failed += 1;
+                (stage::REQ_FAILED, 0, 0)
+            }
+        };
+        ring.instant(event, id as u32, value);
+        self.telemetry.tokens_per_request.record(tokens);
+        self.cancels.remove(&id);
+        let prior = self.done.insert(id, outcome);
+        debug_assert!(
+            prior.is_none() && !self.claimed.contains(&id),
+            "request {id} resolved twice"
+        );
+    }
 }
 
 struct Shared {
@@ -696,23 +715,23 @@ impl Server {
             .instant(stage::REQ_SUBMITTED, id as u32, prompt.rows() as u64);
         if self.shared.queue_capacity > 0 && q.pending.len() >= self.shared.queue_capacity {
             let queue_depth = q.pending.len();
-            q.stats.rejected += 1;
-            self.shared
-                .api_trace
-                .instant(stage::REQ_REJECTED, id as u32, queue_depth as u64);
-            q.telemetry.tokens_per_request.record(0);
-            q.done.insert(id, RequestOutcome::Rejected { queue_depth });
+            q.resolve(
+                &self.shared.api_trace,
+                id,
+                RequestOutcome::Rejected { queue_depth },
+            );
             self.shared.done_cv.notify_all();
             return Ok(id);
         }
-        let expires_step = opts.deadline_steps.map(|d| q.stats.steps + d);
-        let expires_at = opts.deadline.map(|d| now + d);
+        let deadline = Deadline {
+            step: opts.deadline_steps.map(|d| q.stats.steps + d),
+            at: opts.deadline.map(|d| now + d),
+        };
         q.pending.push_back(Pending {
             id,
             prompt,
             decode_steps,
-            expires_step,
-            expires_at,
+            deadline,
             stream: opts.stream,
             submitted_at: now,
             submitted_us,
@@ -762,13 +781,11 @@ impl Server {
         }
         if let Some(pos) = q.pending.iter().position(|p| p.id == id) {
             q.pending.remove(pos);
-            q.stats.cancelled += 1;
-            self.shared
-                .api_trace
-                .instant(stage::REQ_CANCELLED, id as u32, 0);
-            q.telemetry.tokens_per_request.record(0);
-            q.done
-                .insert(id, RequestOutcome::Cancelled { decoded_tokens: 0 });
+            q.resolve(
+                &self.shared.api_trace,
+                id,
+                RequestOutcome::Cancelled { decoded_tokens: 0 },
+            );
             self.shared.done_cv.notify_all();
             return Ok(true);
         }
@@ -808,30 +825,11 @@ impl Server {
     /// [`ServeError::EngineDown`] if the engine thread died without
     /// resolving the request (never blocks forever).
     pub fn wait(&self, id: u64) -> Result<RequestOutcome, ServeError> {
-        let mut q = self.lock();
-        if id >= q.next_id {
-            return Err(ServeError::UnknownRequest { id });
-        }
-        if q.claimed.contains(&id) {
-            return Err(ServeError::AlreadyConsumed { id });
-        }
-        loop {
-            if let Some(done) = q.done.remove(&id) {
-                q.claimed.insert(id);
-                q.streams.remove(&id);
-                return Ok(done);
-            }
-            if let Some(reason) = &q.engine_down {
-                return Err(ServeError::EngineDown {
-                    reason: reason.clone(),
-                });
-            }
-            if q.engine_exited {
-                return Err(ServeError::EngineDown {
-                    reason: "engine thread exited before the request resolved".to_string(),
-                });
-            }
-            q = wait_poisoned(&self.shared.done_cv, q);
+        // No stream ever holds a row at `usize::MAX`, so this blocking
+        // read returns only the outcome.
+        match self.next_token(id, usize::MAX)? {
+            StreamEvent::Done(outcome) => Ok(outcome),
+            StreamEvent::Token { .. } => unreachable!("no stream reaches row usize::MAX"),
         }
     }
 
@@ -966,18 +964,9 @@ impl Server {
             };
             stats
         };
-        // Pool counters are overlaid live (the pool keeps its own
-        // totals), so they are current even between engine ticks.
-        let pool = self.shared.weights.kv_pool().stats();
-        stats.kv_pages_in_use = pool.pages_in_use;
-        stats.kv_peak_pages = pool.peak_pages;
-        stats.kv_page_allocs = pool.page_allocs;
-        stats.kv_page_reuses = pool.page_reuses;
-        stats.kv_cow_clones = pool.cow_clones;
-        stats.kv_prefix_hits = pool.prefix_hits;
-        stats.kv_prefix_misses = pool.prefix_misses;
-        stats.kv_shared_pages = pool.shared_pages;
-        stats.kv_free_pages = pool.free_pages;
+        // Pool counters are read live (the pool keeps its own totals),
+        // so they are current even between engine ticks.
+        stats.kv_pool = self.shared.weights.kv_pool().stats();
         stats
     }
 
@@ -1068,23 +1057,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// shutdown path); sessions drop here, releasing their KV memory.
 fn abort_all(shared: &Shared, q: &mut Queues, active: &mut Vec<Active>) {
     while let Some(p) = q.pending.pop_front() {
-        q.stats.cancelled += 1;
-        shared
-            .engine_trace
-            .instant(stage::REQ_CANCELLED, p.id as u32, 0);
-        q.telemetry.tokens_per_request.record(0);
-        q.done
-            .insert(p.id, RequestOutcome::Cancelled { decoded_tokens: 0 });
+        let outcome = RequestOutcome::Cancelled { decoded_tokens: 0 };
+        q.resolve(&shared.engine_trace, p.id, outcome);
     }
     for a in active.drain(..) {
-        q.stats.cancelled += 1;
         let decoded_tokens = a.decoded.rows() as u64;
-        shared
-            .engine_trace
-            .instant(stage::REQ_CANCELLED, a.id as u32, decoded_tokens);
-        q.telemetry.tokens_per_request.record(decoded_tokens);
-        q.done
-            .insert(a.id, RequestOutcome::Cancelled { decoded_tokens });
+        q.resolve(
+            &shared.engine_trace,
+            a.id,
+            RequestOutcome::Cancelled { decoded_tokens },
+        );
     }
 }
 
@@ -1114,7 +1096,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
     // One activation scratch for the engine's lifetime: every scheduler
     // step's projection GEMMs (and, at one worker, the attention score
     // GEMVs) reuse it, so the decode hot loop stops allocating activation
-    // planes per call. Reset after any caught panic (stale contents are
+    // planes per call. Reset after any failed step (stale contents are
     // harmless — see `GemmScratch` — but recovery discards them anyway).
     let mut scratch = StepScratch::new();
     // Previous tick's KV pool counter totals; phase 4 diffs against them
@@ -1150,47 +1132,27 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                 let Some(p) = q.pending.pop_front() else {
                     break;
                 };
-                if p.expired(now_step, now) {
-                    q.stats.deadline_exceeded += 1;
-                    shared
-                        .engine_trace
-                        .instant(stage::REQ_DEADLINE, p.id as u32, 0);
-                    q.telemetry.tokens_per_request.record(0);
-                    q.done
-                        .insert(p.id, RequestOutcome::DeadlineExceeded { decoded_tokens: 0 });
+                if p.deadline.passed(now_step, now) {
+                    let outcome = RequestOutcome::DeadlineExceeded { decoded_tokens: 0 };
+                    q.resolve(&shared.engine_trace, p.id, outcome);
                     resolved = true;
                 } else {
                     q.pending.push_back(p);
                 }
             }
-            let cancels = std::mem::take(&mut q.cancels);
-            // m2x-lint: allow(alloc) lifecycle bookkeeping: sized by batch (small), not by tokens
-            let mut keep = Vec::with_capacity(active.len());
-            for a in active.drain(..) {
+            active.retain(|a| {
                 let decoded_tokens = a.decoded.rows() as u64;
-                if cancels.contains(&a.id) {
-                    q.stats.cancelled += 1;
-                    shared
-                        .engine_trace
-                        .instant(stage::REQ_CANCELLED, a.id as u32, decoded_tokens);
-                    q.telemetry.tokens_per_request.record(decoded_tokens);
-                    q.done
-                        .insert(a.id, RequestOutcome::Cancelled { decoded_tokens });
-                    resolved = true;
-                } else if a.expired(now_step, now) {
-                    q.stats.deadline_exceeded += 1;
-                    shared
-                        .engine_trace
-                        .instant(stage::REQ_DEADLINE, a.id as u32, decoded_tokens);
-                    q.telemetry.tokens_per_request.record(decoded_tokens);
-                    q.done
-                        .insert(a.id, RequestOutcome::DeadlineExceeded { decoded_tokens });
-                    resolved = true;
+                let outcome = if q.cancels.contains(&a.id) {
+                    RequestOutcome::Cancelled { decoded_tokens }
+                } else if a.deadline.passed(now_step, now) {
+                    RequestOutcome::DeadlineExceeded { decoded_tokens }
                 } else {
-                    keep.push(a);
-                }
-            }
-            active = keep;
+                    return true;
+                };
+                q.resolve(&shared.engine_trace, a.id, outcome);
+                resolved = true;
+                false
+            });
             let mut kv_used: usize = active.iter().map(|a| a.session.kv_bytes()).sum();
             while active.len() < shared.max_batch {
                 // Graceful degradation, not a stall: past the KV budget we
@@ -1233,9 +1195,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
 
         // ── Phase 2: scheduled faults for this tick ─────────────────────
         let mut armed_panic: Option<u64> = None;
-        let mut cancelled_now = 0u64;
-        // m2x-lint: allow(alloc) fault-injection path, empty plan in production
-        for fault in plan.take_due(tick).to_vec() {
+        for &fault in plan.take_due(tick) {
             match fault {
                 Fault::Delay { micros, .. } => {
                     std::thread::sleep(Duration::from_micros(micros));
@@ -1243,17 +1203,12 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                 Fault::CancelActive { slot, .. } => {
                     if slot < active.len() {
                         let a = active.remove(slot);
-                        cancelled_now += 1;
                         let decoded_tokens = a.decoded.rows() as u64;
-                        shared.engine_trace.instant(
-                            stage::REQ_CANCELLED,
-                            a.id as u32,
-                            decoded_tokens,
+                        lock_queues(shared).resolve(
+                            &shared.engine_trace,
+                            a.id,
+                            RequestOutcome::Cancelled { decoded_tokens },
                         );
-                        let mut q = lock_queues(shared);
-                        q.telemetry.tokens_per_request.record(decoded_tokens);
-                        q.done
-                            .insert(a.id, RequestOutcome::Cancelled { decoded_tokens });
                         shared.done_cv.notify_all();
                     }
                 }
@@ -1265,17 +1220,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
             }
         }
         if active.is_empty() {
-            let mut q = lock_queues(shared);
-            q.stats.cancelled += cancelled_now;
             continue;
-        }
-        // A same-tick CancelActive may have removed the panic victim from
-        // the batch: disarm, so a fired panic always attributes to a
-        // request that is actually stepped.
-        if let Some(victim) = armed_panic {
-            if !active.iter().any(|a| a.id == victim) {
-                armed_panic = None;
-            }
         }
 
         // ── Phase 3: one batched step (isolated), recovery on failure ───
@@ -1287,34 +1232,18 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
         scratch.tally.clear();
         let t0_us = if rec { shared.engine_trace.now_us() } else { 0 };
         let t0 = Instant::now();
-        // m2x-lint: allow(alloc) structural: the batched step borrows sessions mutably, so inputs are cloned out first
-        let inputs: Vec<Matrix> = active.iter().map(|a| a.next_input.clone()).collect();
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            let mut sessions: Vec<&mut SessionState> =
-                // m2x-lint: allow(alloc) batch-sized pointer Vec rebuilt per tick (membership changes between ticks)
-                active.iter_mut().map(|a| &mut a.session).collect();
-            let out = shared.weights.step_sessions_scratch(
-                &mut sessions,
-                &inputs,
-                shared.threads,
-                &mut scratch,
-            );
-            if let (Some(victim), Ok(_)) = (armed_panic, &out) {
-                // Injected *after* the batched compute: session state has
-                // already advanced when the panic lands — the worst case
-                // the reset-and-replay recovery must handle.
-                // m2x-lint: allow(panic) deliberate fault injection, caught by the catch_unwind directly above
-                panic!("injected fault: step panic (request {victim})");
-            }
-            out
-        }));
-
         let mut decoded_delta: i64 = 0;
         let mut caught_panics = 0u64;
         // m2x-lint: allow(alloc) empty Vec does not allocate; grows only on the recovery path
-        let mut failed: Vec<(u64, RequestOutcome)> = Vec::new();
-        let mut recovery = false;
-        match step {
+        let mut failed: Vec<(u64, String)> = Vec::new();
+        let batched = guarded_step(
+            shared,
+            &mut active,
+            armed_panic,
+            &mut scratch,
+            &mut caught_panics,
+        );
+        let batched_error = match batched {
             Ok(Ok(outs)) => {
                 // Feedback ("sampling") is the one tick stage living
                 // outside the model step: fold it into the same tally.
@@ -1324,95 +1253,52 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                         decoded_delta += a.consume(y) as i64;
                     }
                 });
+                None
             }
-            other => {
-                // The batched step died mid-flight: a panic (caught above)
-                // or a model error. Every in-flight session is suspect —
-                // the failure may have landed after some sessions already
-                // appended this step's KV rows. Generation is closed-loop
-                // deterministic from the prompt, so recovery rewinds every
-                // request and re-steps each in isolation: the one that
-                // reproduces the failure is failed and released, the rest
-                // replay to bit-identical streams and keep going batched.
-                recovery = true;
-                let batched_error = match other {
-                    // m2x-lint: allow(alloc) recovery path, not the healthy decode tick
-                    Ok(Err(e)) => e.to_string(),
-                    Err(payload) => {
-                        caught_panics += 1;
-                        panic_message(payload)
-                    }
-                    Ok(Ok(_)) => unreachable!("handled above"),
-                };
-                scratch.reset();
-                // m2x-lint: allow(alloc) recovery path, not the healthy decode tick
-                let mut survivors = Vec::with_capacity(active.len());
-                for mut a in active.drain(..) {
-                    decoded_delta -= a.reset_for_replay() as i64;
-                    // m2x-lint: allow(alloc) recovery path, not the healthy decode tick
-                    let input = [a.next_input.clone()];
-                    let rid = a.id;
-                    let isolated = catch_unwind(AssertUnwindSafe(|| {
+            // m2x-lint: allow(alloc) recovery path, not the healthy decode tick
+            Ok(Err(e)) => Some(e.to_string()),
+            Err(panic) => Some(panic),
+        };
+        let recovery = batched_error.is_some();
+        if let Some(batched_error) = batched_error {
+            // The batched step died mid-flight: a panic or a model error.
+            // Every in-flight session is suspect — the failure may have
+            // landed after some sessions already appended this step's KV
+            // rows. Generation is closed-loop deterministic from the
+            // prompt, so recovery rewinds every request and re-steps each
+            // in isolation: the one that reproduces the failure is failed
+            // and released, the rest replay to bit-identical streams and
+            // keep going batched.
+            active.retain_mut(|a| {
+                decoded_delta -= a.reset_for_replay() as i64;
+                let isolated = guarded_step(
+                    shared,
+                    std::slice::from_mut(a),
+                    armed_panic,
+                    &mut scratch,
+                    &mut caught_panics,
+                );
+                let error = match isolated {
+                    Ok(Ok(mut outs)) => match outs.pop() {
+                        Some(y) => {
+                            decoded_delta += a.consume(y) as i64;
+                            return true;
+                        }
+                        // One session in, zero outputs out: a model
+                        // contract breach. Fail the request instead of
+                        // poisoning the engine with a panic.
                         // m2x-lint: allow(alloc) recovery path, not the healthy decode tick
-                        let mut sessions: Vec<&mut SessionState> = vec![&mut a.session];
-                        let out = shared.weights.step_sessions_scratch(
-                            &mut sessions,
-                            &input,
-                            shared.threads,
-                            &mut scratch,
-                        );
-                        if let (Some(victim), Ok(_)) = (armed_panic, &out) {
-                            if victim == rid {
-                                // m2x-lint: allow(panic) deliberate fault injection, caught by the enclosing catch_unwind
-                                panic!("injected fault: step panic (request {rid})");
-                            }
-                        }
-                        out
-                    }));
-                    match isolated {
-                        Ok(Ok(mut outs)) => match outs.pop() {
-                            Some(y) => {
-                                decoded_delta += a.consume(y) as i64;
-                                survivors.push(a);
-                            }
-                            None => {
-                                // One session in, zero outputs out: a model
-                                // contract breach. Fail the request instead
-                                // of poisoning the engine with a panic.
-                                failed.push((
-                                    rid,
-                                    RequestOutcome::Failed {
-                                        // m2x-lint: allow(alloc) recovery path, not the healthy decode tick
-                                        error: format!(
-                                            "isolated re-step returned no output (batched step: {batched_error})"
-                                        ),
-                                    },
-                                ));
-                            }
-                        },
-                        Ok(Err(e)) => {
-                            failed.push((
-                                rid,
-                                RequestOutcome::Failed {
-                                    // m2x-lint: allow(alloc) recovery path, not the healthy decode tick
-                                    error: format!("{e} (batched step: {batched_error})"),
-                                },
-                            ));
-                        }
-                        Err(payload) => {
-                            caught_panics += 1;
-                            scratch.reset();
-                            failed.push((
-                                rid,
-                                RequestOutcome::Failed {
-                                    error: panic_message(payload),
-                                },
-                            ));
-                        }
-                    }
-                }
-                active = survivors;
-            }
+                        None => format!(
+                            "isolated re-step returned no output (batched step: {batched_error})"
+                        ),
+                    },
+                    // m2x-lint: allow(alloc) recovery path, not the healthy decode tick
+                    Ok(Err(e)) => format!("{e} (batched step: {batched_error})"),
+                    Err(panic) => panic,
+                };
+                failed.push((a.id, error));
+                false
+            });
         }
         let step_us = t0.elapsed().as_micros() as u64;
 
@@ -1496,9 +1382,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
         q.stats.steps += 1;
         q.stats.decoded_tokens = (q.stats.decoded_tokens as i64 + decoded_delta).max(0) as u64;
         q.stats.peak_batch = q.stats.peak_batch.max(batch);
-        q.stats.cancelled += cancelled_now;
         q.stats.panics_recovered += caught_panics;
-        q.stats.failed += failed.len() as u64;
         if recovery {
             q.stats.recovery_ticks += 1;
         }
@@ -1511,29 +1395,13 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
         } else {
             1.0 - kv_tokens as f64 / kv_capacity as f64
         };
-        // Publish new decode rows of streaming requests before retiring
-        // finished ones, so a waiter always sees every token before the
-        // outcome. Appends only past the published length: a recovery
-        // replay regrowing `decoded` from zero re-derives identical bits,
-        // so the already published prefix stays valid and duplicate-free.
-        for a in &active {
-            if a.stream && a.decoded.rows() > 0 {
-                let buf = q.streams.entry(a.id).or_default();
-                for r in buf.len()..a.decoded.rows() {
-                    buf.push(Matrix::from_vec(
-                        1,
-                        a.decoded.cols(),
-                        // m2x-lint: allow(alloc) structural: published token rows must outlive the tick
-                        a.decoded.row(r).to_vec(),
-                    ));
-                }
-            }
-        }
-        // Lifecycle trace + TTFT. Like the streaming buffers above, the
-        // traced counters (`prefill_traced`, `traced_tokens`,
-        // `ttft_recorded`) only ever grow, so a recovery replay regrowing
-        // `decoded` from zero never re-emits an already-traced
-        // transition or re-records a TTFT sample.
+        // Lifecycle trace, TTFT and stream publication, all past each
+        // request's `reported` mark — before retiring finished requests,
+        // so a waiter always sees every token before the outcome. The
+        // marks only ever grow, so a recovery replay regrowing `decoded`
+        // from zero never re-emits a transition, re-records a TTFT sample
+        // or republishes a row (it re-derives identical bits, so the
+        // published prefix stays valid).
         for a in &mut active {
             if !a.prefilling && !a.prefill_traced {
                 a.prefill_traced = true;
@@ -1543,40 +1411,40 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                     a.prompt.rows() as u64,
                 );
             }
-            while a.traced_tokens < a.decoded.rows() as u64 {
-                shared
-                    .engine_trace
-                    .instant(stage::REQ_TOKEN, a.id as u32, a.traced_tokens);
-                a.traced_tokens += 1;
-            }
-            if !a.ttft_recorded && a.decoded.rows() > 0 {
-                a.ttft_recorded = true;
+            let rows = a.decoded.rows();
+            if a.reported == 0 && rows > 0 {
                 let ttft_us = wall
                     .saturating_duration_since(a.submitted_at)
                     .as_micros()
                     .min(u64::MAX as u128) as u64;
                 q.telemetry.ttft_us.record(ttft_us);
             }
+            for r in a.reported..rows {
+                if a.stream {
+                    q.streams.entry(a.id).or_default().push(Matrix::from_vec(
+                        1,
+                        a.decoded.cols(),
+                        // m2x-lint: allow(alloc) structural: published token rows must outlive the tick
+                        a.decoded.row(r).to_vec(),
+                    ));
+                }
+                shared
+                    .engine_trace
+                    .instant(stage::REQ_TOKEN, a.id as u32, r as u64);
+            }
+            a.reported = a.reported.max(rows);
+        }
+        for (id, error) in failed {
+            q.resolve(&shared.engine_trace, id, RequestOutcome::Failed { error });
         }
         let now = q.stats.steps;
-        for (id, outcome) in failed {
-            q.cancels.remove(&id);
-            shared.engine_trace.instant(stage::REQ_FAILED, id as u32, 0);
-            q.telemetry.tokens_per_request.record(0);
-            q.done.insert(id, outcome);
-        }
         // m2x-lint: allow(alloc) retire bookkeeping: sized by batch (small), not by tokens
         let mut rest = Vec::with_capacity(active.len());
         for a in active.drain(..) {
             if a.finished() {
-                q.cancels.remove(&a.id);
-                let decoded_tokens = a.decoded.rows() as u64;
-                shared
-                    .engine_trace
-                    .instant(stage::REQ_FINISHED, a.id as u32, decoded_tokens);
-                q.telemetry.tokens_per_request.record(decoded_tokens);
-                q.done
-                    .insert(a.id, RequestOutcome::Finished(a.into_completed(now)));
+                let id = a.id;
+                let outcome = RequestOutcome::Finished(a.into_completed(now));
+                q.resolve(&shared.engine_trace, id, outcome);
             } else {
                 rest.push(a);
             }
@@ -1584,4 +1452,46 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
         active = rest;
         shared.done_cv.notify_all();
     }
+}
+
+/// Steps `batch` once through the model under `catch_unwind`: the batched
+/// tick and each isolated recovery re-step alike. An armed
+/// [`Fault::StepPanic`] fires only when its victim is in `batch`, and
+/// after the compute, so session state has already advanced when the
+/// panic lands — the worst case the reset-and-replay recovery must
+/// handle. A caught panic counts into `caught_panics` and comes back as
+/// its message; any failure resets `scratch`.
+// m2x-lint: hot
+fn guarded_step(
+    shared: &Shared,
+    batch: &mut [Active],
+    armed_panic: Option<u64>,
+    scratch: &mut StepScratch,
+    caught_panics: &mut u64,
+) -> Result<Result<Vec<Matrix>, Error>, String> {
+    let victim = armed_panic.filter(|v| batch.iter().any(|a| a.id == *v));
+    // m2x-lint: allow(alloc) structural: the step borrows sessions mutably, so inputs are cloned out first
+    let inputs: Vec<Matrix> = batch.iter().map(|a| a.next_input.clone()).collect();
+    let step = catch_unwind(AssertUnwindSafe(|| {
+        let mut sessions: Vec<&mut SessionState> =
+            // m2x-lint: allow(alloc) batch-sized pointer Vec rebuilt per step (membership changes between ticks)
+            batch.iter_mut().map(|a| &mut a.session).collect();
+        let out =
+            shared
+                .weights
+                .step_sessions_scratch(&mut sessions, &inputs, shared.threads, scratch);
+        if let (Some(victim), Ok(_)) = (victim, &out) {
+            // m2x-lint: allow(panic) deliberate fault injection, caught by the catch_unwind directly above
+            panic!("injected fault: step panic (request {victim})");
+        }
+        out
+    }))
+    .map_err(|payload| {
+        *caught_panics += 1;
+        panic_message(payload)
+    });
+    if !matches!(step, Ok(Ok(_))) {
+        scratch.reset();
+    }
+    step
 }

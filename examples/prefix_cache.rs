@@ -86,16 +86,16 @@ fn main() {
     // the pool's shared-page gauge must see it. Poll rather than assert a
     // single racy sample: each adopter keeps its handles until it
     // finishes.
-    // (`kv_prefix_hits` counts adopted *pages*: two per adopter here.)
+    // (`kv_pool.prefix_hits` counts adopted *pages*: two per adopter here.)
     let mut shared_seen = 0u64;
-    while server.stats().kv_prefix_hits < 2 * (n_requests - 1) as u64 {
+    while server.stats().kv_pool.prefix_hits < 2 * (n_requests - 1) as u64 {
         std::thread::yield_now();
     }
-    shared_seen = shared_seen.max(server.stats().kv_shared_pages);
+    shared_seen = shared_seen.max(server.stats().kv_pool.shared_pages);
     let outs: Vec<Matrix> = ids
         .iter()
         .map(|id| {
-            shared_seen = shared_seen.max(server.stats().kv_shared_pages);
+            shared_seen = shared_seen.max(server.stats().kv_pool.shared_pages);
             server
                 .wait(*id)
                 .expect("typed outcome")
@@ -109,7 +109,7 @@ fn main() {
     // ── 4. The checks: sharing really happened, and left no trace ──
     let stats = server.shutdown();
     assert_eq!(
-        stats.kv_prefix_hits,
+        stats.kv_pool.prefix_hits,
         2 * (n_requests - 1) as u64,
         "every adopter adopts both frozen prefix pages"
     );

@@ -164,11 +164,11 @@ fn prefix_churn_stays_bit_identical_and_returns_every_page() {
         // shared frozen pages — the bit-identity above is not vacuous.
         let stats = server.stats();
         assert!(
-            stats.kv_prefix_hits >= adopters.len() as u64,
+            stats.kv_pool.prefix_hits >= adopters.len() as u64,
             "case {}: {} adopters but only {} prefix hits",
             g.case,
             adopters.len(),
-            stats.kv_prefix_hits
+            stats.kv_pool.prefix_hits
         );
         // No holder mutated a frozen page in place: the retained chain
         // still matches the content hashes recorded at freeze time.

@@ -207,6 +207,39 @@ fn trace_reconstructs_every_lifecycle() {
                 "{ctx}: engine-ring timestamps regress: {engine:?}"
             );
         }
+
+        // The accounting each resolution owns: one counter bump per typed
+        // outcome of its kind, one `tokens_per_request` sample per id
+        // summing to the outcomes' decoded tokens, and one TTFT sample per
+        // outcome that decoded a token (no faults here, so no replay).
+        let outcomes: Vec<&RequestOutcome> = outcomes.iter().flatten().collect();
+        let of_kind = |kind: &str| outcomes.iter().filter(|o| o.kind() == kind).count() as u64;
+        let stats = server.stats();
+        let ctx = format!("case {}", g.case);
+        assert_eq!(stats.rejected, of_kind("rejected"), "{ctx}: rejected");
+        assert_eq!(stats.cancelled, of_kind("cancelled"), "{ctx}: cancelled");
+        assert_eq!(
+            stats.deadline_exceeded,
+            of_kind("deadline_exceeded"),
+            "{ctx}: deadline_exceeded"
+        );
+        assert_eq!(stats.failed, of_kind("failed"), "{ctx}: failed");
+        let hist = server.telemetry_snapshot();
+        assert_eq!(
+            hist.tokens_per_request.count(),
+            ids.len() as u64,
+            "{ctx}: one tokens_per_request sample per id"
+        );
+        assert_eq!(
+            hist.tokens_per_request.sum(),
+            outcomes.iter().map(|o| outcome_tokens(o)).sum::<u64>(),
+            "{ctx}: tokens_per_request sums the outcomes' decoded tokens"
+        );
+        assert_eq!(
+            hist.ttft_us.count(),
+            outcomes.iter().filter(|o| outcome_tokens(o) > 0).count() as u64,
+            "{ctx}: one TTFT sample per outcome that decoded a token"
+        );
     });
 }
 
