@@ -23,18 +23,20 @@
 //!   appends.
 //! * **Copy-on-write sharing** — page handles are `Arc`s. Appending
 //!   through a handle whose page is shared (a cloned session, or a frozen
-//!   prefix page held by the index) clones the page first
+//!   prefix page the pool retains) clones the page first
 //!   (`PageHandle::make_mut`); this is the cache's only copy-on-write
 //!   layer. A shared page is never mutated in place.
 //! * **Prefix reuse** — after a prefill completes, its full pages can be
-//!   frozen and published ([`KvPagePool::register_prefix`]) under a chain
-//!   hash of the prompt rows they cover. A later request with the same
-//!   prompt prefix adopts those pages ([`KvPagePool::lookup_prefix`] →
-//!   [`PagedKv::adopt_prefix`]) instead of re-quantizing them; the stored
-//!   source rows are verified bitwise before adoption, so a hash collision
-//!   can never smuggle in foreign KV state. The index holds exactly the
-//!   retained pages: evicting a page from the FIFO retention list also
-//!   drops its index entry, so the index never outgrows the list's cap.
+//!   frozen under a chain hash of the prompt rows they cover and retained
+//!   by the pool ([`KvPagePool::register_prefix`]). A later request with
+//!   the same prompt prefix adopts those pages
+//!   ([`KvPagePool::lookup_prefix`] → [`PagedKv::adopt_prefix`]) instead
+//!   of re-quantizing them; the stored source rows are verified bitwise
+//!   before adoption, so a hash collision can never smuggle in foreign KV
+//!   state. The retention list is the prefix index: a FIFO of at most
+//!   `RETAIN_CAP` frozen pages, scanned for a page's chain hash at
+//!   admission and when a prefill ends. An evicted page is no longer
+//!   adoptable, even while a session still holds it.
 //!
 //! Accounting is honest about both representations:
 //! [`PagedKv::packed_bytes`] counts the canonical 4.5-bit streams (what
@@ -45,7 +47,7 @@ use m2x_tensor::Matrix;
 use m2xfp::format::PackedWeightTensor;
 use m2xfp::gemm::WeightPlane;
 use m2xfp::{Error, M2xfpConfig};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// Released frames kept for recycling; beyond this, frames are dropped so
@@ -53,7 +55,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 const FREE_LIST_CAP: usize = 256;
 
 /// Frozen prefix pages the pool itself keeps alive (FIFO) so a prefix
-/// outlives the request that produced it; older entries are evicted.
+/// outlives the request that produced it; older pages are evicted, and
+/// only retained pages are adoptable.
 const RETAIN_CAP: usize = 64;
 
 /// Seed of the prompt-row chain hash (two mixed 64-bit streams).
@@ -67,11 +70,6 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// same idiom as `m2x_serve`'s `lock_poisoned`.
 fn lock_pool(m: &Mutex<PoolInner>) -> MutexGuard<'_, PoolInner> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Copies a `rows × width` block of `m` starting at (`r0`, `c0`).
-fn slice_block(m: &Matrix, r0: usize, rows: usize, c0: usize, width: usize) -> Matrix {
-    Matrix::from_fn(rows, width, |r, c| m[(r0 + r, c0 + c)])
 }
 
 fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
@@ -263,7 +261,10 @@ impl PageHandle {
     }
 }
 
-/// Counter snapshot of a pool, taken under the pool lock.
+/// Counter snapshot of a pool, taken under the pool lock. The pool keeps
+/// one of these as its running counters; the three gauges (`free_pages`,
+/// `retained_pages`, `shared_pages`) are filled in by
+/// [`KvPagePool::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PoolStats {
     /// Pages currently owned by live handles.
@@ -292,19 +293,21 @@ pub struct PoolStats {
 
 struct PoolInner {
     free: Vec<Vec<PageEntry>>,
-    index: HashMap<u128, Weak<PageBox>>,
+    /// Frozen prefix pages, oldest first: the prefix index.
     retained: VecDeque<Arc<PageBox>>,
-    pages_in_use: u64,
-    peak_pages: u64,
-    page_allocs: u64,
-    page_reuses: u64,
-    releases: u64,
-    cow_clones: u64,
-    prefix_hits: u64,
-    prefix_misses: u64,
+    stats: PoolStats,
 }
 
-/// The shared page allocator + prefix index. One pool per
+impl PoolInner {
+    /// The retained page frozen under chain hash `h`, if any.
+    fn find_retained(&self, h: u128) -> Option<&Arc<PageBox>> {
+        self.retained
+            .iter()
+            .find(|p| p.meta.get().is_some_and(|m| m.chain_hash == h))
+    }
+}
+
+/// The shared page allocator + prefix retention. One pool per
 /// [`ModelWeights`](crate::ModelWeights); every session's
 /// [`PagedKv`] allocates from it.
 pub struct KvPagePool {
@@ -347,16 +350,8 @@ impl KvPagePool {
             geom,
             inner: Mutex::new(PoolInner {
                 free: Vec::new(),
-                index: HashMap::new(),
                 retained: VecDeque::new(),
-                pages_in_use: 0,
-                peak_pages: 0,
-                page_allocs: 0,
-                page_reuses: 0,
-                releases: 0,
-                cow_clones: 0,
-                prefix_hits: 0,
-                prefix_misses: 0,
+                stats: PoolStats::default(),
             }),
         }))
     }
@@ -378,13 +373,14 @@ impl KvPagePool {
         let recycled = {
             let mut g = lock_pool(&self.inner);
             let frame = g.free.pop();
+            let s = &mut g.stats;
             if frame.is_some() {
-                g.page_reuses += 1;
+                s.page_reuses += 1;
             } else {
-                g.page_allocs += 1;
+                s.page_allocs += 1;
             }
-            g.pages_in_use += 1;
-            g.peak_pages = g.peak_pages.max(g.pages_in_use);
+            s.pages_in_use += 1;
+            s.peak_pages = s.peak_pages.max(s.pages_in_use);
             frame
         };
         let entries = match recycled {
@@ -421,8 +417,8 @@ impl KvPagePool {
     fn release(&self, mut frame: Vec<PageEntry>) {
         let overflow = {
             let mut g = lock_pool(&self.inner);
-            g.releases += 1;
-            g.pages_in_use = g.pages_in_use.saturating_sub(1);
+            g.stats.releases += 1;
+            g.stats.pages_in_use = g.stats.pages_in_use.saturating_sub(1);
             if g.free.len() < FREE_LIST_CAP {
                 g.free.push(std::mem::take(&mut frame));
                 None
@@ -434,16 +430,17 @@ impl KvPagePool {
     }
 
     fn note_cow(&self) {
-        let mut g = lock_pool(&self.inner);
-        g.cow_clones += 1;
-        g.pages_in_use += 1;
-        g.peak_pages = g.peak_pages.max(g.pages_in_use);
+        let s = &mut lock_pool(&self.inner).stats;
+        s.cow_clones += 1;
+        s.pages_in_use += 1;
+        s.peak_pages = s.peak_pages.max(s.pages_in_use);
     }
 
-    /// Probes the prefix index for the longest run of frozen pages whose
-    /// source rows are bit-identical to the front of `prompt`. Adoption
-    /// is capped at `prompt.rows() - 1` tokens so at least one suffix row
-    /// remains for the adopting request's own prefill step.
+    /// Probes the retained pages for the longest run of frozen pages whose
+    /// source rows are bit-identical to the front of `prompt`, finding
+    /// each by its chain hash. Adoption is capped at `prompt.rows() - 1`
+    /// tokens so at least one suffix row remains for the adopting
+    /// request's own prefill step.
     pub fn lookup_prefix(&self, prompt: &Matrix) -> Option<PrefixMatch> {
         let pt = self.geom.page_tokens;
         let max_pages = prompt.rows().saturating_sub(1) / pt;
@@ -456,21 +453,15 @@ impl KvPagePool {
         let mut missed = false;
         for pi in 0..max_pages {
             h = hash_rows(h, prompt, pi * pt, pt);
-            let found = {
-                let g = lock_pool(&self.inner);
-                g.index.get(&h).and_then(Weak::upgrade)
-            };
-            let Some(page) = found else {
+            let found = lock_pool(&self.inner).find_retained(h).cloned();
+            let Some(page) = found.filter(|p| {
+                p.meta
+                    .get()
+                    .is_some_and(|m| rows_bit_equal(&m.src_rows, prompt, pi * pt, pt))
+            }) else {
                 missed = true;
                 break;
             };
-            let ok = page.meta.get().is_some_and(|m| {
-                m.chain_hash == h && rows_bit_equal(&m.src_rows, prompt, pi * pt, pt)
-            });
-            if !ok {
-                missed = true;
-                break;
-            }
             // The compare above proved the page covers exactly these
             // prompt rows, so its recorded output rows are the rows a
             // solo prefill would produce.
@@ -483,9 +474,9 @@ impl KvPagePool {
             pages.push(PageHandle(page));
         }
         {
-            let mut g = lock_pool(&self.inner);
-            g.prefix_hits += pages.len() as u64;
-            g.prefix_misses += u64::from(missed);
+            let s = &mut lock_pool(&self.inner).stats;
+            s.prefix_hits += pages.len() as u64;
+            s.prefix_misses += u64::from(missed);
         }
         let out = out?;
         Some(PrefixMatch {
@@ -495,65 +486,50 @@ impl KvPagePool {
         })
     }
 
-    /// Freezes the full pages of a completed prefill and publishes them
-    /// in the prefix index, keyed by the chain hash of the prompt rows
-    /// they cover. The pool retains up to `RETAIN_CAP` frozen pages
-    /// (FIFO) so a prefix outlives the request that produced it; an
-    /// evicted page leaves the index too. Pages already frozen (an adopted
-    /// prefix, a replayed request) are left as-is; a live index entry is
-    /// never displaced.
+    /// Freezes the full pages of a completed prefill under the chain hash
+    /// of the prompt rows they cover and retains them, so a prefix
+    /// outlives the request that produced it. The pool retains up to
+    /// `RETAIN_CAP` frozen pages and evicts the oldest first. Pages
+    /// already frozen (an adopted prefix, a replayed request) are left
+    /// as-is, and a page already retained under a chain hash is never
+    /// displaced.
     pub fn register_prefix(&self, prompt: &Matrix, prefill_out: &Matrix, kv: &PagedKv) {
         let pt = self.geom.page_tokens;
         let full = (prompt.rows() / pt)
             .min(kv.pages.len())
             .min(prefill_out.rows() / pt);
         let mut h = CHAIN_SEED;
-        let mut evicted: Vec<Arc<PageBox>> = Vec::new();
         for pi in 0..full {
             h = hash_rows(h, prompt, pi * pt, pt);
             let page = &kv.pages[pi].0;
-            if page.meta.get().is_none() {
-                let meta = FrozenMeta {
-                    chain_hash: h,
-                    content_sum: checksum_entries(&page.entries),
-                    src_rows: slice_block(prompt, pi * pt, pt, 0, prompt.cols()),
-                    out_rows: slice_block(prefill_out, pi * pt, pt, 0, prefill_out.cols()),
-                };
-                let _ = page.meta.set(meta);
-            }
-            let mut g = lock_pool(&self.inner);
-            let slot = g.index.entry(h).or_default();
-            if slot.upgrade().is_none() {
-                *slot = Arc::downgrade(page);
-                g.retained.push_back(Arc::clone(page));
-                while g.retained.len() > RETAIN_CAP {
-                    let Some(old) = g.retained.pop_front() else {
-                        break;
-                    };
-                    // Retained pages are frozen, so `meta` names the key
-                    // the page was published under.
-                    if let Some(m) = old.meta.get() {
-                        if g.index.get(&m.chain_hash).map(Weak::as_ptr) == Some(Arc::as_ptr(&old)) {
-                            g.index.remove(&m.chain_hash);
-                        }
-                    }
-                    evicted.push(old);
+            page.meta.get_or_init(|| FrozenMeta {
+                chain_hash: h,
+                content_sum: checksum_entries(&page.entries),
+                src_rows: prompt.block(pi * pt, 0, pt, prompt.cols()),
+                out_rows: prefill_out.block(pi * pt, 0, pt, prefill_out.cols()),
+            });
+            let evicted = {
+                let mut g = lock_pool(&self.inner);
+                if g.find_retained(h).is_some() {
+                    continue;
                 }
-            }
+                g.retained.push_back(Arc::clone(page));
+                if g.retained.len() > RETAIN_CAP {
+                    g.retained.pop_front()
+                } else {
+                    None
+                }
+            };
+            // An evicted page drops (and recycles) outside the pool lock.
+            drop(evicted);
         }
-        // Evicted pages drop (and recycle) outside the pool lock.
-        drop(evicted);
     }
 
-    /// Drops every retained prefix page and clears the index — the
-    /// serving engine calls this on shutdown so the zero-leak invariant
-    /// (`pages_in_use == 0` once all sessions are gone) holds.
+    /// Drops every retained prefix page — the serving engine calls this on
+    /// shutdown so the zero-leak invariant (`pages_in_use == 0` once all
+    /// sessions are gone) holds.
     pub fn clear_retained(&self) {
-        let drained: Vec<Arc<PageBox>> = {
-            let mut g = lock_pool(&self.inner);
-            g.index.clear();
-            g.retained.drain(..).collect()
-        };
+        let drained = std::mem::take(&mut lock_pool(&self.inner).retained);
         drop(drained);
     }
 
@@ -572,18 +548,10 @@ impl KvPagePool {
         })
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot: the running counters plus the three gauges.
     pub fn stats(&self) -> PoolStats {
         let g = lock_pool(&self.inner);
         PoolStats {
-            pages_in_use: g.pages_in_use,
-            peak_pages: g.peak_pages,
-            page_allocs: g.page_allocs,
-            page_reuses: g.page_reuses,
-            releases: g.releases,
-            cow_clones: g.cow_clones,
-            prefix_hits: g.prefix_hits,
-            prefix_misses: g.prefix_misses,
             free_pages: g.free.len() as u64,
             retained_pages: g.retained.len() as u64,
             shared_pages: g
@@ -591,6 +559,7 @@ impl KvPagePool {
                 .iter()
                 .filter(|p| Arc::strong_count(p) >= 2)
                 .count() as u64,
+            ..g.stats
         }
     }
 }
@@ -695,11 +664,11 @@ impl PagedKv {
             let page = self.pages[pidx].make_mut(&self.pool);
             for h in 0..geom.kv_heads {
                 let e = &mut page.entries[li * geom.kv_heads + h];
-                let ks = slice_block(k_new, done, take, h * geom.head_dim, geom.head_dim);
+                let ks = k_new.block(done, h * geom.head_dim, take, geom.head_dim);
                 let kq = PackedWeightTensor::quantize_parallel(&ks, geom.cfg);
                 e.k_plane.append(&kq);
                 e.k.append_packed(kq)?;
-                let vs = slice_block(v_new, done, take, h * geom.head_dim, geom.head_dim);
+                let vs = v_new.block(done, h * geom.head_dim, take, geom.head_dim);
                 let vq = PackedWeightTensor::quantize_parallel(&vs, geom.cfg);
                 e.v_rows.push_rows(&vq.dequantize());
                 e.v.append_packed(vq)?;
@@ -937,7 +906,7 @@ mod tests {
     #[test]
     fn frozen_page_write_copies_instead_of_mutating() {
         // Force the degenerate case the CoW rule exists for: a write
-        // that does land inside a frozen (index-retained) page. A
+        // that does land inside a frozen (pool-retained) page. A
         // cloned view of a partially-filled page whose full sibling is
         // frozen exercises get_mut failing on the retained strong ref.
         let pool = KvPagePool::new(geom()).unwrap();
@@ -982,9 +951,9 @@ mod tests {
 
     #[test]
     fn evicted_prefix_pages_leave_the_index() {
-        // More distinct one-page prefixes than the retention cap: every
-        // eviction must take its index entry along, so the index stays
-        // bounded by the cap instead of growing with every prefix seen.
+        // More distinct one-page prefixes than the retention cap: the
+        // retained list, which is the index, stays bounded by the cap
+        // instead of growing with every prefix seen.
         let pool = KvPagePool::new(geom()).unwrap();
         for i in 0..RETAIN_CAP + 8 {
             let seed = i as f32;
@@ -992,16 +961,44 @@ mod tests {
             append_all(&mut kv, &rows(32, 64, seed), &rows(32, 64, seed + 0.5));
             pool.register_prefix(&rows(32, 16, seed), &rows(32, 16, seed + 0.25), &kv);
         }
-        let index_len = lock_pool(&pool.inner).index.len();
-        assert!(
-            index_len <= RETAIN_CAP,
-            "{index_len} index entries for at most {RETAIN_CAP} retained pages"
-        );
         assert_eq!(pool.stats().retained_pages, RETAIN_CAP as u64);
         // The newest prefix is still adoptable; the oldest was evicted.
         let newest = (RETAIN_CAP + 7) as f32;
         assert!(pool.lookup_prefix(&rows(33, 16, newest)).is_some());
         assert!(pool.lookup_prefix(&rows(33, 16, 0.0)).is_none());
+        pool.clear_retained();
+        assert_eq!(pool.stats().pages_in_use, 0);
+    }
+
+    #[test]
+    fn evicted_page_is_not_adoptable_while_a_session_holds_it() {
+        // A page pushed out of the retention FIFO stays alive in the
+        // session that holds it, but no lookup may hand it out again.
+        let pool = KvPagePool::new(geom()).unwrap();
+        let mut held = PagedKv::new(Arc::clone(&pool));
+        append_all(&mut held, &rows(32, 64, 0.0), &rows(32, 64, 0.5));
+        let prompt = rows(33, 16, 0.0);
+        pool.register_prefix(&prompt, &rows(32, 16, 0.25), &held);
+        assert!(pool.lookup_prefix(&prompt).is_some());
+        for i in 1..=RETAIN_CAP {
+            let seed = i as f32;
+            let mut kv = PagedKv::new(Arc::clone(&pool));
+            append_all(&mut kv, &rows(32, 64, seed), &rows(32, 64, seed + 0.5));
+            pool.register_prefix(&rows(32, 16, seed), &rows(32, 16, seed + 0.25), &kv);
+        }
+        let s = pool.stats();
+        assert_eq!(s.retained_pages, RETAIN_CAP as u64);
+        assert_eq!(
+            s.pages_in_use,
+            RETAIN_CAP as u64 + 1,
+            "the held page is alive"
+        );
+        assert!(
+            pool.lookup_prefix(&prompt).is_none(),
+            "evicted page adopted"
+        );
+        assert_eq!(pool.stats().prefix_misses, 1);
+        drop(held);
         pool.clear_retained();
         assert_eq!(pool.stats().pages_in_use, 0);
     }
@@ -1018,8 +1015,8 @@ mod tests {
         let pool2 = KvPagePool::new(geom()).unwrap();
         let mut stepped = PagedKv::new(Arc::clone(&pool2));
         for t in 0..40 {
-            let kt = slice_block(&k, t, 1, 0, 64);
-            let vt = slice_block(&v, t, 1, 0, 64);
+            let kt = k.block(t, 0, 1, 64);
+            let vt = v.block(t, 0, 1, 64);
             append_all(&mut stepped, &kt, &vt);
         }
         assert_eq!(page_checksums(&whole), page_checksums(&stepped));

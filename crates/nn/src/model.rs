@@ -59,6 +59,7 @@ use m2x_tensor::Matrix;
 use m2xfp::format::PackedActTensor;
 use m2xfp::gemm::GemmScratch;
 use m2xfp::{Error, M2xfpConfig};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -83,17 +84,6 @@ fn rms_norm(m: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// Copies the `rows × cols` block whose top-left corner is (`r0`, `c0`)
-/// out of `m`.
-fn slice_block(m: &Matrix, r0: usize, c0: usize, rows: usize, cols: usize) -> Matrix {
-    Matrix::from_fn(rows, cols, |r, c| m[(r0 + r, c0 + c)])
-}
-
-/// Copies `count` rows starting at `start` out of `m`.
-fn slice_rows(m: &Matrix, start: usize, count: usize) -> Matrix {
-    Matrix::from_fn(count, m.cols(), |r, c| m[(start + r, c)])
 }
 
 /// Writes `src` into `out` at column offset `start`.
@@ -132,8 +122,8 @@ struct Block<T> {
 
 /// One `(session, KV head)` attention work item of a step: the query
 /// heads sharing KV head `kvh`, over the session's cache `kv`, for its
-/// `t` rows starting at row `r0` of the step's stacked matrices; `p0` is
-/// the session's stream position at step entry.
+/// `t` rows starting at row `r0` of the step's stacked `qkv` matrix; `p0`
+/// is the session's stream position at step entry.
 #[derive(Clone, Copy)]
 struct KvHeadItem<'a> {
     kv: &'a PagedKv,
@@ -191,9 +181,6 @@ pub struct StepScratch {
     offsets: Vec<usize>,
     /// Stream position of each session at step entry.
     p0s: Vec<usize>,
-    /// The step's `(session, KV head)` attention work items; identical
-    /// for every layer of a step, so built once per step and reused.
-    items: Vec<(usize, usize)>,
     /// Each layer's `(q, attention)` matrices, recorded when `Some` so
     /// the stacked-attention test can recompute every head through the
     /// per-head oracle [`ModelWeights::attention_head`].
@@ -314,9 +301,9 @@ impl SessionState {
 
 /// Builder for a [`QuantizedModel`]: a [`ModelProfile`] supplies the
 /// architecture shape and weight statistics, an [`M2xfpConfig`] the format.
-/// Dimensions can be overridden
-/// (or bulk-scaled with [`ModelBuilder::scaled`]) so tests and CI drive the
-/// same code at toy sizes.
+/// [`ModelBuilder::scaled`] shrinks the dimensions and
+/// [`ModelBuilder::heads`] overrides the head counts, so tests and CI
+/// drive the same code at toy sizes.
 #[derive(Debug, Clone)]
 pub struct ModelBuilder {
     profile: ModelProfile,
@@ -375,24 +362,6 @@ impl ModelBuilder {
         self
     }
 
-    /// Overrides the transformer layer count.
-    pub fn layers(mut self, layers: usize) -> Self {
-        self.layers = layers;
-        self
-    }
-
-    /// Overrides the hidden dimension.
-    pub fn hidden(mut self, hidden: usize) -> Self {
-        self.hidden = hidden;
-        self
-    }
-
-    /// Overrides the MLP intermediate dimension.
-    pub fn intermediate(mut self, intermediate: usize) -> Self {
-        self.intermediate = intermediate;
-        self
-    }
-
     /// Overrides the attention head counts.
     pub fn heads(mut self, heads: usize, kv_heads: usize) -> Self {
         self.heads = heads;
@@ -410,7 +379,8 @@ impl ModelBuilder {
 
     /// Overrides the KV pool's page size in tokens (default: one
     /// quantization group, `cfg.group_size`). Must be a positive multiple
-    /// of the group size so a page never splits a group.
+    /// of the group size so a page never splits a group
+    /// ([`PoolGeometry`] checks it).
     pub fn kv_page_tokens(mut self, tokens: usize) -> Self {
         self.kv_page_tokens = Some(tokens);
         self
@@ -446,13 +416,6 @@ impl ModelBuilder {
                 ));
             }
         }
-        if let Some(pt) = self.kv_page_tokens {
-            if pt == 0 || pt % gs != 0 {
-                return bad(format!(
-                    "kv_page_tokens {pt} must be a positive multiple of the group size {gs}"
-                ));
-            }
-        }
         Ok(())
     }
 
@@ -481,6 +444,15 @@ impl ModelBuilder {
         let (h, inter) = (self.hidden, self.intermediate);
         let head_dim = h / self.heads;
         let kv_dim = self.kv_heads * head_dim;
+        // Built first, so a bad page size fails before any weight is
+        // quantized.
+        let pool = KvPagePool::new(PoolGeometry {
+            layers: self.layers,
+            kv_heads: self.kv_heads,
+            head_dim,
+            page_tokens: self.kv_page_tokens.unwrap_or(self.cfg.group_size),
+            cfg: self.cfg,
+        })?;
 
         let mut blocks = Vec::with_capacity(self.layers);
         let mut reference = self.keep_reference.then(Vec::new);
@@ -522,14 +494,6 @@ impl ModelBuilder {
                 r.push(w);
             }
         }
-
-        let pool = KvPagePool::new(PoolGeometry {
-            layers: self.layers,
-            kv_heads: self.kv_heads,
-            head_dim,
-            page_tokens: self.kv_page_tokens.unwrap_or(self.cfg.group_size),
-            cfg: self.cfg,
-        })?;
 
         Ok(ModelWeights {
             name: self.profile.name.to_string(),
@@ -675,14 +639,15 @@ impl ModelWeights {
     ///
     /// All sessions' rows are stacked into one matrix per projection GEMM,
     /// so a decode batch of B requests walks each weight plane once
-    /// instead of B times; the per-request attention (KV growth +
-    /// score/value GEMMs per `(session, KV head)` work item, the query
-    /// heads sharing a KV head stacked into one score GEMM per page) is
-    /// sharded over scoped worker threads — `threads == 0` auto-scales
-    /// the worker count with the attention work volume (small steps stay
-    /// inline, avoiding per-layer spawn overhead, and never ask the OS for
-    /// the core count, so a warm decode tick makes no syscall), an
-    /// explicit count is pinned exactly. Every output row depends only
+    /// instead of B times; the per-request attention (score/value GEMMs
+    /// per `(session, KV head)` work item, the query heads sharing a KV
+    /// head stacked into one score GEMM per page) splits the sessions into
+    /// contiguous runs, one per scoped worker thread, each writing its
+    /// sessions' rows of the attention matrix in place — `threads == 0`
+    /// auto-scales the worker count with the attention work volume (small
+    /// steps stay inline, avoiding per-layer spawn overhead, and never ask
+    /// the OS for the core count, so a warm decode tick makes no syscall),
+    /// an explicit count is pinned exactly. Every output row depends only
     /// on its own session's rows and cache, so each request's output is
     /// **bit-identical to running it solo** — for any batch composition and
     /// any thread count — which `tests/proptest_serve.rs` pins.
@@ -752,15 +717,10 @@ impl ModelWeights {
             }));
             scr.p0s.clear();
             scr.p0s.extend(sessions.iter().map(|s| s.pos));
-            scr.items.clear();
-            scr.items.extend(
-                (0..sessions.len()).flat_map(|i| (0..self.kv_heads).map(move |kvh| (i, kvh))),
-            );
         });
         let counts: &[usize] = &scr.counts;
         let offsets: &[usize] = &scr.offsets;
         let p0s: &[usize] = &scr.p0s;
-        let items: &[(usize, usize)] = &scr.items;
         let total: usize = counts.iter().sum();
 
         // Worker budget for the per-layer attention phase. The scope is
@@ -769,8 +729,9 @@ impl ModelWeights {
         // score/value-GEMM volume or the spawn/join overhead sits directly
         // on the decode hot loop: in auto mode (`threads == 0`) one worker
         // is granted per [`ATTN_MACS_PER_WORKER`] attention MACs, capped at
-        // the work items and the available cores (mirrors `gemm_threads`'
-        // policy). An explicit count is pinned exactly, like
+        // the sessions (workers split the step by session) and the
+        // available cores (mirrors `gemm_threads`' policy). An explicit
+        // count is pinned exactly, up to the session count, like
         // `qgemm_packed_threaded`. Any worker count computes identical bits.
         let attn_workers = if threads == 0 {
             let attn_macs: usize = counts
@@ -778,9 +739,9 @@ impl ModelWeights {
                 .zip(p0s)
                 .map(|(&c, &p0)| 2 * c * (p0 + c) * self.head_dim * self.heads)
                 .sum();
-            m2xfp::capped_workers((attn_macs / ATTN_MACS_PER_WORKER + 1).min(items.len()))
+            m2xfp::capped_workers((attn_macs / ATTN_MACS_PER_WORKER + 1).min(sessions.len()))
         } else {
-            threads.min(items.len()).max(1)
+            threads.min(sessions.len()).max(1)
         };
 
         let mut h = tally.time(stage::ASSEMBLE, || {
@@ -822,80 +783,68 @@ impl ModelWeights {
                 let kv_dim = self.kv_heads * self.head_dim;
                 for (i, s) in sessions.iter_mut().enumerate() {
                     let (r0, t) = (offsets[i], counts[i]);
-                    let ks = slice_block(&qkv, r0, self.hidden, t, kv_dim);
-                    let vs = slice_block(&qkv, r0, self.hidden + kv_dim, t, kv_dim);
+                    let ks = qkv.block(r0, self.hidden, t, kv_dim);
+                    let vs = qkv.block(r0, self.hidden + kv_dim, t, kv_dim);
                     s.kv.append_layer(li, &ks, &vs)
                         .map_err(|e| ctx(e, "kv cache"))?;
                 }
             }
 
-            // Per-(session, KV head) attention over the grown caches (the
-            // work items were built once per step, before the layer loop),
-            // sharded across scoped worker threads. Each item reads only
-            // its own session's cache and q rows and writes its own block
-            // of the attention matrix — those rows, the columns of the
-            // query heads sharing the KV head — so any thread count
-            // computes identical bits.
+            // Attention over the grown caches: one `attention_kv_head` call
+            // per (session, KV head). The sessions split into at most
+            // `attn_workers` contiguous runs; each run owns its sessions'
+            // rows of the attention matrix and writes every head in place.
+            // An item reads only its own session's cache and q rows, so any
+            // worker count computes identical bits.
             let _t_attn = StageTimer::start(&mut tally, stage::ATTENTION);
-            // m2x-lint: allow(alloc) per-layer cache borrows cannot persist across the mutable session appends above
-            let kvs: Vec<&PagedKv> = sessions.iter().map(|s| &s.kv).collect();
-            let item = |&(si, kvh): &(usize, usize)| KvHeadItem {
-                kv: kvs[si],
-                kvh,
-                r0: offsets[si],
-                t: counts[si],
-                p0: p0s[si],
-            };
-            // Columns of the query heads that share one KV head.
-            let group_cols = self.hidden / self.kv_heads;
             let mut attn = Matrix::zeros(total, self.hidden);
+            // The appends are done: from here the sessions are only read.
+            let sessions: &[&mut SessionState] = sessions;
+            let attend = |run: Range<usize>, mut rows: &mut [f32], sc: &mut GemmScratch| {
+                for si in run {
+                    let (own, rest) =
+                        std::mem::take(&mut rows).split_at_mut(counts[si] * self.hidden);
+                    rows = rest;
+                    for kvh in 0..self.kv_heads {
+                        let it = KvHeadItem {
+                            kv: &sessions[si].kv,
+                            kvh,
+                            r0: offsets[si],
+                            t: counts[si],
+                            p0: p0s[si],
+                        };
+                        self.attention_kv_head(li, it, &qkv, sc, own);
+                    }
+                }
+            };
             if attn_workers <= 1 {
-                // Inline path (the decode hot loop): the step's scratch is
-                // reused across every score GEMM and each item writes its
-                // heads straight into the attention matrix.
-                for it in items.iter().map(item) {
-                    let at = (it.r0, it.kvh * group_cols);
-                    self.attention_kv_head(li, it, &qkv, &mut scr.main, &mut attn, at);
-                }
+                // The decode hot loop: one run on the calling thread.
+                attend(0..sessions.len(), attn.as_mut_slice(), &mut scr.main);
             } else {
-                let per = items.len().div_ceil(attn_workers);
-                let compute = |it: KvHeadItem<'_>, sc: &mut GemmScratch| -> Matrix {
-                    let mut block = Matrix::zeros(it.t, group_cols);
-                    self.attention_kv_head(li, it, &qkv, sc, &mut block, (0, 0));
-                    block
-                };
-                let chunk_results: Vec<Vec<Matrix>> = std::thread::scope(|sc| {
-                    let handles: Vec<_> = items
-                        .chunks(per)
+                let per = sessions.len().div_ceil(attn_workers);
+                std::thread::scope(|sc| {
+                    let mut rows = attn.as_mut_slice();
+                    let handles: Vec<_> = (0..sessions.len())
+                        .step_by(per)
                         .zip(scr.workers.iter_mut())
-                        .map(|(chunk, local)| {
-                            let (compute, item) = (&compute, &item);
-                            sc.spawn(move || {
-                                chunk
-                                    .iter()
-                                    .map(|x| compute(item(x), local))
-                                    // m2x-lint: allow(alloc) threaded batch path (prefill), not the decode loop
-                                    .collect::<Vec<_>>()
-                            })
+                        .map(|(s0, local)| {
+                            let s1 = (s0 + per).min(sessions.len());
+                            let len = counts[s0..s1].iter().sum::<usize>() * self.hidden;
+                            let (own, rest) = std::mem::take(&mut rows).split_at_mut(len);
+                            rows = rest;
+                            let attend = &attend;
+                            sc.spawn(move || attend(s0..s1, own, local))
                         })
-                        // m2x-lint: allow(alloc) threaded batch path (prefill), not the decode loop
+                        // m2x-lint: allow(alloc) one handle per worker run, threaded (prefill) path only
                         .collect();
-                    handles
-                        .into_iter()
-                        // A worker panic is re-raised with its original
-                        // payload so the serve layer's catch_unwind fault
-                        // isolation sees the real message, not a join error.
-                        .map(|h| {
-                            h.join()
-                                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                        })
-                        // m2x-lint: allow(alloc) threaded batch path (prefill), not the decode loop
-                        .collect()
+                    // A worker panic is re-raised with its original payload
+                    // so the serve layer's catch_unwind fault isolation sees
+                    // the real message, not a join error.
+                    for h in handles {
+                        h.join()
+                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    }
                 });
-                let blocks = chunk_results.iter().flatten();
-                for (it, block) in items.iter().map(item).zip(blocks) {
-                    write_block(&mut attn, block, it.r0, it.kvh * group_cols);
-                }
             }
             drop(_t_attn);
             #[cfg(test)]
@@ -942,7 +891,7 @@ impl ModelWeights {
             offsets
                 .iter()
                 .zip(counts)
-                .map(|(&o, &c)| slice_rows(&h, o, c))
+                .map(|(&o, &c)| h.block(o, 0, c, self.hidden))
                 // m2x-lint: allow(alloc) structural: the per-session output matrices are the step's return value
                 .collect()
         });
@@ -965,8 +914,10 @@ impl ModelWeights {
     /// to the codes a per-head encode gives it. Masking, softmax, the P
     /// encode and the value mix are per row too, so each head's output is
     /// bit-identical to the per-head path (`attention_head`, the test
-    /// oracle). Head `j`'s output for chunk row `i` is written into `out`
-    /// row `at.0 + i`, columns `at.1 + j·head_dim ..`, which must be zero.
+    /// oracle). `out` holds the session's `t` rows of the step's attention
+    /// matrix (row-major, `hidden` wide, zero in this KV head's columns),
+    /// and head `j`'s output for chunk row `i` is written in place into
+    /// row `i` at the head's own q columns.
     ///
     /// Paging preserves bit-identity with the old monolithic cache:
     /// * every score element is an independent dot product over
@@ -984,8 +935,7 @@ impl ModelWeights {
         it: KvHeadItem<'_>,
         qkv: &Matrix,
         scratch: &mut GemmScratch,
-        out: &mut Matrix,
-        at: (usize, usize),
+        out: &mut [f32],
     ) {
         let (hd, t, kv) = (self.head_dim, it.t, it.kv);
         let rows = (self.heads / self.kv_heads) * t;
@@ -1021,7 +971,7 @@ impl ModelWeights {
         // dequantized form is cached per page for the value mix.
         let pq = PackedActTensor::quantize_parallel(&p, self.cfg).dequantize();
         for r in 0..rows {
-            let orow = &mut out.row_mut(at.0 + r % t)[at.1 + (r / t) * hd..][..hd];
+            let orow = &mut out[(r % t) * self.hidden + q_c0 + (r / t) * hd..][..hd];
             let prow = pq.row(r);
             for pi in 0..pages {
                 let v = kv.page_v_rows(pi, li, it.kvh);
@@ -1156,9 +1106,9 @@ impl ModelWeights {
             let mut attn = Matrix::zeros(t, self.hidden);
             for head in 0..self.heads {
                 let kvh = head / heads_per_kv;
-                let qh = slice_block(&qkv, 0, head * hd, t, hd);
-                let kh = slice_block(&qkv, 0, k0 + kvh * hd, t, hd);
-                let vh = slice_block(&qkv, 0, v0 + kvh * hd, t, hd);
+                let qh = qkv.block(0, head * hd, t, hd);
+                let kh = qkv.block(0, k0 + kvh * hd, t, hd);
+                let vh = qkv.block(0, v0 + kvh * hd, t, hd);
                 let mut scores = qh.matmul(&kh.transpose());
                 for i in 0..t {
                     let row = scores.row_mut(i);
@@ -1287,10 +1237,9 @@ impl QuantizedModel {
     }
 
     fn step(&mut self, x: &Matrix, trace: Option<&mut Vec<Matrix>>) -> Result<Matrix, Error> {
-        let inputs = [x.clone()];
         let mut outs = self.weights.step_multi(
             &mut [&mut self.state],
-            &inputs,
+            std::slice::from_ref(x),
             1,
             trace,
             &mut self.scratch,
@@ -1470,7 +1419,9 @@ mod tests {
         // re-encodes each head's own Q slice for every page. Every head of
         // every layer must agree bit for bit: three sessions whose prompts
         // end just before, on and just after a 32-token page boundary,
-        // prefilled in one step and then decoded, inline and threaded.
+        // prefilled in one step and then decoded, inline and threaded:
+        // two workers split the 31/32/33-row prefill into uneven runs, and
+        // eight are more workers than sessions.
         let profile = ModelProfile::llama3_8b();
         let hidden = 256;
         let row = |seed: usize, n: usize| {
@@ -1482,7 +1433,7 @@ mod tests {
                 .build_weights()
                 .unwrap();
             let hd = weights.head_dim();
-            for threads in [1, 3] {
+            for threads in [1, 2, 3, 8] {
                 let mut sessions: Vec<SessionState> =
                     (0..3).map(|_| weights.new_session()).collect();
                 let mut scratch = StepScratch::new();
@@ -1574,7 +1525,7 @@ mod tests {
                         let y = stacked.forward(&x).unwrap();
                         let mut c0 = 0;
                         for (&(kind, n), part) in kinds.iter().zip(&parts) {
-                            let got = slice_block(&y, 0, c0, rows, n);
+                            let got = y.block(0, c0, rows, n);
                             let want = part.forward(&x).unwrap();
                             assert!(
                                 (got.as_slice().iter().zip(want.as_slice()))
@@ -1632,7 +1583,7 @@ mod tests {
         let mut adopted = weights.new_session();
         let head = adopted.adopt_prefix(m);
         assert_eq!(adopted.pos(), 32);
-        let suffix = slice_rows(&x, 32, 8);
+        let suffix = x.block(32, 0, 8, 64);
         let tail = step(&weights, &mut [&mut adopted], &[suffix], 1).unwrap();
         let mut stitched = head;
         stitched.push_rows(&tail[0]);

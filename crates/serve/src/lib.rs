@@ -742,6 +742,56 @@ mod tests {
     }
 
     #[test]
+    fn cancel_after_recovery_reports_the_delivered_tokens() {
+        // A recovery replay rewinds the survivor's decode rows, but the
+        // rows it already streamed stay delivered: a cancel right after
+        // the replay resolves with them, and the server keeps counting
+        // every delivered row, the failed request's included.
+        let w = weights();
+        let plan = FaultPlan::new(vec![
+            // Gives the second submission time to land before tick 6.
+            Fault::Delay {
+                tick: 1,
+                micros: 20_000,
+            },
+            Fault::StepPanic { tick: 6, slot: 1 },
+            Fault::CancelActive { tick: 7, slot: 0 },
+        ]);
+        let cfg = ServeConfig {
+            max_batch: 2,
+            ..ServeConfig::default()
+        };
+        let server = Server::start_with_faults(Arc::clone(&w), cfg, plan);
+        let stream = RequestOptions {
+            stream: true,
+            ..RequestOptions::default()
+        };
+        // Submitted first, so admitted at tick 0: prefilled then, and five
+        // rows streamed by the time slot 1's panic lands at tick 6.
+        let p = prompt(2, 5);
+        let survivor = server.submit_with(p.clone(), 100, stream).unwrap();
+        let victim = server.submit_with(prompt(2, 6), 100, stream).unwrap();
+        let mut streamed = Matrix::zeros(0, 64);
+        let outcome = server
+            .wait_streaming(survivor, |_, row| streamed.push_rows(row))
+            .unwrap();
+        let mut victim_rows = 0u64;
+        let victim_outcome = server
+            .wait_streaming(victim, |_, _| victim_rows += 1)
+            .unwrap();
+        assert!(matches!(victim_outcome, RequestOutcome::Failed { .. }));
+        let RequestOutcome::Cancelled { decoded_tokens } = outcome else {
+            panic!("survivor resolved {}", outcome.kind());
+        };
+        assert_eq!(decoded_tokens, streamed.rows() as u64);
+        assert_eq!(streamed.rows(), 5);
+        assert_bits_eq(&streamed, &run_solo(&w, &p, 5).unwrap());
+        assert_eq!(server.stats().decoded_tokens, 5 + victim_rows);
+        // The failed request's sample stays 0 although it streamed rows.
+        assert_eq!(server.telemetry_snapshot().tokens_per_request.sum(), 5);
+    }
+
+    #[test]
     fn healthy_tracks_shutdown() {
         let mut server = Server::start(weights(), ServeConfig::default());
         assert!(server.healthy());

@@ -93,13 +93,16 @@ pub enum RequestOutcome {
     /// injected [`Fault::CancelActive`](crate::fault::Fault) — before it
     /// finished. Its session was released between steps.
     Cancelled {
-        /// Decode tokens produced before the cancellation took effect.
+        /// Decode tokens delivered before the cancellation took effect —
+        /// each counted once, even when a recovery replay rewound the
+        /// request after delivering it.
         decoded_tokens: u64,
     },
     /// Missed its deadline (scheduler-step or wall-clock) and was expired
     /// between steps, whether still queued or already in flight.
     DeadlineExceeded {
-        /// Decode tokens produced before expiry (0 if never admitted).
+        /// Decode tokens delivered before expiry (0 if never admitted),
+        /// counted as for [`RequestOutcome::Cancelled`].
         decoded_tokens: u64,
     },
     /// Shed at submission: the bounded arrival queue was full
@@ -225,8 +228,10 @@ impl From<Error> for ServeError {
 pub struct ServeStats {
     /// Batched scheduler steps executed.
     pub steps: u64,
-    /// Total decode tokens produced across all requests (tokens discarded
-    /// by a recovery replay are not double-counted).
+    /// Total decode tokens delivered across all requests, each counted
+    /// once when first reported: a recovery replay that re-derives a
+    /// delivered token does not count it again, and the tokens a request
+    /// delivered before it failed stay counted.
     pub decoded_tokens: u64,
     /// Largest number of requests in flight during one step.
     pub peak_batch: usize,
@@ -289,7 +294,8 @@ pub struct TelemetrySnapshot {
     /// admitted request.
     pub queue_wait_us: Histogram,
     /// Decode tokens delivered per resolved request (0 for requests that
-    /// never produced one — rejected, expired-in-queue, failed).
+    /// never produced one — rejected, expired-in-queue — and for every
+    /// failed request, even one that streamed rows before it failed).
     pub tokens_per_request: Histogram,
     /// Cumulative per-stage engine time over all ticks (see
     /// [`stage`]): assemble/encode/qgemm/attention/kv_append/feedback.
@@ -366,11 +372,13 @@ struct Active {
     /// once and kept across recovery replays so the lifecycle trace shows
     /// each transition exactly once.
     prefill_traced: bool,
-    /// Decode rows reported so far: each got its token trace instant and,
-    /// for a streaming request, its published row, and the first one the
-    /// TTFT sample. A high-water mark: a recovery replay regrowing
-    /// `decoded` from zero re-derives identical rows, so reported rows
-    /// stay valid and are never reported twice.
+    /// Decode rows reported so far: each got its token trace instant, a
+    /// count in [`ServeStats::decoded_tokens`] and, for a streaming
+    /// request, its published row, and the first one the TTFT sample. A
+    /// high-water mark: a recovery replay regrowing `decoded` from zero
+    /// re-derives identical rows, so reported rows stay valid and are
+    /// never reported twice. A cancel, deadline or abort resolves the
+    /// request with this count.
     reported: usize,
     /// Prefill output rows of an adopted shared prefix (frozen alongside
     /// the pages, so they are bit-identical to recomputing them).
@@ -397,9 +405,7 @@ impl Active {
         if let Some(m) = weights.kv_pool().lookup_prefix(&p.prompt) {
             let t0 = m.tokens;
             adopted_out = Some(session.adopt_prefix(m));
-            next_input = Matrix::from_fn(p.prompt.rows() - t0, p.prompt.cols(), |r, c| {
-                p.prompt[(t0 + r, c)]
-            });
+            next_input = p.prompt.block(t0, 0, p.prompt.rows() - t0, p.prompt.cols());
         }
         Active {
             id: p.id,
@@ -422,9 +428,8 @@ impl Active {
         }
     }
 
-    /// Folds one step's output rows into the request; returns the number
-    /// of decode tokens it produced (0 for the prefill step).
-    fn consume(&mut self, y: Matrix) -> u64 {
+    /// Folds one step's output rows into the request.
+    fn consume(&mut self, y: Matrix) {
         self.next_input = feedback_token(&y);
         if self.prefilling {
             // A suffix-only prefill (adopted prefix) still reports the
@@ -437,11 +442,9 @@ impl Active {
                 None => y,
             };
             self.prefilling = false;
-            0
         } else {
             self.decoded.push_rows(&y);
             self.remaining -= 1;
-            1
         }
     }
 
@@ -450,13 +453,12 @@ impl Active {
     }
 
     /// Rewinds the request to its prompt for a recovery replay: fresh KV
-    /// state, original inputs, progress discarded. Returns the number of
-    /// decode tokens thrown away (so aggregate counters stay honest).
-    /// Adoption is discarded too — the replay prefills the full prompt
-    /// from scratch, so a fault can never hide behind a shared page —
-    /// while `registered` survives, so replays never re-freeze pages.
-    fn reset_for_replay(&mut self) -> u64 {
-        let discarded = self.decoded.rows() as u64;
+    /// state, original inputs, progress discarded (`reported` keeps its
+    /// mark). Adoption is discarded too — the replay prefills the full
+    /// prompt from scratch, so a fault can never hide behind a shared
+    /// page — while `registered` survives, so replays never re-freeze
+    /// pages.
+    fn reset_for_replay(&mut self) {
         self.session.reset();
         self.adopted_out = None;
         self.next_input = self.prompt.clone();
@@ -464,7 +466,6 @@ impl Active {
         self.remaining = self.decode_steps;
         self.prefill_out = Matrix::zeros(0, self.prefill_out.cols());
         self.decoded = Matrix::zeros(0, self.decoded.cols());
-        discarded
     }
 
     fn into_completed(self, finished_step: u64) -> Completed {
@@ -1061,7 +1062,7 @@ fn abort_all(shared: &Shared, q: &mut Queues, active: &mut Vec<Active>) {
         q.resolve(&shared.engine_trace, p.id, outcome);
     }
     for a in active.drain(..) {
-        let decoded_tokens = a.decoded.rows() as u64;
+        let decoded_tokens = a.reported as u64;
         q.resolve(
             &shared.engine_trace,
             a.id,
@@ -1141,7 +1142,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                 }
             }
             active.retain(|a| {
-                let decoded_tokens = a.decoded.rows() as u64;
+                let decoded_tokens = a.reported as u64;
                 let outcome = if q.cancels.contains(&a.id) {
                     RequestOutcome::Cancelled { decoded_tokens }
                 } else if a.deadline.passed(now_step, now) {
@@ -1203,7 +1204,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                 Fault::CancelActive { slot, .. } => {
                     if slot < active.len() {
                         let a = active.remove(slot);
-                        let decoded_tokens = a.decoded.rows() as u64;
+                        let decoded_tokens = a.reported as u64;
                         lock_queues(shared).resolve(
                             &shared.engine_trace,
                             a.id,
@@ -1232,7 +1233,6 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
         scratch.tally.clear();
         let t0_us = if rec { shared.engine_trace.now_us() } else { 0 };
         let t0 = Instant::now();
-        let mut decoded_delta: i64 = 0;
         let mut caught_panics = 0u64;
         // m2x-lint: allow(alloc) empty Vec does not allocate; grows only on the recovery path
         let mut failed: Vec<(u64, String)> = Vec::new();
@@ -1250,7 +1250,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                 let tally = &mut scratch.tally;
                 tally.time(stage::FEEDBACK, || {
                     for (a, y) in active.iter_mut().zip(outs) {
-                        decoded_delta += a.consume(y) as i64;
+                        a.consume(y);
                     }
                 });
                 None
@@ -1270,7 +1270,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
             // and released, the rest replay to bit-identical streams and
             // keep going batched.
             active.retain_mut(|a| {
-                decoded_delta -= a.reset_for_replay() as i64;
+                a.reset_for_replay();
                 let isolated = guarded_step(
                     shared,
                     std::slice::from_mut(a),
@@ -1281,7 +1281,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                 let error = match isolated {
                     Ok(Ok(mut outs)) => match outs.pop() {
                         Some(y) => {
-                            decoded_delta += a.consume(y) as i64;
+                            a.consume(y);
                             return true;
                         }
                         // One session in, zero outputs out: a model
@@ -1380,7 +1380,6 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
         let wall = Instant::now();
         let mut q = lock_queues(shared);
         q.stats.steps += 1;
-        q.stats.decoded_tokens = (q.stats.decoded_tokens as i64 + decoded_delta).max(0) as u64;
         q.stats.peak_batch = q.stats.peak_batch.max(batch);
         q.stats.panics_recovered += caught_panics;
         if recovery {
@@ -1395,12 +1394,13 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
         } else {
             1.0 - kv_tokens as f64 / kv_capacity as f64
         };
-        // Lifecycle trace, TTFT and stream publication, all past each
-        // request's `reported` mark — before retiring finished requests,
-        // so a waiter always sees every token before the outcome. The
-        // marks only ever grow, so a recovery replay regrowing `decoded`
-        // from zero never re-emits a transition, re-records a TTFT sample
-        // or republishes a row (it re-derives identical bits, so the
+        // Lifecycle trace, TTFT, the decoded-token count and stream
+        // publication, all past each request's `reported` mark — before
+        // retiring finished requests, so a waiter always sees every token
+        // before the outcome. The marks only ever grow, so a recovery
+        // replay regrowing `decoded` from zero never re-emits a
+        // transition, re-records a TTFT sample, recounts a token or
+        // republishes a row (it re-derives identical bits, so the
         // published prefix stays valid).
         for a in &mut active {
             if !a.prefilling && !a.prefill_traced {
@@ -1432,6 +1432,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                     .engine_trace
                     .instant(stage::REQ_TOKEN, a.id as u32, r as u64);
             }
+            q.stats.decoded_tokens += rows.saturating_sub(a.reported) as u64;
             a.reported = a.reported.max(rows);
         }
         for (id, error) in failed {

@@ -104,6 +104,19 @@ impl Matrix {
         self.data
     }
 
+    /// Copies the `rows × cols` block whose top-left corner is (`r0`, `c0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block reaches past the matrix.
+    pub fn block(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> Matrix {
+        let mut data = Vec::with_capacity(rows * cols);
+        for r in r0..r0 + rows {
+            data.extend_from_slice(&self.row(r)[c0..c0 + cols]);
+        }
+        Matrix { rows, cols, data }
+    }
+
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
@@ -326,6 +339,16 @@ mod tests {
         for threads in [1, 2, 4, 32] {
             assert_eq!(a.matmul_threaded(&b, threads), naive, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn block_copies_a_window() {
+        let a = Matrix::from_fn(4, 5, |r, c| (r * 5 + c) as f32);
+        let b = a.block(1, 2, 2, 3);
+        assert_eq!((b.rows(), b.cols()), (2, 3));
+        assert_eq!(b.as_slice(), &[7.0, 8.0, 9.0, 12.0, 13.0, 14.0]);
+        assert_eq!(a.block(0, 0, 4, 5), a);
+        assert!(a.block(4, 0, 0, 5).is_empty());
     }
 
     #[test]

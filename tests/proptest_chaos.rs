@@ -12,6 +12,9 @@
 //! * every *surviving* request's token stream is **bit-identical** to its
 //!   solo run — panic recovery replays through the same kernels, so even
 //!   requests whose sessions were rewound mid-flight must not drift;
+//! * every delivered token is counted once: a resolved request's decoded
+//!   tokens equal its token instants in the trace, and the server's
+//!   `decoded_tokens` equals them all;
 //! * the server quiesces with **zero leaked sessions** (all KV memory
 //!   released), which `ModelWeights::open_sessions` meters.
 
@@ -21,6 +24,7 @@ use m2xfp_repro::nn::synth::activation_matrix;
 use m2xfp_repro::serve::{
     run_solo, FaultPlan, RequestOptions, RequestOutcome, ServeConfig, Server,
 };
+use m2xfp_repro::telemetry::stage;
 use m2xfp_repro::tensor::Matrix;
 use m2xfp_repro::testkit::cases;
 use std::sync::Arc;
@@ -46,7 +50,8 @@ fn tiny_weights(layers: usize) -> Arc<ModelWeights> {
 }
 
 /// The headline chaos property (see module docs): typed outcomes, exact
-/// fault attribution, bit-identical survivors, zero leaks, engine alive.
+/// fault attribution, bit-identical survivors, tokens counted once, zero
+/// leaks, engine alive.
 #[test]
 fn chaos_plan_degrades_per_request_and_leaks_nothing() {
     cases(5, |g| {
@@ -100,6 +105,8 @@ fn chaos_plan_degrades_per_request_and_leaks_nothing() {
             .collect();
 
         let (mut finished, mut failed, mut disrupted) = (0u64, 0u64, 0u64);
+        // `(id, decoded tokens)` of every outcome that is not `Failed`.
+        let mut decoded = Vec::new();
         for (i, id) in ids.iter().enumerate() {
             // Every id resolves to a typed outcome — wait never errors,
             // never hangs (the engine survived whatever the plan threw).
@@ -112,6 +119,7 @@ fn chaos_plan_degrades_per_request_and_leaks_nothing() {
                         &format!("case {}: survivor {i}", g.case),
                     );
                     finished += 1;
+                    decoded.push((*id, c.decoded.rows() as u64));
                 }
                 RequestOutcome::Failed { error } => {
                     assert!(
@@ -121,8 +129,10 @@ fn chaos_plan_degrades_per_request_and_leaks_nothing() {
                     );
                     failed += 1;
                 }
-                RequestOutcome::Cancelled { .. } | RequestOutcome::DeadlineExceeded { .. } => {
+                RequestOutcome::Cancelled { decoded_tokens }
+                | RequestOutcome::DeadlineExceeded { decoded_tokens } => {
                     disrupted += 1;
+                    decoded.push((*id, decoded_tokens));
                 }
                 RequestOutcome::Rejected { .. } => {
                     panic!("case {}: unbounded queue cannot shed", g.case)
@@ -146,6 +156,26 @@ fn chaos_plan_degrades_per_request_and_leaks_nothing() {
         assert!(
             stats.cancelled + stats.deadline_exceeded == disrupted,
             "case {}: disruptions must be typed",
+            g.case
+        );
+        // Every delivered token has one REQ_TOKEN instant, also across a
+        // recovery replay that rewound the request after delivering it.
+        let rings = server.telemetry().drain();
+        assert!(rings.iter().all(|r| r.dropped == 0), "case {}", g.case);
+        let token_reqs: Vec<u32> = rings
+            .iter()
+            .flat_map(|r| &r.events)
+            .filter(|e| e.stage == stage::REQ_TOKEN)
+            .map(|e| e.req)
+            .collect();
+        for (id, n) in decoded {
+            let traced = token_reqs.iter().filter(|&&r| r == id as u32).count();
+            assert_eq!(n, traced as u64, "case {}: request {id}", g.case);
+        }
+        assert_eq!(
+            stats.decoded_tokens,
+            token_reqs.len() as u64,
+            "case {}: decoded_tokens counts every delivered token once",
             g.case
         );
 
