@@ -31,7 +31,7 @@ use m2x_telemetry::alloc_probe::CountingAlloc;
 use m2x_tensor::{Matrix, Xoshiro};
 use m2xfp::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use m2xfp::gemm::{
-    qgemm, qgemm_packed, qgemm_packed_threaded, qgemm_reference, qgemv_packed, GemmScratch,
+    qgemm, qgemm_packed, qgemm_packed_planed_scratch, qgemm_reference, qgemv_packed, GemmScratch,
     KernelPath, WeightPlane,
 };
 use m2xfp::M2xfpConfig;
@@ -162,8 +162,15 @@ fn kernels(dim: usize, reps: usize) -> Vec<(&'static str, Json)> {
     // over these four sides, timed back to back in every rep.
     let mut enc_grouped = || time_once(|| ActTensor::quantize(&x, cfg));
     let mut gemm_grouped = || time_once(|| qgemm(&xt, &wt));
-    let mut enc_packed = || time_once(|| PackedActTensor::quantize(&x, cfg));
-    let mut gemm_packed_1t = || time_once(|| qgemm_packed_threaded(&xp, &wp, 1));
+    // The one-thread packed side decodes the weight plane inside its timed
+    // call, as `qgemm_packed` does.
+    let mut enc_packed = || time_once(|| PackedActTensor::quantize_parallel(&x, cfg));
+    let mut gemm_packed_1t = || {
+        time_once(|| {
+            let plane = WeightPlane::decode(&wp);
+            qgemm_packed_planed_scratch(&xp, &plane, 1, &mut GemmScratch::new())
+        })
+    };
     let hot = Interleaved::run(
         reps,
         [

@@ -22,10 +22,11 @@
 //! A `cfg` mismatch means the two runs measured different work. Losing a
 //! hard-gated key fails, since silently disarming a gate is itself a
 //! regression; an explicit `null` is a measurement the host cannot take.
-//! The exit code is non-zero when any hard check fails. The parser is a
-//! self-contained subset of JSON (objects, numbers, bools, strings,
-//! `null`) — the workspace builds offline, with no serde.
+//! The exit code is non-zero when any hard check fails. Reports are read
+//! with the workspace's own JSON parser (`m2x_gateway::json`) — the
+//! workspace builds offline, with no serde.
 
+use m2x_gateway::json::{parse, Json};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::process::ExitCode;
@@ -54,96 +55,34 @@ impl fmt::Display for Scalar {
 
 type Leaves = BTreeMap<String, Scalar>;
 
-/// Parses a JSON object into a flat `path.to.key -> Scalar` map. Strings
-/// are skipped (no gated metric is a string). Arrays are unsupported —
-/// the emitter never writes them.
+/// Parses a report into a flat `path.to.key -> Scalar` map. Strings and
+/// arrays are skipped: no gated metric is either.
 fn flatten_json(text: &str) -> Result<Leaves, String> {
-    let mut out = BTreeMap::new();
-    let mut chars = text.char_indices().peekable();
-    let mut path: Vec<String> = Vec::new();
-    let mut pending_key: Option<String> = None;
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '{' => {
-                if let Some(k) = pending_key.take() {
-                    path.push(k);
-                }
-            }
-            '}' => {
-                path.pop();
-            }
-            '"' => {
-                let mut s = String::new();
-                for (_, c2) in chars.by_ref() {
-                    if c2 == '"' {
-                        break;
-                    }
-                    if c2 == '\\' {
-                        return Err(format!("escape sequences unsupported (byte {i})"));
-                    }
-                    s.push(c2);
-                }
-                // A string followed by ':' is a key; otherwise a value.
-                let mut rest = chars.clone();
-                let is_key = loop {
-                    match rest.peek() {
-                        Some((_, w)) if w.is_whitespace() => {
-                            rest.next();
-                        }
-                        Some((_, ':')) => break true,
-                        _ => break false,
-                    }
-                };
-                if is_key {
-                    pending_key = Some(s);
-                } else {
-                    pending_key = None; // string value: not gated, drop it
-                }
-            }
-            't' | 'f' | 'n' if pending_key.is_some() => {
-                let word: String = std::iter::once(c)
-                    .chain(
-                        std::iter::from_fn(|| {
-                            chars.next_if(|(_, w)| w.is_ascii_alphabetic()).map(|x| x.1)
-                        })
-                        .fuse(),
-                    )
-                    .collect();
-                let key = pending_key.take().expect("guarded by match arm");
-                let v = match word.as_str() {
-                    "true" => Scalar::Bool(true),
-                    "false" => Scalar::Bool(false),
-                    "null" => Scalar::Null,
-                    other => return Err(format!("unexpected literal `{other}` at byte {i}")),
-                };
-                out.insert(join(&path, &key), v);
-            }
-            c if (c.is_ascii_digit() || c == '-') && pending_key.is_some() => {
-                let mut num = String::new();
-                num.push(c);
-                while let Some((_, d)) = chars.next_if(|(_, d)| {
-                    d.is_ascii_digit() || matches!(d, '.' | 'e' | 'E' | '+' | '-')
-                }) {
-                    num.push(d);
-                }
-                let key = pending_key.take().expect("guarded by match arm");
-                let v: f64 = num
-                    .parse()
-                    .map_err(|e| format!("bad number `{num}` at byte {i}: {e}"))?;
-                out.insert(join(&path, &key), Scalar::Num(v));
-            }
-            _ => {}
-        }
-    }
+    let json = parse(text).map_err(|e| e.to_string())?;
+    let mut out = Leaves::new();
+    flatten(&json, "", &mut out);
     Ok(out)
 }
 
-fn join(path: &[String], key: &str) -> String {
-    if path.is_empty() {
-        key.to_string()
-    } else {
-        format!("{}.{key}", path.join("."))
-    }
+fn flatten(v: &Json, path: &str, out: &mut Leaves) {
+    let leaf = match v {
+        Json::Obj(fields) => {
+            for (key, v) in fields {
+                let key = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                flatten(v, &key, out);
+            }
+            return;
+        }
+        Json::Num(x) => Scalar::Num(*x),
+        Json::Bool(b) => Scalar::Bool(*b),
+        Json::Null => Scalar::Null,
+        Json::Str(_) | Json::Arr(_) => return,
+    };
+    out.insert(path.to_string(), leaf);
 }
 
 /// Which rule a leaf falls under.

@@ -41,11 +41,6 @@ pub enum Error {
         /// Byte length received.
         got: usize,
     },
-    /// Per-group metadata does not fit the serialized stream's 8-bit field.
-    MetaOverflow {
-        /// Metadata bits per group requested.
-        bits: u32,
-    },
     /// Invalid configuration (model builder, session setup).
     Config {
         /// Human-readable description naming the offending field.
@@ -69,7 +64,6 @@ impl Error {
             Error::Misaligned { tensor, .. }
             | Error::WidthMismatch { tensor, .. }
             | Error::BufferLength { tensor, .. } => *tensor = name.into(),
-            Error::MetaOverflow { .. } => {}
             Error::Config { msg } => *msg = format!("{}: {msg}", name.into()),
         }
         self
@@ -103,9 +97,6 @@ impl fmt::Display for Error {
                 f,
                 "{tensor}: buffer is {got} bytes, layout requires {expected}"
             ),
-            Error::MetaOverflow { bits } => {
-                write!(f, "metadata {bits} bits/group exceeds the 8-bit field")
-            }
             Error::Config { msg } => write!(f, "invalid configuration: {msg}"),
         }
     }

@@ -3,17 +3,15 @@
 //! An [`ActTensor`] holds activations quantized row-wise by Algorithm 1; a
 //! [`WeightTensor`] holds Sg-EM-quantized weights (stored transposed,
 //! `[N, K]`, so its rows run along the GEMM reduction dimension). Both can
-//! be serialized to the paper's byte layout — per group: a 128-bit block of
-//! packed 4-bit elements in one contiguous region, 8-bit scales in another
-//! and 8-bit metadata in a third — and parsed back losslessly.
+//! be serialized to the paper's byte layout — the packed 4-bit elements in
+//! one contiguous region, 8-bit scales in another and 2-bit subgroup
+//! metadata in a third (per group of 32 at subgroup 8: 128 + 8 + 8 bits)
+//! — and parsed back losslessly.
 
 use crate::activation::{self, ActGroup};
 use crate::weight::{self, WeightGroup};
 use crate::{Error, M2xfpConfig};
-use m2x_formats::packing::{
-    nibble_at, pack_nibbles, pack_nibbles_into, set_two_bits, two_bits_at, unpack_nibbles,
-    StreamLayout,
-};
+use m2x_formats::packing::{nibble_at, pack_nibbles_into, set_two_bits, two_bits_at};
 use m2x_formats::tables::{EXTRA_X8, FP4_ABS_KEY, FP4_VALUES};
 use m2x_formats::E8M0;
 use m2x_tensor::Matrix;
@@ -104,7 +102,10 @@ impl ActTensor {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// Serializes to the three-stream layout (`elements | scales | meta`).
+    /// Serializes to the three-stream layout, as [`PackedActTensor`] holds
+    /// it: the nibble-packed codes, one scale byte per group, then the
+    /// 2-bit metadata fields (LSB-first) — 16 + 1 + 1 bytes per group at
+    /// the paper's 32/8 geometry.
     ///
     /// # Errors
     ///
@@ -112,12 +113,7 @@ impl ActTensor {
     /// layouts require aligned rows).
     pub fn pack(&self) -> Result<Vec<u8>, Error> {
         check_aligned("activation tensor", self.cols, &self.cfg)?;
-        pack_streams(
-            self.layout(),
-            self.groups
-                .iter()
-                .map(|g| (&g.codes[..], g.scale.to_bits(), &g.meta[..])),
-        )
+        Ok(PackedActTensor::from_grouped(self).s.to_bytes())
     }
 
     /// Parses a packed buffer produced by [`Self::pack`].
@@ -127,37 +123,8 @@ impl ActTensor {
     /// Fails on misaligned shapes or a buffer of the wrong length.
     pub fn unpack(buf: &[u8], rows: usize, cols: usize, cfg: M2xfpConfig) -> Result<Self, Error> {
         check_aligned("activation tensor", cols, &cfg)?;
-        let layout = StreamLayout {
-            groups: rows * (cols / cfg.group_size),
-            group_size: cfg.group_size,
-            elem_bits: 4,
-            meta_bits_per_group: (2 * cfg.group_size / cfg.subgroup_size) as u32,
-        };
-        let parts = unpack_streams("activation tensor", buf, layout)?;
-        let n_sub = cfg.group_size / cfg.subgroup_size;
-        let groups = parts
-            .into_iter()
-            .map(|(codes, scale, meta_byte)| ActGroup {
-                codes,
-                scale: m2x_formats::E8M0::from_bits(scale),
-                meta: (0..n_sub).map(|i| (meta_byte >> (2 * i)) & 0b11).collect(),
-            })
-            .collect();
-        Ok(ActTensor {
-            rows,
-            cols,
-            cfg,
-            groups,
-        })
-    }
-
-    fn layout(&self) -> StreamLayout {
-        StreamLayout {
-            groups: self.groups.len(),
-            group_size: self.cfg.group_size,
-            elem_bits: 4,
-            meta_bits_per_group: (2 * self.cfg.group_size / self.cfg.subgroup_size) as u32,
-        }
+        let s = PackedStreams::from_bytes("activation tensor", buf, rows, cols, cfg)?;
+        Ok(PackedActTensor { s }.to_grouped())
     }
 }
 
@@ -243,18 +210,7 @@ impl WeightTensor {
     /// Fails when `cols` is not a multiple of the group size.
     pub fn pack(&self) -> Result<Vec<u8>, Error> {
         check_aligned("weight tensor", self.cols, &self.cfg)?;
-        let layout = StreamLayout {
-            groups: self.groups.len(),
-            group_size: self.cfg.group_size,
-            elem_bits: 4,
-            meta_bits_per_group: (2 * self.cfg.group_size / self.cfg.subgroup_size) as u32,
-        };
-        pack_streams(
-            layout,
-            self.groups
-                .iter()
-                .map(|g| (&g.codes[..], g.scale.to_bits(), &g.sg_em[..])),
-        )
+        Ok(PackedWeightTensor::from_grouped(self).s.to_bytes())
     }
 
     /// Parses a packed buffer produced by [`Self::pack`].
@@ -264,28 +220,8 @@ impl WeightTensor {
     /// Fails on misaligned shapes or a buffer of the wrong length.
     pub fn unpack(buf: &[u8], rows: usize, cols: usize, cfg: M2xfpConfig) -> Result<Self, Error> {
         check_aligned("weight tensor", cols, &cfg)?;
-        let layout = StreamLayout {
-            groups: rows * (cols / cfg.group_size),
-            group_size: cfg.group_size,
-            elem_bits: 4,
-            meta_bits_per_group: (2 * cfg.group_size / cfg.subgroup_size) as u32,
-        };
-        let parts = unpack_streams("weight tensor", buf, layout)?;
-        let n_sub = cfg.group_size / cfg.subgroup_size;
-        let groups = parts
-            .into_iter()
-            .map(|(codes, scale, meta_byte)| WeightGroup {
-                codes,
-                scale: m2x_formats::E8M0::from_bits(scale),
-                sg_em: (0..n_sub).map(|i| (meta_byte >> (2 * i)) & 0b11).collect(),
-            })
-            .collect();
-        Ok(WeightTensor {
-            rows,
-            cols,
-            cfg,
-            groups,
-        })
+        let s = PackedStreams::from_bytes("weight tensor", buf, rows, cols, cfg)?;
+        Ok(PackedWeightTensor { s }.to_grouped())
     }
 }
 
@@ -311,16 +247,6 @@ struct PackedStreams {
 }
 
 impl PackedStreams {
-    /// Sequential quantization — [`Self::quantize_parallel`] with one
-    /// worker (no thread spawn).
-    fn quantize(
-        m: &Matrix,
-        cfg: M2xfpConfig,
-        encode: impl Fn(&[f32], &mut [u8], &mut [u8]) -> E8M0 + Sync,
-    ) -> Self {
-        Self::quantize_parallel(m, cfg, 1, encode)
-    }
-
     /// Quantizes straight into the three streams with `threads` scoped
     /// workers, each owning a contiguous, disjoint run of groups.
     ///
@@ -445,6 +371,49 @@ impl PackedStreams {
             scales,
             meta,
         }
+    }
+
+    /// The streams as they are held, `codes ++ scales ++ meta`: the byte
+    /// layout of [`ActTensor::pack`] and [`WeightTensor::pack`].
+    fn to_bytes(&self) -> Vec<u8> {
+        [&self.codes[..], &self.scales, &self.meta].concat()
+    }
+
+    /// Splits a [`Self::to_bytes`] buffer of a `rows × cols` tensor (whole
+    /// groups per row) back into the three streams.
+    fn from_bytes(
+        tensor: &str,
+        buf: &[u8],
+        rows: usize,
+        cols: usize,
+        cfg: M2xfpConfig,
+    ) -> Result<Self, Error> {
+        let gs = cfg.group_size;
+        let spg = gs / cfg.subgroup_size;
+        // (code, scale, total) bytes; `None` when the sizes overflow, which
+        // no buffer can match.
+        let sizes = rows.checked_mul(cols / gs).and_then(|groups| {
+            let codes = groups.checked_mul(gs.div_ceil(2))?;
+            let meta = groups.checked_mul(2 * spg)?.div_ceil(8);
+            Some((codes, groups, codes.checked_add(groups)?.checked_add(meta)?))
+        });
+        let Some((codes, scales, _)) = sizes.filter(|s| s.2 == buf.len()) else {
+            return Err(Error::BufferLength {
+                tensor: tensor.to_string(),
+                expected: sizes.map_or(usize::MAX, |s| s.2),
+                got: buf.len(),
+            });
+        };
+        let (codes, rest) = buf.split_at(codes);
+        let (scales, meta) = rest.split_at(scales);
+        Ok(PackedStreams {
+            rows,
+            cols,
+            cfg,
+            codes: codes.to_vec(),
+            scales: scales.to_vec(),
+            meta: meta.to_vec(),
+        })
     }
 
     fn groups_per_row(&self) -> usize {
@@ -603,20 +572,10 @@ pub struct PackedActTensor {
 
 impl PackedActTensor {
     /// Quantizes a matrix row-wise (Algorithm 1) straight into the packed
-    /// streams — no per-group heap allocation.
-    pub fn quantize(m: &Matrix, cfg: M2xfpConfig) -> Self {
-        let gc = cfg.group_config();
-        PackedActTensor {
-            s: PackedStreams::quantize(m, cfg, |x, codes, meta| {
-                activation::quantize_group_into(x, gc, cfg.scale_rule, codes, meta)
-            }),
-        }
-    }
-
-    /// [`Self::quantize`] fanned out over scoped worker threads (auto
-    /// worker count, same policy as
-    /// [`PackedWeightTensor::quantize_parallel`]); byte-identical output
-    /// for every thread count.
+    /// streams — no per-group heap allocation — fanned out over scoped
+    /// worker threads (auto worker count, same policy as
+    /// [`PackedWeightTensor::quantize_parallel`]: one worker below 2^18
+    /// elements); byte-identical output for every worker count.
     pub fn quantize_parallel(m: &Matrix, cfg: M2xfpConfig) -> Self {
         let gc = cfg.group_config();
         PackedActTensor {
@@ -715,12 +674,6 @@ pub struct PackedWeightTensor {
 }
 
 impl PackedWeightTensor {
-    /// Quantizes a (transposed) weight matrix row-wise straight into the
-    /// packed streams — no per-group heap allocation, single-threaded.
-    pub fn quantize(w_t: &Matrix, cfg: M2xfpConfig) -> Self {
-        Self::quantize_parallel_threaded(w_t, cfg, 1)
-    }
-
     /// The production offline weight-quantization entry point: the
     /// integer-LUT Sg-EM search ([`weight::quantize_group_into`]) fanned
     /// out over scoped worker threads, encoding straight into the three
@@ -754,38 +707,18 @@ impl PackedWeightTensor {
     }
 
     /// An empty tensor (zero rows) of the given width — the seed state of a
-    /// growable store such as a KV cache; fill it with [`Self::append_rows`].
+    /// growable store such as a KV cache; fill it with
+    /// [`Self::append_packed`].
     pub fn empty(cols: usize, cfg: M2xfpConfig) -> Self {
-        Self::quantize(&Matrix::zeros(0, cols), cfg)
-    }
-
-    /// Quantizes `rows` (same width) and appends them below the existing
-    /// rows — the incremental entry point behind the KV cache: each row
-    /// quantizes independently, so the streams stay byte-identical to
-    /// quantizing the full row-concatenated matrix in one pass (asserted by
-    /// the tests).
-    ///
-    /// # Errors
-    ///
-    /// Fails when `rows.cols()` differs from this tensor's width.
-    pub fn append_rows(&mut self, rows: &Matrix) -> Result<(), Error> {
-        if rows.cols() != self.s.cols {
-            return Err(Error::WidthMismatch {
-                tensor: "packed weight tensor".to_string(),
-                expected: self.s.cols,
-                got: rows.cols(),
-            });
-        }
-        let add = PackedWeightTensor::quantize_parallel(rows, self.s.cfg);
-        self.s.append(add.s);
-        Ok(())
+        Self::quantize_parallel_threaded(&Matrix::zeros(0, cols), cfg, 1)
     }
 
     /// Appends rows that are **already quantized** (same width and config)
-    /// below the existing rows — the zero-requantization half of
-    /// [`Self::append_rows`], for callers that quantized the delta once and
-    /// reuse it in several places (e.g. the KV cache appending the same
-    /// token rows into the packed store and a decoded execution plane).
+    /// below the existing rows — the incremental entry point behind the
+    /// KV cache, which quantizes each token's rows once and appends them
+    /// to the packed store and a decoded execution plane. Groups quantize
+    /// independently, so the streams stay byte-identical to quantizing the
+    /// full row-concatenated matrix in one pass (asserted by the tests).
     ///
     /// # Errors
     ///
@@ -877,58 +810,6 @@ impl PackedWeightTensor {
     }
 }
 
-/// Packs groups into `elements | scales | metadata` regions. Metadata per
-/// group must fit one byte (true for the production config: 4 × 2 bits).
-fn pack_streams<'a>(
-    layout: StreamLayout,
-    groups: impl Iterator<Item = (&'a [u8], u8, &'a [u8])> + Clone,
-) -> Result<Vec<u8>, Error> {
-    if layout.meta_bits_per_group > 8 {
-        return Err(Error::MetaOverflow {
-            bits: layout.meta_bits_per_group,
-        });
-    }
-    let mut buf = Vec::with_capacity(layout.total_bytes());
-    for (codes, _, _) in groups.clone() {
-        buf.extend_from_slice(&pack_nibbles(codes));
-    }
-    for (_, scale, _) in groups.clone() {
-        buf.push(scale);
-    }
-    for (_, _, meta) in groups {
-        let mut b = 0u8;
-        for (i, &m) in meta.iter().enumerate() {
-            b |= (m & 0b11) << (2 * i);
-        }
-        buf.push(b);
-    }
-    Ok(buf)
-}
-
-/// Splits a packed buffer back into per-group (codes, scale, meta-byte).
-fn unpack_streams(
-    tensor: &str,
-    buf: &[u8],
-    layout: StreamLayout,
-) -> Result<Vec<(Vec<u8>, u8, u8)>, Error> {
-    if buf.len() != layout.total_bytes() {
-        return Err(Error::BufferLength {
-            tensor: tensor.to_string(),
-            expected: layout.total_bytes(),
-            got: buf.len(),
-        });
-    }
-    let epg = layout.elem_bytes_per_group();
-    let scale_off = layout.scale_offset();
-    let meta_off = layout.meta_offset();
-    let mut out = Vec::with_capacity(layout.groups);
-    for g in 0..layout.groups {
-        let codes = unpack_nibbles(&buf[g * epg..(g + 1) * epg], layout.group_size);
-        out.push((codes, buf[scale_off + g], buf[meta_off + g]));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1006,7 +887,7 @@ mod tests {
         for cols in [32, 64, 96, 50, 70] {
             let m = sample(3, cols);
             let grouped = ActTensor::quantize(&m, cfg);
-            let packed = PackedActTensor::quantize(&m, cfg);
+            let packed = PackedActTensor::quantize_parallel(&m, cfg);
             assert_eq!(
                 PackedActTensor::from_grouped(&grouped),
                 packed,
@@ -1023,7 +904,7 @@ mod tests {
         for cols in [32, 96, 41] {
             let m = sample(4, cols);
             let grouped = WeightTensor::quantize(&m, cfg);
-            let packed = PackedWeightTensor::quantize(&m, cfg);
+            let packed = PackedWeightTensor::quantize_parallel(&m, cfg);
             assert_eq!(PackedWeightTensor::from_grouped(&grouped), packed);
             assert_eq!(packed.to_grouped(), grouped, "cols={cols}");
             assert_eq!(packed.dequantize(), grouped.dequantize(), "cols={cols}");
@@ -1061,12 +942,29 @@ mod tests {
     }
 
     #[test]
-    fn parallel_act_quantize_matches_sequential() {
-        let cfg = M2xfpConfig::default();
-        for cols in [32, 64, 45] {
-            let m = sample(7, cols);
-            let seq = PackedActTensor::quantize(&m, cfg);
-            assert_eq!(PackedActTensor::quantize_parallel(&m, cfg), seq, "{cols}");
+    fn parallel_act_quantize_identical_across_threads_and_grouped() {
+        // Explicit worker counts (these inputs sit far below the auto
+        // policy's one-worker threshold), ragged trailing groups, and a
+        // subgroup size whose per-group metadata run is not byte-aligned
+        // (spg = 2 → 4 bits/group), against the grouped quantizer.
+        for sgs in [8, 16] {
+            let cfg = M2xfpConfig {
+                subgroup_size: sgs,
+                ..M2xfpConfig::default()
+            };
+            let gc = cfg.group_config();
+            for cols in [32, 64, 45] {
+                let m = sample(7, cols);
+                let want = PackedActTensor::from_grouped(&ActTensor::quantize(&m, cfg));
+                for threads in [1, 2, 3, 8] {
+                    let s = PackedStreams::quantize_parallel(&m, cfg, threads, |x, codes, meta| {
+                        activation::quantize_group_into(x, gc, cfg.scale_rule, codes, meta)
+                    });
+                    let got = PackedActTensor { s };
+                    assert_eq!(got, want, "sg={sgs} cols={cols} threads={threads}");
+                }
+                assert_eq!(PackedActTensor::quantize_parallel(&m, cfg), want);
+            }
         }
     }
 
@@ -1085,10 +983,11 @@ mod tests {
     }
 
     #[test]
-    fn append_rows_matches_one_shot_quantization() {
+    fn append_packed_matches_one_shot_quantization() {
         // Incremental growth (the KV-cache pattern) must be byte-identical
         // to quantizing the concatenated matrix, including configurations
-        // whose per-group metadata run is not byte-aligned (spg = 2).
+        // whose per-group metadata run is not byte-aligned (spg = 2, so an
+        // odd row count leaves the next append at an odd 4-bit offset).
         for cfg in [
             M2xfpConfig::default(),
             M2xfpConfig {
@@ -1097,23 +996,59 @@ mod tests {
             },
         ] {
             let full = sample(7, 32);
-            let want = PackedWeightTensor::quantize(&full, cfg);
+            let want = PackedWeightTensor::quantize_parallel(&full, cfg);
             let mut grown = PackedWeightTensor::empty(32, cfg);
             for chunk in [1usize, 2, 1, 3] {
                 let start = grown.shape().0;
                 let rows = Matrix::from_fn(chunk, 32, |r, c| full[(start + r, c)]);
-                grown.append_rows(&rows).unwrap();
+                let delta = PackedWeightTensor::quantize_parallel(&rows, cfg);
+                grown.append_packed(delta).unwrap();
             }
             assert_eq!(grown, want, "sg={}", cfg.subgroup_size);
-            assert!(grown.append_rows(&Matrix::zeros(1, 33)).is_err());
+            let wide = PackedWeightTensor::empty(33, cfg);
+            assert!(matches!(
+                grown.append_packed(wide),
+                Err(Error::WidthMismatch {
+                    expected: 32,
+                    got: 33,
+                    ..
+                })
+            ));
         }
+    }
+
+    #[test]
+    fn packed_length_is_the_held_streams_at_every_subgroup_size() {
+        // The serialized layout is the held streams (2 bits per subgroup,
+        // not one byte per group): 3 × 32 at subgroup 16 is 48 + 3 + 2
+        // bytes. The round trip itself is property-tested.
+        for sgs in [2, 4, 8, 16, 32] {
+            let cfg = M2xfpConfig {
+                subgroup_size: sgs,
+                ..M2xfpConfig::default()
+            };
+            let bytes = WeightTensor::quantize(&sample(3, 32), cfg).pack().unwrap();
+            assert_eq!(bytes.len(), 51 + (6 * 32 / sgs).div_ceil(8), "sg={sgs}");
+            let short = WeightTensor::unpack(&bytes[1..], 3, 32, cfg).unwrap_err();
+            assert_eq!(
+                short.to_string(),
+                format!(
+                    "weight tensor: buffer is {} bytes, layout requires {}",
+                    bytes.len() - 1,
+                    bytes.len()
+                )
+            );
+        }
+        // Sizes that overflow usize match no buffer.
+        let err = ActTensor::unpack(&[0; 18], usize::MAX, 64, M2xfpConfig::default());
+        assert!(matches!(err, Err(Error::BufferLength { got: 18, .. })));
     }
 
     #[test]
     fn packed_streams_have_paper_footprint() {
         // Aligned shapes: 16 B codes + 1 B scale + 1 B meta per group of 32.
         let cfg = M2xfpConfig::default();
-        let t = PackedActTensor::quantize(&sample(8, 128), cfg);
+        let t = PackedActTensor::quantize_parallel(&sample(8, 128), cfg);
         assert_eq!(t.codes().len(), 8 * 4 * 16);
         assert_eq!(t.scales().len(), 8 * 4);
         assert_eq!(t.meta().len(), 8 * 4);
@@ -1125,7 +1060,7 @@ mod tests {
     fn packed_ragged_trailing_group_roundtrips() {
         let cfg = M2xfpConfig::default();
         let m = sample(2, 45); // 32 + 13 per row
-        let t = PackedActTensor::quantize(&m, cfg);
+        let t = PackedActTensor::quantize_parallel(&m, cfg);
         assert_eq!(t.group_len(0), 32);
         assert_eq!(t.group_len(1), 13);
         assert_eq!(t.to_grouped(), ActTensor::quantize(&m, cfg));

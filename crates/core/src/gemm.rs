@@ -12,26 +12,29 @@
 //! floating-point reference [`qgemm_reference`] all agree **exactly**,
 //! which the tests and property tests assert.
 //!
-//! Several entry points are provided, all bit-identical:
+//! The packed kernel has two operands and one body, all bit-identical to
+//! the oracles:
 //!
-//! * [`qgemm`] — the readable per-group pipeline over the legacy grouped
-//!   tensors, decoding through the integer LUTs of `m2x_formats::tables`
-//!   (no float decode round-trip anywhere).
-//! * [`qgemm_packed_planed`] — the production hot path over a pre-decoded
-//!   [`WeightPlane`], whose weights sit in 16-column panels (see its type
-//!   docs), parallelized over output row chunks with scoped threads
-//!   ([`m2x_tensor::matrix::par_row_chunks`]). Each group ends as 16 exact
-//!   i32 column dots; the f64 epilogue then applies the scale products
-//!   once per group.
-//! * [`qgemv_packed`] — the `m == 1` decode fast path serving hits once
-//!   per projection per layer per step: no row-chunk threading, and the
-//!   activation scratch lives in a caller-held reusable [`GemmScratch`]
-//!   instead of three fresh `Vec`s per call — the decode hot loop is
-//!   allocation-free after warm-up.
-//! * [`qgemm_packed`] — the one-shot convenience over raw
-//!   [`PackedWeightTensor`] streams: decodes a [`WeightPlane`] and runs the
-//!   planed kernel.
-//! * [`qgemm_reference`] — the f64 oracle every kernel is pinned against.
+//! * [`GemmScratch::load`] decodes a [`PackedActTensor`] into the
+//!   activation operand, held in a caller-owned scratch that is reused in
+//!   place; a [`WeightPlane`] is the weight operand, decoded once per
+//!   weight tensor with its weights in 16-column panels (see its type
+//!   docs).
+//! * [`qgemm_into`] runs the kernel over a loaded scratch and a plane into
+//!   a caller-held output, parallelized over output row chunks with scoped
+//!   threads ([`m2x_tensor::matrix::par_row_chunks`]; one worker runs
+//!   inline). Each group ends as 16 exact i32 column dots; the f64
+//!   epilogue then applies the scale products once per group. Once the
+//!   scratch is warm, load plus kernel make no heap allocation.
+//! * [`qgemm_packed_planed_scratch`] (load, then the kernel, into a fresh
+//!   [`Matrix`]), [`qgemv_packed`] (its one-row form) and
+//!   [`qgemm_packed`] (decode the plane from raw [`PackedWeightTensor`]
+//!   streams, then the same) are wrappers with no logic of their own.
+//!
+//! Two oracles pin them: [`qgemm`], the readable per-group pipeline over
+//! the grouped tensors, decoding through the integer LUTs of
+//! `m2x_formats::tables` (no float decode round-trip anywhere), and
+//! [`qgemm_reference`], the f64 product of the dequantized tensors.
 //!
 //! Two kernels read the panel layout, and [`KernelPath::detect`] picks one
 //! at run time: an AVX2 micro-kernel (`_mm256_madd_epi16` over the
@@ -173,15 +176,10 @@ pub fn gemm_threads(m: usize, k: usize, n: usize) -> usize {
     crate::capped_workers((macs / GEMM_MACS_PER_THREAD).min(m))
 }
 
-/// Cache-blocked integer qGEMM over the packed three-stream tensors,
-/// parallelized over output row chunks with scoped threads. Bit-exact
-/// against [`qgemm`] and [`qgemm_reference`].
-///
-/// The worker count comes from [`gemm_threads`] (work-size threshold, so
-/// small/medium GEMMs skip the spawn overhead entirely); see
-/// [`qgemm_packed_threaded`] to pin it (1 reproduces the sequential order
-/// exactly — but every count produces identical bits, since each output
-/// element is computed by exactly one worker).
+/// The packed kernel over raw weight streams: decodes a [`WeightPlane`]
+/// (per call; see its docs) and runs [`qgemm_packed_planed_scratch`] with
+/// [`gemm_threads`] workers and a fresh scratch. Bit-exact against
+/// [`qgemm`] and [`qgemm_reference`].
 ///
 /// # Panics
 ///
@@ -189,44 +187,38 @@ pub fn gemm_threads(m: usize, k: usize, n: usize) -> usize {
 pub fn qgemm_packed(x: &PackedActTensor, w: &PackedWeightTensor) -> Matrix {
     let (m, k) = x.shape();
     let n = w.shape().0;
-    qgemm_packed_threaded(x, w, gemm_threads(m, k, n))
+    let plane = WeightPlane::decode(w);
+    qgemm_packed_planed_scratch(x, &plane, gemm_threads(m, k, n), &mut GemmScratch::new())
 }
 
-/// [`qgemm_packed`] with an explicit worker count: decodes the weight
-/// plane once and runs the panel kernel over it.
-///
-/// # Panics
-///
-/// Panics when the reduction dimensions or group geometries disagree.
-pub fn qgemm_packed_threaded(
-    x: &PackedActTensor,
-    w: &PackedWeightTensor,
-    threads: usize,
-) -> Matrix {
-    qgemm_packed_planed(x, &WeightPlane::decode(w), threads)
-}
-
-/// Reusable activation scratch of the packed kernels: the decoded
-/// fixed-point activation plane (`x8`) and its per-group scales
-/// (`xscale`).
+/// The packed kernel's activation operand: the decoded fixed-point
+/// activation plane (`x8`) and its per-group scales (`xscale`), filled by
+/// [`GemmScratch::load`] and read by [`qgemm_into`].
 ///
 /// The decode hot loop of a serving session calls a GEMM once per
 /// projection per layer per step; holding one `GemmScratch` per session
-/// (or per engine thread) and passing it to [`qgemv_packed`] /
-/// [`qgemm_packed_planed_scratch`] makes those calls allocation-free
-/// after warm-up — the buffers are cleared and refilled in place, never
-/// reallocated once they have grown to the largest projection width.
+/// (or per engine thread) makes those calls allocation-free after
+/// warm-up — `load` clears and refills the buffers in place, never
+/// reallocating once they have grown to the largest operand. One load can
+/// feed several kernel calls (the attention score GEMM runs one per KV
+/// page on the same Q block).
 ///
-/// **Panic safety:** the scratch carries no semantic state between calls —
-/// every kernel clears and fully rewrites the region it reads before use.
-/// A scratch abandoned mid-call by a panic (e.g. one caught by a serving
-/// engine's `catch_unwind` isolation) can therefore be reused as-is and
-/// still computes bit-identical results; [`GemmScratch::reset`] merely
-/// discards the stale contents eagerly.
+/// **Panic safety:** a loaded operand is valid until the next `load`, and
+/// every caller loads in the same function that runs the kernel, so no
+/// call ever reads what an earlier call left behind. A scratch abandoned
+/// mid-call by a panic (e.g. one caught by a serving engine's
+/// `catch_unwind` isolation) can therefore be reused as-is and still
+/// computes bit-identical results; [`GemmScratch::reset`] merely discards
+/// the stale contents eagerly.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
     x8: Vec<i16>,
     xscale: Vec<f64>,
+    /// `(rows, cols)` of the loaded operand.
+    shape: (usize, usize),
+    /// `(group_size, subgroup_size)` of the loaded operand; `(0, 0)`,
+    /// which no plane has, when nothing is loaded.
+    geometry: (usize, usize),
 }
 
 impl GemmScratch {
@@ -235,12 +227,63 @@ impl GemmScratch {
         Self::default()
     }
 
-    /// Empties the buffers (capacity kept). Correctness never requires
-    /// this — see the type docs — but a recovery path that wants to drop
-    /// data a caught panic left behind can call it cheaply.
+    /// Empties the buffers (capacity kept) and forgets the loaded
+    /// operand, so a kernel call before the next [`Self::load`] panics.
+    /// Correctness never requires this — see the type docs — but a
+    /// recovery path that wants to drop data a caught panic left behind
+    /// can call it cheaply.
     pub fn reset(&mut self) {
         self.x8.clear();
         self.xscale.clear();
+        self.shape = (0, 0);
+        self.geometry = (0, 0);
+    }
+
+    /// Decodes `x` into the kernel's activation operand and records its
+    /// shape and group geometry: i16 LUT lookups straight from the code
+    /// bytes (no float round-trip), one slot per group rounded up to whole
+    /// k-pairs, then each subgroup's top-1 takes its refined value.
+    /// Padding with zeros keeps ragged trailing groups exact: zero codes
+    /// contribute nothing to any product.
+    // m2x-lint: hot
+    pub fn load(&mut self, x: &PackedActTensor) {
+        let gs = x.config().group_size;
+        let gsp = pair_width(gs);
+        let sgs = x.config().subgroup_size;
+        let spg = gs / sgs;
+        let gpr = x.groups_per_row();
+        let m = x.shape().0;
+        self.x8.clear();
+        self.x8.resize(m * gpr * gsp, 0);
+        self.xscale.clear();
+        self.xscale.resize(m * gpr, 0.0);
+        let meta = x.meta();
+        let groups = self
+            .x8
+            .chunks_exact_mut(gsp)
+            .zip(x.codes().chunks_exact(gs.div_ceil(2)))
+            .zip(self.xscale.iter_mut());
+        for (g, ((xg, bytes), xs)) in groups.enumerate() {
+            let xg = &mut xg[..x.group_len(g)];
+            for (pair, &b) in xg.chunks_mut(2).zip(bytes) {
+                for (o, code) in pair.iter_mut().zip([b & 0xF, b >> 4]) {
+                    *o = i16::from(FP4_X8[usize::from(code)]);
+                }
+            }
+            for (sg, sx) in xg.chunks_mut(sgs).enumerate() {
+                // The subgroup's top-1, as `top1_index` picks it: |FP4_X8|
+                // rises with a code's magnitude bits, so the first element
+                // with the largest decoded magnitude is the top-1 code.
+                let top_mag = sx.iter().map(|v| v.abs()).max().unwrap_or(0);
+                let top = sx.iter().position(|v| v.abs() == top_mag).unwrap_or(0);
+                let code = nibble_at(bytes, sg * sgs + top);
+                let extra = two_bits_at(meta, g * spg + sg);
+                sx[top] = EXTRA_X8[usize::from(code)][usize::from(extra)];
+            }
+            *xs = pow2(x.group_scale(g).exponent());
+        }
+        self.shape = x.shape();
+        self.geometry = (gs, sgs);
     }
 }
 
@@ -254,49 +297,6 @@ fn pow2(e: i32) -> f64 {
 /// k-pairs, so every group starts on a pair boundary.
 fn pair_width(group_size: usize) -> usize {
     group_size.div_ceil(2) * 2
-}
-
-/// Decodes the activation stream into the scratch's flat fixed-point plane
-/// (i16 LUT lookups straight from the code bytes, no float round-trip),
-/// one [`pair_width`]-wide slot per group, then gives each subgroup's
-/// top-1 its refined value. Padding with zeros keeps ragged trailing
-/// groups exact: zero codes contribute nothing to any product.
-// m2x-lint: hot
-fn decode_act_plane(x: &PackedActTensor, s: &mut GemmScratch) {
-    let gs = x.config().group_size;
-    let gsp = pair_width(gs);
-    let sgs = x.config().subgroup_size;
-    let spg = gs / sgs;
-    let gpr = x.groups_per_row();
-    let m = x.shape().0;
-    s.x8.clear();
-    s.x8.resize(m * gpr * gsp, 0);
-    s.xscale.clear();
-    s.xscale.resize(m * gpr, 0.0);
-    let meta = x.meta();
-    let groups =
-        s.x8.chunks_exact_mut(gsp)
-            .zip(x.codes().chunks_exact(gs.div_ceil(2)))
-            .zip(s.xscale.iter_mut());
-    for (g, ((xg, bytes), xs)) in groups.enumerate() {
-        let xg = &mut xg[..x.group_len(g)];
-        for (pair, &b) in xg.chunks_mut(2).zip(bytes) {
-            for (o, code) in pair.iter_mut().zip([b & 0xF, b >> 4]) {
-                *o = i16::from(FP4_X8[usize::from(code)]);
-            }
-        }
-        for (sg, sx) in xg.chunks_mut(sgs).enumerate() {
-            // The subgroup's top-1, as `top1_index` picks it: |FP4_X8|
-            // rises with a code's magnitude bits, so the first element
-            // with the largest decoded magnitude is the top-1 code.
-            let top_mag = sx.iter().map(|v| v.abs()).max().unwrap_or(0);
-            let top = sx.iter().position(|v| v.abs() == top_mag).unwrap_or(0);
-            let code = nibble_at(bytes, sg * sgs + top);
-            let extra = two_bits_at(meta, g * spg + sg);
-            sx[top] = EXTRA_X8[usize::from(code)][usize::from(extra)];
-        }
-        *xs = pow2(x.group_scale(g).exponent());
-    }
 }
 
 /// Which kernel runs the packed GEMMs over a [`WeightPlane`]. Every path
@@ -441,7 +441,7 @@ fn portable_rows(op: &Operands<'_>, row0: usize, chunk: &mut [f32]) {
 /// nothing.
 ///
 /// Weights are static across inference calls, so decode once (e.g. at layer
-/// construction) and reuse via [`qgemm_packed_planed`] — [`qgemm_packed`]
+/// construction) and reuse via [`qgemm_into`] — [`qgemm_packed`]
 /// re-decodes per call, which wastes an O(N·K) pass when the same weights
 /// are multiplied repeatedly.
 #[derive(Debug, Clone, PartialEq)]
@@ -559,52 +559,73 @@ impl WeightPlane {
     }
 }
 
-/// The packed qGEMM kernel over a pre-decoded [`WeightPlane`] — the form
-/// inference layers call repeatedly without paying the weight decode on
-/// every forward. Bit-exact against [`qgemm_reference`].
-///
-/// Allocates a fresh activation scratch per call; hot loops should hold a
-/// [`GemmScratch`] and call [`qgemm_packed_planed_scratch`] (or
-/// [`qgemv_packed`] for the single-row decode shape) instead.
+/// The packed qGEMM `Y[M,N] = X[M,K] · W^T[N,K]` over the operand `x`
+/// that [`GemmScratch::load`] filled and a pre-decoded [`WeightPlane`],
+/// writing the row-major `M×N` result into `out` with `threads` workers
+/// over output row chunks (one worker runs inline, with no spawn). Every
+/// worker count computes identical bits, bit-exact against
+/// [`qgemm_reference`]. With a warm scratch and a caller-held `out`, the
+/// call makes **zero heap allocations**, which `tests/alloc_gate.rs` pins
+/// with a counting global allocator.
 ///
 /// # Panics
 ///
-/// Panics when the reduction dimensions or group geometries disagree.
-pub fn qgemm_packed_planed(x: &PackedActTensor, w: &WeightPlane, threads: usize) -> Matrix {
-    qgemm_packed_planed_scratch(x, w, threads, &mut GemmScratch::default())
+/// Panics when the reduction dimensions or group geometries disagree
+/// (including a scratch with nothing loaded), or when `out.len() != M·N`.
+// m2x-lint: hot
+pub fn qgemm_into(x: &GemmScratch, w: &WeightPlane, threads: usize, out: &mut [f32]) {
+    qgemm_into_on(KernelPath::detect(), x, w, threads, out);
 }
 
-fn check_planed_geometry(x: &PackedActTensor, w: &WeightPlane) {
-    assert_eq!(x.shape().1, w.k, "reduction dimension mismatch");
+/// [`qgemm_into`] on a chosen [`KernelPath`] — the one way tests reach
+/// each kernel; production code takes [`KernelPath::detect`]. The kernel
+/// body every packed entry point runs.
+///
+/// # Panics
+///
+/// Panics when this CPU cannot run `path`, and as [`qgemm_into`] does.
+#[doc(hidden)]
+// m2x-lint: hot
+pub fn qgemm_into_on(
+    path: KernelPath,
+    x: &GemmScratch,
+    w: &WeightPlane,
+    threads: usize,
+    out: &mut [f32],
+) {
+    assert!(
+        path.is_supported(),
+        "this CPU cannot run the {} kernel",
+        path.name()
+    );
+    assert_eq!(x.shape.1, w.k, "reduction dimension mismatch");
     assert_eq!(
-        (x.config().group_size, x.config().subgroup_size),
+        x.geometry,
         (w.group_size, w.subgroup_size),
         "group geometry mismatch"
     );
-}
-
-/// Decodes `x` into `scratch` and pairs the planes as kernel operands.
-fn operands<'a>(
-    x: &PackedActTensor,
-    w: &'a WeightPlane,
-    scratch: &'a mut GemmScratch,
-) -> Operands<'a> {
-    decode_act_plane(x, scratch);
-    Operands {
-        x8: &scratch.x8,
-        xscale: &scratch.xscale,
+    assert_eq!(out.len(), x.shape.0 * w.n, "output length mismatch");
+    if out.is_empty() {
+        return;
+    }
+    let op = Operands {
+        x8: &x.x8,
+        xscale: &x.xscale,
         w16: &w.w16,
         wscale: &w.wscale,
         n: w.n,
-        gpr: x.groups_per_row(),
+        gpr: w.k.div_ceil(w.group_size),
         gsp: pair_width(w.group_size),
-    }
+    };
+    par_row_chunks(out, w.n, threads, |row0, chunk| {
+        run_kernel(path, &op, row0, chunk);
+    });
 }
 
-/// [`qgemm_packed_planed`] with a caller-held reusable [`GemmScratch`]:
-/// after the first call at a given shape the activation decode reuses the
-/// scratch's buffers in place — no per-call allocations. Zero-row and
-/// zero-column inputs return the corresponding empty matrix.
+/// Loads `x` into `scratch`, then runs [`qgemm_into`] into a fresh `M×N`
+/// matrix — the form inference layers call repeatedly without paying the
+/// weight decode on every forward. Zero-row and zero-column inputs return
+/// the corresponding empty matrix.
 ///
 /// # Panics
 ///
@@ -616,52 +637,15 @@ pub fn qgemm_packed_planed_scratch(
     threads: usize,
     scratch: &mut GemmScratch,
 ) -> Matrix {
-    qgemm_packed_planed_on(KernelPath::detect(), x, w, threads, scratch)
-}
-
-/// [`qgemm_packed_planed_scratch`] on a chosen [`KernelPath`] — the one
-/// way tests reach each kernel; production code takes
-/// [`KernelPath::detect`].
-///
-/// # Panics
-///
-/// Panics when this CPU cannot run `path`, or when the reduction
-/// dimensions or group geometries disagree.
-#[doc(hidden)]
-// m2x-lint: hot
-pub fn qgemm_packed_planed_on(
-    path: KernelPath,
-    x: &PackedActTensor,
-    w: &WeightPlane,
-    threads: usize,
-    scratch: &mut GemmScratch,
-) -> Matrix {
-    assert!(
-        path.is_supported(),
-        "this CPU cannot run the {} kernel",
-        path.name()
-    );
-    let m = x.shape().0;
-    let n = w.n;
-    check_planed_geometry(x, w);
-    if m == 0 || n == 0 {
-        return Matrix::zeros(m, n);
-    }
-    let op = operands(x, w, scratch);
-    let mut out = Matrix::zeros(m, n);
-    par_row_chunks(out.as_mut_slice(), n, threads, |row0, chunk| {
-        run_kernel(path, &op, row0, chunk);
-    });
+    scratch.load(x);
+    let mut out = Matrix::zeros(x.shape().0, w.n);
+    qgemm_into(scratch, w, threads, out.as_mut_slice());
     out
 }
 
-/// The `m == 1` decode fast path: one activation row against a pre-decoded
-/// [`WeightPlane`], on the same kernel as [`qgemm_packed_planed`] but with
-/// no row-chunk threading overhead at all — serving hits this shape once
-/// per projection per layer per decode step, where a scoped-thread
-/// spawn/join would dwarf the kernel. The activation scratch lives in the
-/// caller's [`GemmScratch`], so the call is allocation-free after warm-up
-/// (the `1 × n` output aside). Bit-exact against [`qgemm_reference`].
+/// [`qgemm_packed_planed_scratch`] for the one-row decode shape, on one
+/// worker: serving hits it once per projection per layer per decode step,
+/// where a scoped-thread spawn/join would dwarf the kernel.
 ///
 /// # Panics
 ///
@@ -669,38 +653,8 @@ pub fn qgemm_packed_planed_on(
 /// or group geometries disagree.
 // m2x-lint: hot
 pub fn qgemv_packed(x: &PackedActTensor, w: &WeightPlane, scratch: &mut GemmScratch) -> Matrix {
-    // m2x-lint: allow(alloc) the 1 × n output itself; qgemv_packed_into is the zero-alloc surface
-    let mut out = Matrix::zeros(1, w.n);
-    qgemv_packed_into(x, w, scratch, out.as_mut_slice());
-    out
-}
-
-/// [`qgemv_packed`] writing into a caller-held output row: **zero heap
-/// allocations** once `scratch` is warm at this shape, which
-/// `tests/alloc_gate.rs` pins with a counting global allocator. Bit-exact
-/// against [`qgemv_packed`] (same kernel, same scratch decode, same
-/// accumulation order).
-///
-/// # Panics
-///
-/// Panics when `x` has more than one row, when `out.len() != w.n`, or when
-/// the reduction dimensions or group geometries disagree.
-// m2x-lint: hot
-pub fn qgemv_packed_into(
-    x: &PackedActTensor,
-    w: &WeightPlane,
-    scratch: &mut GemmScratch,
-    out: &mut [f32],
-) {
     assert_eq!(x.shape().0, 1, "qgemv_packed expects exactly one row");
-    assert_eq!(out.len(), w.n, "output row length mismatch");
-    check_planed_geometry(x, w);
-    if w.n == 0 {
-        return;
-    }
-    // One row, run inline — the same single-chunk call `par_row_chunks`
-    // makes at `threads <= 1`, so the bits match the threaded kernels.
-    run_kernel(KernelPath::detect(), &operands(x, w, scratch), 0, out);
+    qgemm_packed_planed_scratch(x, w, 1, scratch)
 }
 
 /// Floating-point reference: dequantizes both tensors and multiplies in
@@ -753,6 +707,20 @@ mod tests {
         })
     }
 
+    /// Loads `x` and runs `path`'s kernel into a fresh matrix.
+    fn qgemm_on(
+        path: KernelPath,
+        x: &PackedActTensor,
+        w: &WeightPlane,
+        threads: usize,
+        scratch: &mut GemmScratch,
+    ) -> Matrix {
+        scratch.load(x);
+        let mut y = Matrix::zeros(x.shape().0, w.shape().0);
+        qgemm_into_on(path, scratch, w, threads, y.as_mut_slice());
+        y
+    }
+
     #[test]
     fn fixed_point_matches_reference_exactly() {
         let cfg = M2xfpConfig::default();
@@ -785,14 +753,15 @@ mod tests {
             &ActTensor::quantize(&xm, cfg),
             &WeightTensor::quantize(&wm, cfg),
         );
-        let xp = PackedActTensor::quantize(&xm, cfg);
-        let wp = PackedWeightTensor::quantize(&wm, cfg);
+        let xp = PackedActTensor::quantize_parallel(&xm, cfg);
+        let wp = PackedWeightTensor::quantize_parallel(&wm, cfg);
         let plane = WeightPlane::decode(&wp);
         let mut scratch = GemmScratch::new();
         for threads in [1, 2, 4] {
-            let mut runs = vec![("dispatched", qgemm_packed_threaded(&xp, &wp, threads))];
+            let dispatched = qgemm_packed_planed_scratch(&xp, &plane, threads, &mut scratch);
+            let mut runs = vec![("dispatched", dispatched)];
             for path in KernelPath::ALL.into_iter().filter(|p| p.is_supported()) {
-                let y = qgemm_packed_planed_on(path, &xp, &plane, threads, &mut scratch);
+                let y = qgemm_on(path, &xp, &plane, threads, &mut scratch);
                 runs.push((path.name(), y));
             }
             for (name, got) in &runs {
@@ -821,8 +790,8 @@ mod tests {
             &WeightTensor::quantize(&wm, cfg),
         );
         let got = qgemm_packed(
-            &PackedActTensor::quantize(&xm, cfg),
-            &PackedWeightTensor::quantize(&wm, cfg),
+            &PackedActTensor::quantize_parallel(&xm, cfg),
+            &PackedWeightTensor::quantize_parallel(&wm, cfg),
         );
         assert_eq!(got, want);
     }
@@ -833,17 +802,45 @@ mod tests {
         // the per-call decode path.
         let cfg = M2xfpConfig::default();
         let wm = mat(5, 80, 4.0);
-        let wp = PackedWeightTensor::quantize(&wm, cfg);
+        let wp = PackedWeightTensor::quantize_parallel(&wm, cfg);
         let plane = WeightPlane::decode(&wp);
         assert_eq!(plane.shape(), (5, 80));
+        let mut scratch = GemmScratch::new();
         for seed in [0.0, 6.0] {
-            let xp = PackedActTensor::quantize(&mat(3, 80, seed), cfg);
+            let xp = PackedActTensor::quantize_parallel(&mat(3, 80, seed), cfg);
             assert_eq!(
-                qgemm_packed_planed(&xp, &plane, 2),
-                qgemm_packed_threaded(&xp, &wp, 2),
+                qgemm_packed_planed_scratch(&xp, &plane, 2, &mut scratch),
+                qgemm_packed(&xp, &wp),
                 "seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn one_load_feeds_several_planes() {
+        // The attention pattern: one loaded operand multiplied against
+        // several planes gives each plane's per-call bits, and a reset
+        // scratch refuses to run until the next load.
+        let cfg = M2xfpConfig::default();
+        let xp = PackedActTensor::quantize_parallel(&mat(3, 64, 1.0), cfg);
+        let mut scratch = GemmScratch::new();
+        scratch.load(&xp);
+        let mut y = Matrix::zeros(0, 0);
+        for n in [5usize, 17, 2] {
+            let wp = PackedWeightTensor::quantize_parallel(&mat(n, 64, n as f32), cfg);
+            y = Matrix::zeros(3, n);
+            qgemm_into(&scratch, &WeightPlane::decode(&wp), 1, y.as_mut_slice());
+            assert_eq!(y, qgemm_packed(&xp, &wp), "n={n}");
+        }
+        scratch.reset();
+        let w = WeightPlane::decode(&PackedWeightTensor::quantize_parallel(
+            &mat(2, 64, 0.0),
+            cfg,
+        ));
+        let unloaded = std::panic::catch_unwind(move || {
+            qgemm_into(&scratch, &w, 1, y.as_mut_slice());
+        });
+        assert!(unloaded.is_err());
     }
 
     #[test]
@@ -864,15 +861,15 @@ mod tests {
         ] {
             for cols in [64usize, 80] {
                 let full = mat(35, cols, 3.0);
-                let want = WeightPlane::decode(&PackedWeightTensor::quantize(&full, cfg));
-                let mut grown = WeightPlane::decode(&PackedWeightTensor::quantize(
+                let want = WeightPlane::decode(&PackedWeightTensor::quantize_parallel(&full, cfg));
+                let mut grown = WeightPlane::decode(&PackedWeightTensor::quantize_parallel(
                     &Matrix::zeros(0, cols),
                     cfg,
                 ));
                 let mut row = 0usize;
                 for chunk in [2usize, 13, 3, 17] {
                     let delta = Matrix::from_fn(chunk, cols, |r, c| full[(row + r, c)]);
-                    grown.append(&PackedWeightTensor::quantize(&delta, cfg));
+                    grown.append(&PackedWeightTensor::quantize_parallel(&delta, cfg));
                     row += chunk;
                 }
                 assert_eq!(grown, want, "cols={cols} sg={}", cfg.subgroup_size);
@@ -880,13 +877,13 @@ mod tests {
                 // page-frame recycling path).
                 let mut regrown = grown.clone();
                 regrown.clear_rows();
-                regrown.append(&PackedWeightTensor::quantize(&full, cfg));
+                regrown.append(&PackedWeightTensor::quantize_parallel(&full, cfg));
                 assert_eq!(regrown, want, "regrown cols={cols}");
                 // And the kernel consumes the grown plane bit-identically.
-                let xp = PackedActTensor::quantize(&mat(3, cols, 1.0), cfg);
+                let xp = PackedActTensor::quantize_parallel(&mat(3, cols, 1.0), cfg);
                 assert_eq!(
-                    qgemm_packed_planed(&xp, &grown, 1),
-                    qgemm_packed_planed(&xp, &want, 1),
+                    qgemm_packed_planed_scratch(&xp, &grown, 1, &mut GemmScratch::new()),
+                    qgemm_packed_planed_scratch(&xp, &want, 1, &mut GemmScratch::new()),
                 );
             }
         }
@@ -906,8 +903,8 @@ mod tests {
                 &ActTensor::quantize(&xm, cfg),
                 &WeightTensor::quantize(&wm, cfg),
             );
-            let xp = PackedActTensor::quantize(&xm, cfg);
-            let wp = PackedWeightTensor::quantize(&wm, cfg);
+            let xp = PackedActTensor::quantize_parallel(&xm, cfg);
+            let wp = PackedWeightTensor::quantize_parallel(&wm, cfg);
             let plane = WeightPlane::decode(&wp);
             // The same scratch is reused across shapes on purpose.
             let gemv = qgemv_packed(&xp, &plane, &mut scratch);
@@ -921,31 +918,37 @@ mod tests {
         // (0, k), (m, 0) and (0, 0) shapes produce empty outputs on every
         // kernel instead of relying on incidental chunk arithmetic.
         let cfg = M2xfpConfig::default();
-        let x0 = PackedActTensor::quantize(&Matrix::zeros(0, 64), cfg);
-        let xm = PackedActTensor::quantize(&mat(3, 64, 0.0), cfg);
-        let w0 = PackedWeightTensor::quantize(&Matrix::zeros(0, 64), cfg);
-        let wn = PackedWeightTensor::quantize(&mat(4, 64, 9.0), cfg);
+        let x0 = PackedActTensor::quantize_parallel(&Matrix::zeros(0, 64), cfg);
+        let xm = PackedActTensor::quantize_parallel(&mat(3, 64, 0.0), cfg);
+        let w0 = PackedWeightTensor::quantize_parallel(&Matrix::zeros(0, 64), cfg);
+        let wn = PackedWeightTensor::quantize_parallel(&mat(4, 64, 9.0), cfg);
         let plane0 = WeightPlane::decode(&w0);
         let planen = WeightPlane::decode(&wn);
         let mut scratch = GemmScratch::new();
         let dims = |y: &Matrix| (y.rows(), y.cols());
         for threads in [1, 2] {
+            let mut planed = |x: &PackedActTensor, w: &WeightPlane| {
+                dims(&qgemm_packed_planed_scratch(x, w, threads, &mut scratch))
+            };
             // (0, k) × (n, k) → 0 × n.
-            assert_eq!(dims(&qgemm_packed_planed(&x0, &planen, threads)), (0, 4));
+            assert_eq!(planed(&x0, &planen), (0, 4));
             // (m, k) × (0, k) → m × 0.
-            assert_eq!(dims(&qgemm_packed_planed(&xm, &plane0, threads)), (3, 0));
+            assert_eq!(planed(&xm, &plane0), (3, 0));
             // (0, k) × (0, k) → 0 × 0.
-            assert_eq!(dims(&qgemm_packed_planed(&x0, &plane0, threads)), (0, 0));
+            assert_eq!(planed(&x0, &plane0), (0, 0));
         }
         assert_eq!(dims(&qgemm_packed(&x0, &wn)), (0, 4));
         assert_eq!(dims(&qgemm_packed(&xm, &w0)), (3, 0));
-        let x1 = PackedActTensor::quantize(&mat(1, 64, 5.0), cfg);
+        let x1 = PackedActTensor::quantize_parallel(&mat(1, 64, 5.0), cfg);
         assert_eq!(dims(&qgemv_packed(&x1, &plane0, &mut scratch)), (1, 0));
         // K = 0 gives zeros on every path.
-        let xk0 = PackedActTensor::quantize(&Matrix::zeros(3, 0), cfg);
-        let wk0 = WeightPlane::decode(&PackedWeightTensor::quantize(&Matrix::zeros(4, 0), cfg));
+        let xk0 = PackedActTensor::quantize_parallel(&Matrix::zeros(3, 0), cfg);
+        let wk0 = WeightPlane::decode(&PackedWeightTensor::quantize_parallel(
+            &Matrix::zeros(4, 0),
+            cfg,
+        ));
         for path in KernelPath::ALL.into_iter().filter(|p| p.is_supported()) {
-            let y = qgemm_packed_planed_on(path, &xk0, &wk0, 1, &mut scratch);
+            let y = qgemm_on(path, &xk0, &wk0, 1, &mut scratch);
             assert_eq!(y, Matrix::zeros(3, 4), "{path:?}");
         }
         // The grouped kernels agree on the shapes.
@@ -960,11 +963,11 @@ mod tests {
         // Calling through one scratch repeatedly (the decode hot loop)
         // yields the same bits as fresh scratches every call.
         let cfg = M2xfpConfig::default();
-        let wp = PackedWeightTensor::quantize(&mat(6, 96, 3.0), cfg);
+        let wp = PackedWeightTensor::quantize_parallel(&mat(6, 96, 3.0), cfg);
         let plane = WeightPlane::decode(&wp);
         let mut scratch = GemmScratch::new();
         for seed in [0.0f32, 2.0, 4.0, 6.0] {
-            let xp = PackedActTensor::quantize(&mat(1, 96, seed), cfg);
+            let xp = PackedActTensor::quantize_parallel(&mat(1, 96, seed), cfg);
             let reused = qgemv_packed(&xp, &plane, &mut scratch);
             let fresh = qgemv_packed(&xp, &plane, &mut GemmScratch::new());
             assert_eq!(reused, fresh, "seed {seed}");
@@ -1026,8 +1029,8 @@ mod tests {
         let y = qgemm(&x, &w);
         assert!(y.as_slice().iter().all(|&v| v == 0.0));
         let yp = qgemm_packed(
-            &PackedActTensor::quantize(&Matrix::zeros(2, 32), cfg),
-            &PackedWeightTensor::quantize(&Matrix::zeros(3, 32), cfg),
+            &PackedActTensor::quantize_parallel(&Matrix::zeros(2, 32), cfg),
+            &PackedWeightTensor::quantize_parallel(&Matrix::zeros(3, 32), cfg),
         );
         assert!(yp.as_slice().iter().all(|&v| v == 0.0));
     }
@@ -1048,8 +1051,8 @@ mod tests {
         );
         assert_eq!(a, b);
         let c = qgemm_packed(
-            &PackedActTensor::quantize(&xm, cfg),
-            &PackedWeightTensor::quantize(&wm, cfg),
+            &PackedActTensor::quantize_parallel(&xm, cfg),
+            &PackedWeightTensor::quantize_parallel(&wm, cfg),
         );
         assert_eq!(c, b);
     }

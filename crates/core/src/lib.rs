@@ -80,14 +80,16 @@ pub fn capped_workers(wanted: usize) -> usize {
 ///
 /// ```
 /// use m2x_tensor::Matrix;
-/// use m2xfp::gemm::qgemm_packed_planed;
+/// use m2xfp::gemm::qgemm_packed_planed_scratch;
 /// use m2xfp::prelude::*;
 ///
 /// let cfg = M2xfpConfig::default();
 /// let w = Matrix::from_fn(8, 64, |r, c| ((r * 64 + c) as f32 * 0.1).sin());
 /// let plane = WeightPlane::decode(&PackedWeightTensor::quantize_parallel(&w, cfg));
-/// let x = PackedActTensor::quantize(&Matrix::from_fn(4, 64, |r, c| (r + c) as f32), cfg);
-/// assert_eq!(qgemm_packed_planed(&x, &plane, 1).cols(), 8);
+/// let x = Matrix::from_fn(4, 64, |r, c| (r + c) as f32);
+/// let x = PackedActTensor::quantize_parallel(&x, cfg);
+/// let y = qgemm_packed_planed_scratch(&x, &plane, 1, &mut GemmScratch::new());
+/// assert_eq!(y.cols(), 8);
 /// ```
 pub mod prelude {
     pub use crate::error::Error;

@@ -1,9 +1,9 @@
 //! A ready-to-use quantized linear layer — the API a downstream user would
 //! deploy: weights held in the packed M2XFP representation next to the
 //! [`WeightPlane`] decoded from them once at construction, and every
-//! forward pass running the packed integer kernels directly (online
-//! activation encode, then [`qgemv_packed`] for one row or
-//! [`qgemm_packed_planed_scratch`] for a batch). The grouped [`qgemm`] and
+//! forward pass running the packed integer kernel directly (online
+//! activation encode, then one [`qgemm_packed_planed_scratch`] call for
+//! any row count). The grouped [`qgemm`] and
 //! f64 [`qgemm_reference`](m2xfp::gemm::qgemm_reference) kernels stay as
 //! the oracles the tests pin this path against.
 //!
@@ -11,39 +11,23 @@
 
 use m2x_tensor::Matrix;
 use m2xfp::format::{PackedActTensor, PackedWeightTensor, WeightTensor};
-use m2xfp::gemm::{
-    gemm_threads, qgemm_packed_planed_scratch, qgemv_packed, GemmScratch, WeightPlane,
-};
+use m2xfp::gemm::{gemm_threads, qgemm_packed_planed_scratch, GemmScratch, WeightPlane};
 use m2xfp::{Error, M2xfpConfig};
 
 /// `Q_a(x) · Wᵀ` against a decoded weight plane: online activation encode
-/// (auto-threaded above the work threshold), then the GEMV fast path for
-/// one row or the planed panel kernel for a batch, both reusing
-/// the caller's scratch. The one engine path every layer forward and every
-/// attention score GEMM takes.
+/// (auto-threaded above the work threshold), then the packed kernel with
+/// [`gemm_threads`] workers (one, run inline, for decode-sized work),
+/// reusing the caller's scratch. The one engine path every layer forward
+/// takes.
 pub(crate) fn packed_forward(
     x: &Matrix,
     plane: &WeightPlane,
     cfg: M2xfpConfig,
     scratch: &mut GemmScratch,
 ) -> Matrix {
-    packed_forward_encoded(&PackedActTensor::quantize_parallel(x, cfg), plane, scratch)
-}
-
-/// [`packed_forward`] on an already-encoded input, so one encode can
-/// serve several weight planes (the attention score GEMM runs one per KV
-/// page on the same stacked Q block).
-pub(crate) fn packed_forward_encoded(
-    xq: &PackedActTensor,
-    plane: &WeightPlane,
-    scratch: &mut GemmScratch,
-) -> Matrix {
-    let m = xq.shape().0;
-    if m == 1 {
-        return qgemv_packed(xq, plane, scratch);
-    }
     let (n, k) = plane.shape();
-    qgemm_packed_planed_scratch(xq, plane, gemm_threads(m, k, n), scratch)
+    let xq = PackedActTensor::quantize_parallel(x, cfg);
+    qgemm_packed_planed_scratch(&xq, plane, gemm_threads(x.rows(), k, n), scratch)
 }
 
 /// A linear layer `y = x·Wᵀ` with M2XFP-quantized weights.
@@ -143,9 +127,9 @@ impl QuantizedLinear {
     }
 
     /// [`Self::forward`] with a caller-held reusable [`GemmScratch`] — the
-    /// decode hot-loop entry point: single-row inputs take the GEMV fast
-    /// path and the activation scratch is reused across calls instead of
-    /// allocated fresh. Bit-identical to [`Self::forward`].
+    /// decode hot-loop entry point: the activation scratch is reused
+    /// across calls instead of allocated fresh. Bit-identical to
+    /// [`Self::forward`].
     ///
     /// # Errors
     ///
@@ -166,21 +150,23 @@ impl QuantizedLinear {
         Ok(x.matmul(&self.packed.dequantize().transpose()))
     }
 
-    /// Serializes the weights to the paper's three-stream byte layout.
+    /// Serializes the weights to the paper's three-stream byte layout —
+    /// the packed streams as held, byte-identical to
+    /// [`WeightTensor::pack`] of [`Self::weights`].
     ///
     /// # Errors
     ///
-    /// Propagates the packing layout error.
+    /// Never fails: construction already rejected misaligned rows. The
+    /// `Result` matches [`WeightTensor::pack`].
     pub fn pack_weights(&self) -> Result<Vec<u8>, Error> {
-        self.weights().pack()
+        let p = &self.packed;
+        Ok([p.codes(), p.scales(), p.meta()].concat())
     }
 
-    /// Storage footprint of the packed weights in bytes.
+    /// Storage footprint of the packed weights in bytes: the three streams
+    /// as held (17.5 B per 32-element group at subgroup 16, 18 B at 8).
     pub fn weight_bytes(&self) -> usize {
-        let (n, k) = self.packed.shape();
-        let cfg = self.config();
-        let groups = n * k / cfg.group_size;
-        groups * (cfg.group_size / 2 + 2)
+        self.packed.packed_bytes()
     }
 }
 
@@ -239,9 +225,9 @@ mod tests {
 
     #[test]
     fn forward_scratch_matches_forward_bitwise() {
-        // The scratch-reusing entry point (GEMV fast path at one row,
-        // scratch-backed planed kernel above) is bit-identical to the
-        // allocating forward, with one scratch reused across shapes.
+        // The scratch-reusing entry point (one kernel call at every row
+        // count) is bit-identical to the allocating forward, with one
+        // scratch reused across shapes.
         let (l, x) = layer(7, 96, 9);
         let mut scratch = GemmScratch::new();
         for rows in [1usize, 4, 1] {
@@ -308,6 +294,22 @@ mod tests {
         let bits = l.weight_bytes() as f64 * 8.0 / (8.0 * 64.0);
         assert!((bits - 4.5).abs() < 1e-12);
         assert_eq!(l.pack_weights().unwrap().len(), l.weight_bytes());
+    }
+
+    #[test]
+    fn weight_bytes_are_the_held_streams_at_every_subgroup_size() {
+        // 8 × 64 is 16 groups: 16 B codes + 1 B scale + 2 bits per subgroup
+        // each, so 17.5 B per group at subgroup 16 and 19 B at subgroup 4.
+        let w = Matrix::from_fn(8, 64, |r, c| ((r * 64 + c) as f32 * 0.3).sin());
+        for (sgs, bytes) in [(4, 16 * 19), (8, 16 * 18), (16, 16 * 35 / 2)] {
+            let cfg = M2xfpConfig {
+                subgroup_size: sgs,
+                ..M2xfpConfig::default()
+            };
+            let l = QuantizedLinear::from_weights(&w, cfg).unwrap();
+            assert_eq!(l.weight_bytes(), bytes, "sg={sgs}");
+            assert_eq!(l.pack_weights().unwrap(), l.weights().pack().unwrap());
+        }
     }
 
     #[test]

@@ -51,13 +51,13 @@
 //! `qgemm` and f64 `qgemm_reference` oracles.
 
 use crate::kv_pool::{KvPagePool, PagedKv, PoolGeometry, PrefixMatch};
-use crate::linear::{packed_forward_encoded, QuantizedLinear};
+use crate::linear::QuantizedLinear;
 use crate::profile::{MlpKind, ModelProfile};
 use crate::synth::{weight_matrix, LayerKind};
 use m2x_telemetry::{stage, StageTally, StageTimer};
 use m2x_tensor::Matrix;
 use m2xfp::format::PackedActTensor;
-use m2xfp::gemm::GemmScratch;
+use m2xfp::gemm::{gemm_threads, qgemm_into, GemmScratch};
 use m2xfp::{Error, M2xfpConfig};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -731,8 +731,8 @@ impl ModelWeights {
         // is granted per [`ATTN_MACS_PER_WORKER`] attention MACs, capped at
         // the sessions (workers split the step by session) and the
         // available cores (mirrors `gemm_threads`' policy). An explicit
-        // count is pinned exactly, up to the session count, like
-        // `qgemm_packed_threaded`. Any worker count computes identical bits.
+        // count is pinned exactly, up to the session count. Any worker
+        // count computes identical bits.
         let attn_workers = if threads == 0 {
             let attn_macs: usize = counts
                 .iter()
@@ -908,8 +908,9 @@ impl ModelWeights {
     /// The `heads_per_kv` query heads that share the KV head are read from
     /// the q columns of the step's stacked projection output `qkv` and
     /// stacked head-major as rows of one `[heads_per_kv·t, head_dim]` block
-    /// (stacked row `j·t + i` is head `j` at chunk row `i`), encoded once
-    /// and run through one score GEMM per page. MX groups run along
+    /// (stacked row `j·t + i` is head `j` at chunk row `i`), encoded and
+    /// loaded into the kernel operand once, then run through one score
+    /// GEMM per page. MX groups run along
     /// `head_dim`, so no group spans two heads: every stacked row encodes
     /// to the codes a per-head encode gives it. Masking, softmax, the P
     /// encode and the value mix are per row too, so each head's output is
@@ -947,10 +948,13 @@ impl ModelWeights {
         let qs = Matrix::from_fn(rows, hd, |r, c| {
             qkv[(it.r0 + r % t, q_c0 + (r / t) * hd + c)]
         });
-        let xq = PackedActTensor::quantize_parallel(&qs, self.cfg);
+        scratch.load(&PackedActTensor::quantize_parallel(&qs, self.cfg));
         let mut scores = Matrix::zeros(rows, seq);
         for pi in 0..pages {
-            let s = packed_forward_encoded(&xq, kv.page_k(pi, li, it.kvh), scratch);
+            let k = kv.page_k(pi, li, it.kvh);
+            let n = k.shape().0;
+            let mut s = Matrix::zeros(rows, n);
+            qgemm_into(scratch, k, gemm_threads(rows, hd, n), s.as_mut_slice());
             write_cols(&mut scores, &s, pi * pt);
         }
         for r in 0..rows {
@@ -1012,8 +1016,6 @@ impl ModelWeights {
         // Scores = Q·Kᵀ through the packed quantized GEMM, one GEMM per
         // page: each page's K rows are exactly the weight layout
         // ([rows, head_dim], grouped along the reduction dimension).
-        // Decode steps (t == 1) ride the GEMV fast path with the reused
-        // scratch.
         let mut scores = Matrix::zeros(t, seq);
         for pi in 0..pages {
             let s = crate::linear::packed_forward(qh, kv.page_k(pi, li, kvh), self.cfg, scratch);
@@ -1140,8 +1142,9 @@ impl ModelWeights {
 pub struct QuantizedModel {
     weights: Arc<ModelWeights>,
     state: SessionState,
-    /// Reusable scratch of the session's GEMMs: decode steps run
-    /// allocation-free through the GEMV fast path after warm-up.
+    /// Reusable scratch of the session's GEMMs: decode steps reload its
+    /// activation operands in place, with no plane allocation after
+    /// warm-up.
     scratch: StepScratch,
 }
 

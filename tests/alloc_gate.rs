@@ -6,8 +6,9 @@
 //! this binary installs a counting `#[global_allocator]` and proves the
 //! *runtime* behaviour the discipline exists for:
 //!
-//! 1. the decode GEMV micro-kernel ([`qgemv_packed_into`]) performs
-//!    **zero** heap allocations once its scratch is warm, and
+//! 1. the packed kernel's operand load and body ([`GemmScratch::load`]
+//!    then [`qgemm_into`]) perform **zero** heap allocations at the
+//!    decode GEMV shape once the scratch is warm, and
 //! 2. the serving engine's decode tick stays within a fixed per-step
 //!    allocation budget that does not grow with sequence length —
 //!    the structural allocations (per-layer activation matrices, KV
@@ -28,7 +29,7 @@
 //! counted regions.
 
 use m2xfp_repro::core::format::{PackedActTensor, PackedWeightTensor};
-use m2xfp_repro::core::gemm::{qgemv_packed, qgemv_packed_into, GemmScratch, WeightPlane};
+use m2xfp_repro::core::gemm::{qgemm_into, qgemv_packed, GemmScratch, WeightPlane};
 use m2xfp_repro::core::M2xfpConfig;
 use m2xfp_repro::nn::model::{ModelBuilder, ModelWeights, StepScratch};
 use m2xfp_repro::nn::profile::ModelProfile;
@@ -57,9 +58,11 @@ fn gemv_inputs() -> (Vec<PackedActTensor>, WeightPlane) {
     let profile = ModelProfile::llama3_8b();
     let k = 96; // ragged: not a multiple of the 32-element group
     let n = 48;
-    let w = PackedWeightTensor::quantize(&activation_matrix(&profile, 7, n, k), cfg);
+    let w = PackedWeightTensor::quantize_parallel(&activation_matrix(&profile, 7, n, k), cfg);
     let acts = (0..4)
-        .map(|seed| PackedActTensor::quantize(&activation_matrix(&profile, seed, 1, k), cfg))
+        .map(|seed| {
+            PackedActTensor::quantize_parallel(&activation_matrix(&profile, seed, 1, k), cfg)
+        })
         .collect();
     (acts, WeightPlane::decode(&w))
 }
@@ -148,32 +151,35 @@ fn telemetry_recording_zero_allocations() {
     );
 }
 
-/// After one warm-up call, `qgemv_packed_into` is allocation-free for any
-/// number of decode steps at that shape — and bit-identical to the
-/// allocating `qgemv_packed` surface.
+/// After one warm-up call, `load` + `qgemm_into` at the one-row decode
+/// shape is allocation-free for any number of decode steps — and
+/// bit-identical to the allocating `qgemv_packed` surface.
 fn gemv_zero_allocations_after_warmup() {
     let (acts, plane) = gemv_inputs();
     let mut scratch = GemmScratch::new();
     let mut out = vec![0.0f32; 48];
 
-    // Warm-up: first call sizes the scratch decode buffers.
-    qgemv_packed_into(&acts[0], &plane, &mut scratch, &mut out);
+    // Warm-up: the first load sizes the scratch decode buffers.
+    scratch.load(&acts[0]);
+    qgemm_into(&scratch, &plane, 1, &mut out);
 
     let (allocs, ()) = count_allocations(|| {
         for _ in 0..8 {
             for x in &acts {
-                qgemv_packed_into(x, &plane, &mut scratch, &mut out);
+                scratch.load(x);
+                qgemm_into(&scratch, &plane, 1, &mut out);
             }
         }
     });
     assert_eq!(
         allocs, 0,
-        "qgemv_packed_into allocated {allocs} times across 32 warm decode steps"
+        "load + qgemm_into allocated {allocs} times across 32 warm decode steps"
     );
 
     // The zero-alloc surface computes the same bits as the Matrix one.
     for x in &acts {
-        qgemv_packed_into(x, &plane, &mut scratch, &mut out);
+        scratch.load(x);
+        qgemm_into(&scratch, &plane, 1, &mut out);
         let want = qgemv_packed(x, &plane, &mut scratch);
         for (got, want) in out.iter().zip(want.as_slice()) {
             assert_eq!(got.to_bits(), want.to_bits());
@@ -186,7 +192,7 @@ fn gemv_zero_allocations_after_warmup() {
 /// allocation, the output matrix.
 fn act_dequantize_allocates_only_its_output() {
     let (acts, _) = gemv_inputs();
-    let wide = PackedActTensor::quantize(
+    let wide = PackedActTensor::quantize_parallel(
         &activation_matrix(&ModelProfile::llama3_8b(), 5, 4, 300),
         M2xfpConfig::default(),
     );

@@ -5,8 +5,8 @@
 use m2xfp_repro::core::activation::{dequantize_group, fake_quantize_group, quantize_group};
 use m2xfp_repro::core::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use m2xfp_repro::core::gemm::{
-    qgemm, qgemm_packed_planed_on, qgemm_packed_planed_scratch, qgemm_packed_threaded,
-    qgemm_reference, qgemv_packed, GemmScratch, KernelPath, WeightPlane,
+    qgemm, qgemm_into_on, qgemm_packed_planed_scratch, qgemm_reference, qgemv_packed, GemmScratch,
+    KernelPath, WeightPlane,
 };
 use m2xfp_repro::core::strategy::{MetadataStrategy, ScaleMode};
 use m2xfp_repro::core::weight;
@@ -156,7 +156,7 @@ fn packed_streams_equal_grouped_representation() {
         let m = Matrix::from_vec(rows, cols, data);
 
         let act = ActTensor::quantize(&m, cfg);
-        let pact = PackedActTensor::quantize(&m, cfg);
+        let pact = PackedActTensor::quantize_parallel(&m, cfg);
         assert_eq!(PackedActTensor::from_grouped(&act), pact, "case {}", g.case);
         assert_eq!(pact.to_grouped(), act, "case {}", g.case);
         assert_eq!(pact.dequantize(), act.dequantize(), "case {}", g.case);
@@ -172,7 +172,7 @@ fn packed_streams_equal_grouped_representation() {
         }
 
         let wt = WeightTensor::quantize(&m, cfg);
-        let pwt = PackedWeightTensor::quantize(&m, cfg);
+        let pwt = PackedWeightTensor::quantize_parallel(&m, cfg);
         assert_eq!(
             PackedWeightTensor::from_grouped(&wt),
             pwt,
@@ -212,7 +212,7 @@ fn packed_act_dequantize_bit_exact() {
                 }
             })
             .collect();
-        let p = PackedActTensor::quantize(&Matrix::from_vec(rows, cols, data), cfg);
+        let p = PackedActTensor::quantize_parallel(&Matrix::from_vec(rows, cols, data), cfg);
         let (got, want) = (p.dequantize(), p.to_grouped().dequantize());
         assert_eq!((got.rows(), got.cols()), (rows, cols), "case {}", g.case);
         for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -236,6 +236,20 @@ fn supported_paths() -> Vec<KernelPath> {
         .collect();
     assert_eq!(paths[0], KernelPath::Portable);
     paths
+}
+
+/// Loads `x` and runs `path`'s kernel into a fresh matrix.
+fn qgemm_on(
+    path: KernelPath,
+    x: &PackedActTensor,
+    w: &WeightPlane,
+    threads: usize,
+    scratch: &mut GemmScratch,
+) -> Matrix {
+    scratch.load(x);
+    let mut y = Matrix::zeros(x.shape().0, w.shape().0);
+    qgemm_into_on(path, scratch, w, threads, y.as_mut_slice());
+    y
 }
 
 /// The packed qGEMM on every kernel path this CPU runs, the dispatched
@@ -266,17 +280,17 @@ fn packed_qgemm_bit_exact() {
         let wt = wpacked.to_grouped();
         let want = qgemm_reference(&xa, &wt);
         let threads = 1 + g.below(4);
-        let xp = PackedActTensor::quantize(&xm, cfg);
+        let xp = PackedActTensor::quantize_parallel(&xm, cfg);
         let plane = WeightPlane::decode(&wpacked);
         let mut got = vec![
             ("grouped".to_string(), qgemm(&xa, &wt)),
             (
                 "dispatched".to_string(),
-                qgemm_packed_threaded(&xp, &wpacked, threads),
+                qgemm_packed_planed_scratch(&xp, &plane, threads, &mut scratch),
             ),
         ];
         for &path in &paths {
-            let y = qgemm_packed_planed_on(path, &xp, &plane, threads, &mut scratch);
+            let y = qgemm_on(path, &xp, &plane, threads, &mut scratch);
             got.push((path.name().to_string(), y));
         }
         for (name, y) in &got {
@@ -323,20 +337,15 @@ fn decode_kernels_bit_exact() {
             &ActTensor::quantize(&xm, cfg),
             &WeightTensor::quantize(&wm, cfg),
         );
-        let xp = PackedActTensor::quantize(&xm, cfg);
-        let wp = PackedWeightTensor::quantize(&wm, cfg);
+        let xp = PackedActTensor::quantize_parallel(&xm, cfg);
+        let wp = PackedWeightTensor::quantize_parallel(&wm, cfg);
         let plane = WeightPlane::decode(&wp);
         let gemv = qgemv_packed(&xp, &plane, &mut scratch);
         let threads = 1 + g.below(4);
         let planed = qgemm_packed_planed_scratch(&xp, &plane, threads, &mut scratch);
         let on_paths: Vec<_> = paths
             .iter()
-            .map(|&p| {
-                (
-                    p,
-                    qgemm_packed_planed_on(p, &xp, &plane, threads, &mut scratch),
-                )
-            })
+            .map(|&p| (p, qgemm_on(p, &xp, &plane, threads, &mut scratch)))
             .collect();
         for j in 0..n {
             let w = want[(0, j)].to_bits();
@@ -390,16 +399,26 @@ fn scale_rule_laws() {
 }
 
 /// Packed round-trip equals the in-memory representation for any aligned
-/// activation tensor (byte-serialization path).
+/// activation or weight tensor (byte-serialization path), at every
+/// subgroup size the group of 32 divides into.
 #[test]
 fn pack_unpack_roundtrip() {
     cases(128, |g| {
-        let xs = g.vec_f32(2 * 64, -8.0, 8.0);
-        let cfg = M2xfpConfig::default();
-        let t = ActTensor::quantize(&Matrix::from_vec(2, 64, xs), cfg);
+        let rows = 1 + g.below(3);
+        let xs = g.vec_f32(rows * 64, -8.0, 8.0);
+        let cfg = M2xfpConfig {
+            subgroup_size: [2usize, 4, 8, 16, 32][g.below(5)],
+            ..M2xfpConfig::default()
+        };
+        let m = Matrix::from_vec(rows, 64, xs);
+        let t = ActTensor::quantize(&m, cfg);
         let bytes = t.pack().unwrap();
-        let t2 = ActTensor::unpack(&bytes, 2, 64, cfg).unwrap();
-        assert_eq!(t, t2, "case {}", g.case);
+        let t2 = ActTensor::unpack(&bytes, rows, 64, cfg).unwrap();
+        assert_eq!(t, t2, "case {} sg={}", g.case, cfg.subgroup_size);
+        let w = WeightTensor::quantize(&m, cfg);
+        let bytes = w.pack().unwrap();
+        let w2 = WeightTensor::unpack(&bytes, rows, 64, cfg).unwrap();
+        assert_eq!(w, w2, "case {} sg={}", g.case, cfg.subgroup_size);
     });
 }
 
@@ -507,7 +526,7 @@ fn parallel_lut_weight_search_bit_identical_to_oracle() {
             ..M2xfpConfig::default()
         };
         let oracle = PackedWeightTensor::from_grouped(&WeightTensor::quantize_reference(&m, cfg));
-        let seq = PackedWeightTensor::quantize(&m, cfg);
+        let seq = PackedWeightTensor::quantize_parallel_threaded(&m, cfg, 1);
         assert_eq!(seq, oracle, "case {} (sequential)", g.case);
         let threads = 1 + g.below(6);
         let par = PackedWeightTensor::quantize_parallel_threaded(&m, cfg, threads);
