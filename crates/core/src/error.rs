@@ -41,6 +41,14 @@ pub enum Error {
         /// Byte length received.
         got: usize,
     },
+    /// A serialized buffer holds the E8M0 NaN code (0xFF) as a group's
+    /// scale; no encoder writes it, and no kernel can scale by it.
+    NanScale {
+        /// Tensor being unpacked.
+        tensor: String,
+        /// Row-major index of the first group with the NaN scale.
+        group: usize,
+    },
     /// Invalid configuration (model builder, session setup).
     Config {
         /// Human-readable description naming the offending field.
@@ -63,7 +71,8 @@ impl Error {
         match &mut self {
             Error::Misaligned { tensor, .. }
             | Error::WidthMismatch { tensor, .. }
-            | Error::BufferLength { tensor, .. } => *tensor = name.into(),
+            | Error::BufferLength { tensor, .. }
+            | Error::NanScale { tensor, .. } => *tensor = name.into(),
             Error::Config { msg } => *msg = format!("{}: {msg}", name.into()),
         }
         self
@@ -97,6 +106,9 @@ impl fmt::Display for Error {
                 f,
                 "{tensor}: buffer is {got} bytes, layout requires {expected}"
             ),
+            Error::NanScale { tensor, group } => {
+                write!(f, "{tensor}: group {group} has the E8M0 NaN scale")
+            }
             Error::Config { msg } => write!(f, "invalid configuration: {msg}"),
         }
     }

@@ -120,7 +120,8 @@ impl ActTensor {
     ///
     /// # Errors
     ///
-    /// Fails on misaligned shapes or a buffer of the wrong length.
+    /// Fails on misaligned shapes, a buffer of the wrong length or a NaN
+    /// scale byte.
     pub fn unpack(buf: &[u8], rows: usize, cols: usize, cfg: M2xfpConfig) -> Result<Self, Error> {
         check_aligned("activation tensor", cols, &cfg)?;
         let s = PackedStreams::from_bytes("activation tensor", buf, rows, cols, cfg)?;
@@ -217,7 +218,8 @@ impl WeightTensor {
     ///
     /// # Errors
     ///
-    /// Fails on misaligned shapes or a buffer of the wrong length.
+    /// Fails on misaligned shapes, a buffer of the wrong length or a NaN
+    /// scale byte.
     pub fn unpack(buf: &[u8], rows: usize, cols: usize, cfg: M2xfpConfig) -> Result<Self, Error> {
         check_aligned("weight tensor", cols, &cfg)?;
         let s = PackedStreams::from_bytes("weight tensor", buf, rows, cols, cfg)?;
@@ -380,7 +382,8 @@ impl PackedStreams {
     }
 
     /// Splits a [`Self::to_bytes`] buffer of a `rows × cols` tensor (whole
-    /// groups per row) back into the three streams.
+    /// groups per row) back into the three streams, rejecting a scale byte
+    /// that holds the E8M0 NaN code.
     fn from_bytes(
         tensor: &str,
         buf: &[u8],
@@ -406,6 +409,12 @@ impl PackedStreams {
         };
         let (codes, rest) = buf.split_at(codes);
         let (scales, meta) = rest.split_at(scales);
+        if let Some(group) = scales.iter().position(|&b| E8M0::from_bits(b).is_nan()) {
+            return Err(Error::NanScale {
+                tensor: tensor.to_string(),
+                group,
+            });
+        }
         Ok(PackedStreams {
             rows,
             cols,

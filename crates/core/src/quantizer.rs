@@ -10,6 +10,7 @@
 //! * `quantize_*` return the dequantized ("fake-quantized") tensor, which is
 //!   exactly what flows through the paper's accuracy evaluation.
 
+use crate::ebw::BitBudget;
 use crate::format::PackedWeightTensor;
 use crate::{activation, M2xfpConfig};
 use m2x_tensor::Matrix;
@@ -94,8 +95,7 @@ impl TensorQuantizer for M2xfpQuantizer {
     }
 
     fn weight_ebw(&self) -> f64 {
-        let n_sub = (self.cfg.group_size / self.cfg.subgroup_size) as f64;
-        4.0 + (2.0 * n_sub + 8.0) / self.cfg.group_size as f64
+        BitBudget::with_subgroup_meta(self.cfg.group_size, self.cfg.subgroup_size, 2.0).ebw()
     }
 
     fn activation_ebw(&self) -> f64 {

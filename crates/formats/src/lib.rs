@@ -13,7 +13,7 @@
 //! * [`int`] — symmetric integer codecs (INT3/INT4/INT8) for SMX/MXINT/QuaRot.
 //! * [`codebook`] — arbitrary value-grid quantizers used by ANT / M-ANT /
 //!   BlockDialect style formats.
-//! * [`packing`] — bit-packing utilities and the M2XFP group memory layout.
+//! * [`packing`] — the nibble and 2-bit accessors of the M2XFP streams.
 //! * [`tables`] — the FP4→UINT monotone lookup table of the Top-1 Decode Unit.
 //!
 //! All encoders use round-to-nearest-even with saturation, matching the OCP

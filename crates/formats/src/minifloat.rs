@@ -123,7 +123,7 @@ impl Minifloat {
     }
 
     /// Number of magnitude bits (exponent + mantissa).
-    pub fn magnitude_bits(&self) -> u32 {
+    fn magnitude_bits(&self) -> u32 {
         self.exp_bits + self.man_bits
     }
 
@@ -139,7 +139,7 @@ impl Minifloat {
     }
 
     /// Smallest positive normal value.
-    pub fn min_normal(&self) -> f32 {
+    fn min_normal(&self) -> f32 {
         ((1 - self.bias) as f32).exp2()
     }
 
@@ -339,11 +339,6 @@ impl Minifloat {
         out.dedup();
         out
     }
-
-    /// Number of distinct finite codes (including both signs and ±0).
-    pub fn code_count(&self) -> usize {
-        1usize << self.total_bits()
-    }
 }
 
 impl fmt::Display for Minifloat {
@@ -419,7 +414,7 @@ mod tests {
             Minifloat::new(4, 3, SpecialValues::NanOnly).unwrap(),
             Minifloat::new(5, 2, SpecialValues::Ieee).unwrap(),
         ] {
-            for code in 0..f.code_count() as u16 {
+            for code in 0..1u16 << f.total_bits() {
                 let v = f.decode(code as u8);
                 if v.is_nan() {
                     continue;

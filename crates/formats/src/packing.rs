@@ -1,28 +1,23 @@
-//! Bit-packing utilities and the M2XFP stream memory layout.
+//! The bit accessors of the M2XFP streams: 4-bit element codes, two per
+//! byte, and 2-bit subgroup metadata fields, four per byte, both
+//! LSB-first.
 //!
-//! M2XFP stores a group of 32 elements as three separately organized
-//! streams (paper §5.2): a 128-bit block of packed 4-bit element codes, an
-//! 8-bit shared scale, and 8 bits of metadata (4 subgroups × 2 bits at
-//! subgroup size 8). Elements, scales and metadata each live in their own
-//! contiguous region so that loads stay aligned.
-
-/// Packs 4-bit codes, two per byte, low nibble first.
-///
-/// ```
-/// use m2x_formats::packing::{pack_nibbles, unpack_nibbles};
-///
-/// let packed = pack_nibbles(&[0x3, 0xA, 0xF]);
-/// assert_eq!(&packed[..], &[0xA3, 0x0F]);
-/// assert_eq!(unpack_nibbles(&packed, 3), vec![0x3, 0xA, 0xF]);
-/// ```
-pub fn pack_nibbles(codes: &[u8]) -> Vec<u8> {
-    let mut out = vec![0u8; codes.len().div_ceil(2)];
-    pack_nibbles_into(codes, &mut out);
-    out
-}
+//! The §5.2 layout itself (which stream holds what, and the byte order of
+//! a serialized tensor) is stated once, by `PackedStreams` in
+//! `m2xfp::format`; every stream it holds is written and read through
+//! these four functions.
+//!
+//! ```
+//! use m2x_formats::packing::{nibble_at, pack_nibbles_into};
+//!
+//! let mut packed = [0u8; 2];
+//! pack_nibbles_into(&[0x3, 0xA, 0xF], &mut packed);
+//! assert_eq!(packed, [0xA3, 0x0F]);
+//! assert_eq!(nibble_at(&packed, 1), 0xA);
+//! ```
 
 /// Packs 4-bit codes into a caller-provided buffer, two per byte, low
-/// nibble first — the allocation-free primitive behind [`pack_nibbles`].
+/// nibble first.
 ///
 /// Branch-free in the steady state: full pairs are combined with shift-or;
 /// only a trailing odd code takes a separate path.
@@ -39,27 +34,6 @@ pub fn pack_nibbles_into(codes: &[u8], out: &mut [u8]) {
     }
     if let Some(&last) = tail.first() {
         out[nbytes - 1] = last & 0xF;
-    }
-}
-
-/// Unpacks `n` 4-bit codes from bytes produced by [`pack_nibbles`].
-pub fn unpack_nibbles(bytes: &[u8], n: usize) -> Vec<u8> {
-    let mut out = vec![0u8; n];
-    unpack_nibbles_into(bytes, &mut out);
-    out
-}
-
-/// Unpacks 4-bit codes into a caller-provided buffer (one code per output
-/// byte) — the allocation-free primitive behind [`unpack_nibbles`].
-///
-/// # Panics
-///
-/// Panics when `bytes` holds fewer than `out.len()` nibbles.
-pub fn unpack_nibbles_into(bytes: &[u8], out: &mut [u8]) {
-    assert!(bytes.len() * 2 >= out.len(), "input buffer too short");
-    for (i, o) in out.iter_mut().enumerate() {
-        // Branch-free nibble select: shift by 0 or 4 depending on parity.
-        *o = (bytes[i >> 1] >> ((i & 1) * 4)) & 0xF;
     }
 }
 
@@ -85,230 +59,30 @@ pub fn set_two_bits(bytes: &mut [u8], i: usize, v: u8) {
     bytes[i >> 2] |= (v & 0b11) << ((i & 3) * 2);
 }
 
-/// Writes fields of arbitrary bit width (LSB-first within the stream).
-#[derive(Debug, Default, Clone)]
-pub struct BitWriter {
-    buf: Vec<u8>,
-    bit_len: usize,
-}
-
-impl BitWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends the low `width` bits of `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width > 32`.
-    pub fn push(&mut self, value: u32, width: u32) {
-        assert!(width <= 32, "field width > 32");
-        for i in 0..width {
-            let bit = (value >> i) & 1;
-            let byte_idx = self.bit_len / 8;
-            if byte_idx == self.buf.len() {
-                self.buf.push(0);
-            }
-            self.buf[byte_idx] |= (bit as u8) << (self.bit_len % 8);
-            self.bit_len += 1;
-        }
-    }
-
-    /// Total bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.bit_len
-    }
-
-    /// Finishes and returns the packed bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Reads fields written by [`BitWriter`].
-#[derive(Debug, Clone)]
-pub struct BitReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BitReader<'a> {
-    /// Creates a reader over `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        BitReader { buf, pos: 0 }
-    }
-
-    /// Reads the next `width` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read runs past the end of the buffer or `width > 32`.
-    pub fn read(&mut self, width: u32) -> u32 {
-        assert!(width <= 32, "field width > 32");
-        let mut v = 0u32;
-        for i in 0..width {
-            let byte_idx = self.pos / 8;
-            assert!(byte_idx < self.buf.len(), "bit read out of bounds");
-            let bit = (self.buf[byte_idx] >> (self.pos % 8)) & 1;
-            v |= (bit as u32) << i;
-            self.pos += 1;
-        }
-        v
-    }
-
-    /// Current bit position.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-}
-
-/// Byte-level layout of an M2XFP-style packed tensor with `groups` groups of
-/// `group_size` elements, `elem_bits`-bit codes and `meta_bits_per_group`
-/// bits of metadata per group.
-///
-/// The three streams are stored contiguously in the order
-/// `elements | scales | metadata`, each region starting at a byte boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamLayout {
-    /// Number of groups.
-    pub groups: usize,
-    /// Elements per group (the paper uses 32).
-    pub group_size: usize,
-    /// Bits per element code (4 for FP4).
-    pub elem_bits: u32,
-    /// Metadata bits per group (8 for M2XFP: 4 subgroups × 2 bits).
-    pub meta_bits_per_group: u32,
-}
-
-impl StreamLayout {
-    /// The paper's production configuration: group 32, FP4 elements,
-    /// subgroup 8 → 8 metadata bits per group.
-    pub fn m2xfp_default(groups: usize) -> Self {
-        StreamLayout {
-            groups,
-            group_size: 32,
-            elem_bits: 4,
-            meta_bits_per_group: 8,
-        }
-    }
-
-    /// Bytes of packed element codes per group.
-    pub fn elem_bytes_per_group(&self) -> usize {
-        (self.group_size * self.elem_bits as usize).div_ceil(8)
-    }
-
-    /// Bytes in the element stream.
-    pub fn elem_stream_bytes(&self) -> usize {
-        self.groups * self.elem_bytes_per_group()
-    }
-
-    /// Bytes in the scale stream (one E8M0/FP8 byte per group).
-    pub fn scale_stream_bytes(&self) -> usize {
-        self.groups
-    }
-
-    /// Bytes in the metadata stream.
-    pub fn meta_stream_bytes(&self) -> usize {
-        (self.groups * self.meta_bits_per_group as usize).div_ceil(8)
-    }
-
-    /// Total footprint in bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.elem_stream_bytes() + self.scale_stream_bytes() + self.meta_stream_bytes()
-    }
-
-    /// Byte offset of the scale stream.
-    pub fn scale_offset(&self) -> usize {
-        self.elem_stream_bytes()
-    }
-
-    /// Byte offset of the metadata stream.
-    pub fn meta_offset(&self) -> usize {
-        self.elem_stream_bytes() + self.scale_stream_bytes()
-    }
-
-    /// Effective bits per element including amortized scale and metadata —
-    /// the storage-side counterpart of the paper's EBW (Eq. 2).
-    pub fn bits_per_element(&self) -> f64 {
-        (self.total_bytes() * 8) as f64 / (self.groups * self.group_size) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn read_back(packed: &[u8], n: usize) -> Vec<u8> {
+        (0..n).map(|i| nibble_at(packed, i)).collect()
+    }
+
     #[test]
     fn nibble_roundtrip() {
+        // 32 codes fill the 128-bit element block of one group, as in the
+        // paper.
         let codes: Vec<u8> = (0..32).map(|i| (i * 7) as u8 & 0xF).collect();
-        let packed = pack_nibbles(&codes);
-        assert_eq!(packed.len(), 16); // 128-bit block, as in the paper
-        assert_eq!(unpack_nibbles(&packed, 32), codes);
+        let mut block = [0u8; 16];
+        pack_nibbles_into(&codes, &mut block);
+        assert_eq!(read_back(&block, 32), codes);
     }
 
     #[test]
     fn nibble_odd_count() {
         let codes = [0x1u8, 0x2, 0x3];
-        let packed = pack_nibbles(&codes);
-        assert_eq!(packed.len(), 2);
-        assert_eq!(unpack_nibbles(&packed, 3), codes);
-    }
-
-    #[test]
-    fn bit_writer_reader_roundtrip() {
-        let mut w = BitWriter::new();
-        let fields: [(u32, u32); 7] = [
-            (0x3, 2),
-            (0x1F, 5),
-            (0, 1),
-            (0xABC, 12),
-            (1, 1),
-            (0x7F, 7),
-            (0x3FFFFFFF, 30),
-        ];
-        for (v, width) in fields {
-            w.push(v, width);
-        }
-        let total: u32 = fields.iter().map(|f| f.1).sum();
-        assert_eq!(w.bit_len() as u32, total);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        for (v, width) in fields {
-            assert_eq!(r.read(width), v);
-        }
-    }
-
-    #[test]
-    fn m2xfp_layout_matches_paper() {
-        // Per group of 32: 16 B elements + 1 B scale + 1 B metadata.
-        let l = StreamLayout::m2xfp_default(100);
-        assert_eq!(l.elem_bytes_per_group(), 16);
-        assert_eq!(l.elem_stream_bytes(), 1600);
-        assert_eq!(l.scale_stream_bytes(), 100);
-        assert_eq!(l.meta_stream_bytes(), 100);
-        assert_eq!(l.total_bytes(), 1800);
-        // 4.5 bits/element — the paper's effective precision.
-        assert!((l.bits_per_element() - 4.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mxfp4_layout_is_4_25_bits() {
-        let l = StreamLayout {
-            groups: 8,
-            group_size: 32,
-            elem_bits: 4,
-            meta_bits_per_group: 0,
-        };
-        assert!((l.bits_per_element() - 4.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn offsets_are_contiguous() {
-        let l = StreamLayout::m2xfp_default(3);
-        assert_eq!(l.scale_offset(), 48);
-        assert_eq!(l.meta_offset(), 51);
-        assert_eq!(l.total_bytes(), 54);
+        let mut packed = [0u8; 2];
+        pack_nibbles_into(&codes, &mut packed);
+        assert_eq!(packed, [0x21, 0x03]);
+        assert_eq!(read_back(&packed, 3), codes);
     }
 }

@@ -62,14 +62,6 @@ impl Json {
         }
     }
 
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The array elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -386,7 +378,7 @@ mod tests {
             v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
             Some(-300.0)
         );
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Null));
         assert_eq!(v.get("e").unwrap().as_str(), Some("x\ny"));
     }

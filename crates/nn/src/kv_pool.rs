@@ -33,10 +33,13 @@
 //!   ([`KvPagePool::lookup_prefix`] → [`PagedKv::adopt_prefix`]) instead
 //!   of re-quantizing them; the stored source rows are verified bitwise
 //!   before adoption, so a hash collision can never smuggle in foreign KV
-//!   state. The retention list is the prefix index: a FIFO of at most
-//!   `RETAIN_CAP` frozen pages, scanned for a page's chain hash at
-//!   admission and when a prefill ends. An evicted page is no longer
-//!   adoptable, even while a session still holds it.
+//!   state. The retention list is the prefix index: at most `RETAIN_CAP`
+//!   frozen pages, scanned for a page's chain hash at admission and when
+//!   a prefill ends. A page found by either scan moves to the back, so
+//!   the page evicted first is the least recently hit, and a prefix that
+//!   requests keep adopting outlives any stream of one-off pages. An
+//!   evicted page is no longer adoptable, even while a session still
+//!   holds it.
 //!
 //! Accounting is honest about both representations:
 //! [`PagedKv::packed_bytes`] counts the canonical 4.5-bit streams (what
@@ -54,9 +57,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 /// a burst of churn cannot pin unbounded capacity.
 const FREE_LIST_CAP: usize = 256;
 
-/// Frozen prefix pages the pool itself keeps alive (FIFO) so a prefix
-/// outlives the request that produced it; older pages are evicted, and
-/// only retained pages are adoptable.
+/// Frozen prefix pages the pool itself keeps alive so a prefix outlives
+/// the request that produced it; the least recently hit page is evicted
+/// first, and only retained pages are adoptable.
 const RETAIN_CAP: usize = 64;
 
 /// Seed of the prompt-row chain hash (two mixed 64-bit streams).
@@ -256,7 +259,8 @@ impl PageHandle {
     }
 
     /// `true` iff both handles point at the same page storage.
-    pub fn same_page(&self, other: &PageHandle) -> bool {
+    #[cfg(test)]
+    fn same_page(&self, other: &PageHandle) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
 }
@@ -293,17 +297,22 @@ pub struct PoolStats {
 
 struct PoolInner {
     free: Vec<Vec<PageEntry>>,
-    /// Frozen prefix pages, oldest first: the prefix index.
+    /// Frozen prefix pages, least recently hit first: the prefix index.
     retained: VecDeque<Arc<PageBox>>,
     stats: PoolStats,
 }
 
 impl PoolInner {
-    /// The retained page frozen under chain hash `h`, if any.
-    fn find_retained(&self, h: u128) -> Option<&Arc<PageBox>> {
-        self.retained
+    /// The retained page frozen under chain hash `h`, if any, moved to the
+    /// back of the list: eviction takes the least recently hit page.
+    fn find_retained(&mut self, h: u128) -> Option<&Arc<PageBox>> {
+        let i = self
+            .retained
             .iter()
-            .find(|p| p.meta.get().is_some_and(|m| m.chain_hash == h))
+            .position(|p| p.meta.get().is_some_and(|m| m.chain_hash == h))?;
+        let page = self.retained.remove(i)?;
+        self.retained.push_back(page);
+        self.retained.back()
     }
 }
 
@@ -489,10 +498,10 @@ impl KvPagePool {
     /// Freezes the full pages of a completed prefill under the chain hash
     /// of the prompt rows they cover and retains them, so a prefix
     /// outlives the request that produced it. The pool retains up to
-    /// `RETAIN_CAP` frozen pages and evicts the oldest first. Pages
-    /// already frozen (an adopted prefix, a replayed request) are left
-    /// as-is, and a page already retained under a chain hash is never
-    /// displaced.
+    /// `RETAIN_CAP` frozen pages and evicts the least recently hit first.
+    /// Pages already frozen (an adopted prefix, a replayed request) are
+    /// left as-is, and a page already retained under a chain hash is never
+    /// displaced; it counts as hit.
     pub fn register_prefix(&self, prompt: &Matrix, prefill_out: &Matrix, kv: &PagedKv) {
         let pt = self.geom.page_tokens;
         let full = (prompt.rows() / pt)
@@ -971,8 +980,31 @@ mod tests {
     }
 
     #[test]
+    fn prefix_in_use_outlives_one_off_pages() {
+        // A prefix that every request adopts stays retained under a stream
+        // of unique full pages: each hit moves it to the back of the list,
+        // so eviction takes the one-off pages instead.
+        let pool = KvPagePool::new(geom()).unwrap();
+        let mut shared = PagedKv::new(Arc::clone(&pool));
+        append_all(&mut shared, &rows(32, 64, -1.0), &rows(32, 64, -0.5));
+        let prompt = rows(33, 16, -1.0);
+        pool.register_prefix(&prompt, &rows(32, 16, -0.75), &shared);
+        drop(shared);
+        for i in 0..2 * RETAIN_CAP {
+            let seed = i as f32;
+            let mut kv = PagedKv::new(Arc::clone(&pool));
+            append_all(&mut kv, &rows(32, 64, seed), &rows(32, 64, seed + 0.5));
+            pool.register_prefix(&rows(32, 16, seed), &rows(32, 16, seed + 0.25), &kv);
+            assert!(pool.lookup_prefix(&prompt).is_some(), "evicted after {i}");
+        }
+        assert_eq!(pool.stats().retained_pages, RETAIN_CAP as u64);
+        pool.clear_retained();
+        assert_eq!(pool.stats().pages_in_use, 0);
+    }
+
+    #[test]
     fn evicted_page_is_not_adoptable_while_a_session_holds_it() {
-        // A page pushed out of the retention FIFO stays alive in the
+        // A page pushed out of the retention list stays alive in the
         // session that holds it, but no lookup may hand it out again.
         let pool = KvPagePool::new(geom()).unwrap();
         let mut held = PagedKv::new(Arc::clone(&pool));

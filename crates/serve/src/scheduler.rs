@@ -360,7 +360,6 @@ struct Active {
     session: SessionState,
     next_input: Matrix,
     prefilling: bool,
-    remaining: usize,
     prefill_out: Matrix,
     decoded: Matrix,
     arrived_step: u64,
@@ -368,10 +367,12 @@ struct Active {
     stream: bool,
     /// When the request was submitted (TTFT base).
     submitted_at: Instant,
-    /// Whether the prefill-complete trace event has been emitted; set
-    /// once and kept across recovery replays so the lifecycle trace shows
+    /// Whether the end of this request's prefill has been marked: its
+    /// prefix registered with the pool's prefix index and its prefill
+    /// trace instant emitted. Set once and kept across recovery replays,
+    /// so a replay never re-freezes pages and the lifecycle trace shows
     /// each transition exactly once.
-    prefill_traced: bool,
+    prefill_marked: bool,
     /// Decode rows reported so far: each got its token trace instant, a
     /// count in [`ServeStats::decoded_tokens`] and, for a streaming
     /// request, its published row, and the first one the TTFT sample. A
@@ -385,10 +386,6 @@ struct Active {
     /// `consume` stitches them in front of the suffix prefill output so
     /// [`Completed::prefill_out`] always covers the whole prompt.
     adopted_out: Option<Matrix>,
-    /// Whether this request's prefix has been registered with the pool's
-    /// prefix index. Set once after prefill completes and kept across
-    /// recovery replays, so a replayed request never re-freezes pages.
-    registered: bool,
 }
 
 impl Active {
@@ -413,7 +410,6 @@ impl Active {
             next_input,
             prompt: p.prompt,
             prefilling: true,
-            remaining: p.decode_steps,
             decode_steps: p.decode_steps,
             prefill_out: Matrix::zeros(0, hidden),
             decoded: Matrix::zeros(0, hidden),
@@ -421,10 +417,9 @@ impl Active {
             deadline: p.deadline,
             stream: p.stream,
             submitted_at: p.submitted_at,
-            prefill_traced: false,
+            prefill_marked: false,
             reported: 0,
             adopted_out,
-            registered: false,
         }
     }
 
@@ -444,26 +439,24 @@ impl Active {
             self.prefilling = false;
         } else {
             self.decoded.push_rows(&y);
-            self.remaining -= 1;
         }
     }
 
     fn finished(&self) -> bool {
-        !self.prefilling && self.remaining == 0
+        !self.prefilling && self.decoded.rows() == self.decode_steps
     }
 
     /// Rewinds the request to its prompt for a recovery replay: fresh KV
     /// state, original inputs, progress discarded (`reported` keeps its
     /// mark). Adoption is discarded too — the replay prefills the full
     /// prompt from scratch, so a fault can never hide behind a shared
-    /// page — while `registered` survives, so replays never re-freeze
+    /// page — while `prefill_marked` survives, so replays never re-freeze
     /// pages.
     fn reset_for_replay(&mut self) {
         self.session.reset();
         self.adopted_out = None;
         self.next_input = self.prompt.clone();
         self.prefilling = true;
-        self.remaining = self.decode_steps;
         self.prefill_out = Matrix::zeros(0, self.prefill_out.cols());
         self.decoded = Matrix::zeros(0, self.decoded.cols());
     }
@@ -1331,19 +1324,25 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                 cursor = cursor.saturating_add(dur);
             }
         }
-        // Register completed prefills with the pool's prefix index so a
-        // later request sharing the prompt prefix can adopt the frozen
-        // pages. Once per request — `registered` survives recovery
-        // replays, so a replay never re-freezes. Pool lock only, taken
-        // before the queue lock below (the lock order everywhere is
-        // queue → pool, never the reverse).
+        // Mark each completed prefill: register it with the pool's prefix
+        // index, so a later request sharing the prompt prefix can adopt
+        // the frozen pages, and emit its prefill instant. Once per request
+        // — `prefill_marked` survives recovery replays, so a replay never
+        // re-freezes or re-traces. Pool lock only, taken before the queue
+        // lock below (the lock order everywhere is queue → pool, never the
+        // reverse).
         for a in &mut active {
-            if !a.prefilling && !a.registered {
-                a.registered = true;
+            if !a.prefilling && !a.prefill_marked {
+                a.prefill_marked = true;
                 shared
                     .weights
                     .kv_pool()
                     .register_prefix(&a.prompt, &a.prefill_out, a.session.kv());
+                shared.engine_trace.instant(
+                    stage::REQ_PREFILL,
+                    a.id as u32,
+                    a.prompt.rows() as u64,
+                );
             }
         }
         // KV pool bookkeeping: page traffic since the last tick becomes
@@ -1394,23 +1393,15 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
         } else {
             1.0 - kv_tokens as f64 / kv_capacity as f64
         };
-        // Lifecycle trace, TTFT, the decoded-token count and stream
+        // Token instants, TTFT, the decoded-token count and stream
         // publication, all past each request's `reported` mark — before
         // retiring finished requests, so a waiter always sees every token
         // before the outcome. The marks only ever grow, so a recovery
-        // replay regrowing `decoded` from zero never re-emits a
-        // transition, re-records a TTFT sample, recounts a token or
+        // replay regrowing `decoded` from zero never re-emits a token
+        // instant, re-records a TTFT sample, recounts a token or
         // republishes a row (it re-derives identical bits, so the
         // published prefix stays valid).
         for a in &mut active {
-            if !a.prefilling && !a.prefill_traced {
-                a.prefill_traced = true;
-                shared.engine_trace.instant(
-                    stage::REQ_PREFILL,
-                    a.id as u32,
-                    a.prompt.rows() as u64,
-                );
-            }
             let rows = a.decoded.rows();
             if a.reported == 0 && rows > 0 {
                 let ttft_us = wall

@@ -107,6 +107,7 @@ fn chaos_plan_degrades_per_request_and_leaks_nothing() {
         let (mut finished, mut failed, mut disrupted) = (0u64, 0u64, 0u64);
         // `(id, decoded tokens)` of every outcome that is not `Failed`.
         let mut decoded = Vec::new();
+        let mut finished_ids = Vec::new();
         for (i, id) in ids.iter().enumerate() {
             // Every id resolves to a typed outcome — wait never errors,
             // never hangs (the engine survived whatever the plan threw).
@@ -120,6 +121,7 @@ fn chaos_plan_degrades_per_request_and_leaks_nothing() {
                     );
                     finished += 1;
                     decoded.push((*id, c.decoded.rows() as u64));
+                    finished_ids.push(*id);
                 }
                 RequestOutcome::Failed { error } => {
                     assert!(
@@ -162,12 +164,26 @@ fn chaos_plan_degrades_per_request_and_leaks_nothing() {
         // recovery replay that rewound the request after delivering it.
         let rings = server.telemetry().drain();
         assert!(rings.iter().all(|r| r.dropped == 0), "case {}", g.case);
-        let token_reqs: Vec<u32> = rings
-            .iter()
-            .flat_map(|r| &r.events)
-            .filter(|e| e.stage == stage::REQ_TOKEN)
-            .map(|e| e.req)
-            .collect();
+        let reqs_of = |s: u16| -> Vec<u32> {
+            rings
+                .iter()
+                .flat_map(|r| &r.events)
+                .filter(|e| e.stage == s)
+                .map(|e| e.req)
+                .collect()
+        };
+        let token_reqs = reqs_of(stage::REQ_TOKEN);
+        // One prefill instant per request, also across a replay that
+        // re-ran the prefill: every finished request has exactly one, and
+        // no request has two.
+        let prefill_reqs = reqs_of(stage::REQ_PREFILL);
+        for id in &ids {
+            let traced = prefill_reqs.iter().filter(|&&r| r == *id as u32).count();
+            assert!(traced <= 1, "case {}: request {id} traced twice", g.case);
+            if finished_ids.contains(id) {
+                assert_eq!(traced, 1, "case {}: request {id}", g.case);
+            }
+        }
         for (id, n) in decoded {
             let traced = token_reqs.iter().filter(|&&r| r == id as u32).count();
             assert_eq!(n, traced as u64, "case {}: request {id}", g.case);

@@ -10,7 +10,7 @@ use m2xfp_repro::core::gemm::{
 };
 use m2xfp_repro::core::strategy::{MetadataStrategy, ScaleMode};
 use m2xfp_repro::core::weight;
-use m2xfp_repro::core::{GroupConfig, M2xfpConfig, ScaleRule};
+use m2xfp_repro::core::{Error, GroupConfig, M2xfpConfig, ScaleRule};
 use m2xfp_repro::formats::fp4;
 use m2xfp_repro::formats::tables::{fp6_candidates, top1_index};
 use m2xfp_repro::tensor::Matrix;
@@ -400,25 +400,43 @@ fn scale_rule_laws() {
 
 /// Packed round-trip equals the in-memory representation for any aligned
 /// activation or weight tensor (byte-serialization path), at every
-/// subgroup size the group of 32 divides into.
+/// subgroup size the group of 32 divides into. The E8M0 NaN code (0xFF)
+/// is no scale: the same buffer with it in any group's scale byte fails
+/// to unpack and names the group.
 #[test]
 fn pack_unpack_roundtrip() {
     cases(128, |g| {
         let rows = 1 + g.below(3);
-        let xs = g.vec_f32(rows * 64, -8.0, 8.0);
+        let cols = 32 * (1 + g.below(3));
+        let xs = g.vec_f32(rows * cols, -8.0, 8.0);
         let cfg = M2xfpConfig {
             subgroup_size: [2usize, 4, 8, 16, 32][g.below(5)],
             ..M2xfpConfig::default()
         };
-        let m = Matrix::from_vec(rows, 64, xs);
+        let m = Matrix::from_vec(rows, cols, xs);
+        let groups = rows * cols / 32;
+        let group = g.below(groups);
+        // The scale stream follows the 16 code bytes of every group.
+        let at = groups * 16 + group;
+        let what = format!("case {} sg={}", g.case, cfg.subgroup_size);
+        let nan = |tensor: &str| Error::NanScale {
+            tensor: tensor.to_string(),
+            group,
+        };
+
         let t = ActTensor::quantize(&m, cfg);
-        let bytes = t.pack().unwrap();
-        let t2 = ActTensor::unpack(&bytes, rows, 64, cfg).unwrap();
-        assert_eq!(t, t2, "case {} sg={}", g.case, cfg.subgroup_size);
+        let mut bytes = t.pack().unwrap();
+        let unpack = |b: &[u8]| ActTensor::unpack(b, rows, cols, cfg);
+        assert_eq!(unpack(&bytes), Ok(t), "{what}");
+        bytes[at] = 0xFF;
+        assert_eq!(unpack(&bytes), Err(nan("activation tensor")), "{what}");
+
         let w = WeightTensor::quantize(&m, cfg);
-        let bytes = w.pack().unwrap();
-        let w2 = WeightTensor::unpack(&bytes, rows, 64, cfg).unwrap();
-        assert_eq!(w, w2, "case {} sg={}", g.case, cfg.subgroup_size);
+        let mut bytes = w.pack().unwrap();
+        let unpack = |b: &[u8]| WeightTensor::unpack(b, rows, cols, cfg);
+        assert_eq!(unpack(&bytes), Ok(w), "{what}");
+        bytes[at] = 0xFF;
+        assert_eq!(unpack(&bytes), Err(nan("weight tensor")), "{what}");
     });
 }
 

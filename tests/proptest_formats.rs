@@ -8,10 +8,7 @@ use m2xfp_repro::formats::{
     half::{f16_bits_to_f32, f32_to_f16_bits, quantize_f16},
     int::IntCodec,
     minifloat::{Minifloat, SpecialValues},
-    packing::{
-        nibble_at, pack_nibbles, pack_nibbles_into, set_two_bits, two_bits_at, unpack_nibbles,
-        unpack_nibbles_into, BitReader, BitWriter,
-    },
+    packing::{nibble_at, pack_nibbles_into, set_two_bits, two_bits_at},
     tables,
 };
 use m2xfp_repro::testkit::cases;
@@ -149,25 +146,14 @@ fn int_codec_error_bound() {
     });
 }
 
-/// Nibble packing is invertible for any code sequence, and the
-/// allocation-free `_into` variants agree with the allocating ones.
+/// Nibble packing is invertible for any code sequence: `nibble_at` reads
+/// back whatever `pack_nibbles_into` wrote.
 #[test]
 fn nibble_roundtrip() {
     cases(256, |g| {
         let codes = g.vec_u8_below(16, 0, 199);
-        let packed = pack_nibbles(&codes);
-        assert_eq!(
-            unpack_nibbles(&packed, codes.len()),
-            codes,
-            "case {}",
-            g.case
-        );
-        let mut buf = vec![0u8; codes.len().div_ceil(2)];
-        pack_nibbles_into(&codes, &mut buf);
-        assert_eq!(buf, packed, "case {}", g.case);
-        let mut out = vec![0u8; codes.len()];
-        unpack_nibbles_into(&buf, &mut out);
-        assert_eq!(out, codes, "case {}", g.case);
+        let mut packed = vec![0u8; codes.len().div_ceil(2)];
+        pack_nibbles_into(&codes, &mut packed);
         for (i, &c) in codes.iter().enumerate() {
             assert_eq!(nibble_at(&packed, i), c, "case {} nibble {i}", g.case);
         }
@@ -185,34 +171,6 @@ fn two_bit_stream_roundtrip() {
         }
         for (i, &f) in fields.iter().enumerate() {
             assert_eq!(two_bits_at(&buf, i), f, "case {} field {i}", g.case);
-        }
-    });
-}
-
-/// Arbitrary-width bit fields round-trip through the writer/reader.
-#[test]
-fn bitfield_roundtrip() {
-    cases(256, |g| {
-        let n = g.below(50);
-        let fields: Vec<(u32, u32)> = (0..n)
-            .map(|_| {
-                let width = g.int_in(1, 32) as u32;
-                (g.u32(), width)
-            })
-            .collect();
-        let mut w = BitWriter::new();
-        for &(v, width) in &fields {
-            w.push(v & ((1u64 << width) - 1) as u32, width);
-        }
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        for &(v, width) in &fields {
-            assert_eq!(
-                r.read(width),
-                v & ((1u64 << width) - 1) as u32,
-                "case {}",
-                g.case
-            );
         }
     });
 }
