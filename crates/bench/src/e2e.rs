@@ -9,9 +9,11 @@
 //! (q, k, v, o, gate, up, down; the engine itself runs each block as four
 //! stacked linears, `qkv`, `o`, `up`, `down`): the packed layer forward
 //! against the grouped `qgemm` and the f64 `qgemm_reference` oracles, bit
-//! for bit, with the grouped-over-packed time ratio.
+//! for bit, with the grouped-over-packed time ratio. [`run`] returns the
+//! section's table.
 
 use crate::report::Json;
+use crate::serving::prompt;
 use crate::timing::{best_of, bits_eq, time_per_call, Interleaved};
 use m2x_nn::linear::QuantizedLinear;
 use m2x_nn::model::{ModelBuilder, ModelWeights, QuantizedModel};
@@ -66,60 +68,10 @@ impl E2eConfig {
     }
 }
 
-/// Measured results of one end-to-end run.
-#[derive(Debug, Clone)]
-pub struct E2eReport {
-    /// Configuration measured.
-    pub cfg: E2eConfig,
-    /// Attention heads / KV heads / MLP width of the scaled model.
-    pub heads: usize,
-    /// KV heads.
-    pub kv_heads: usize,
-    /// MLP intermediate width.
-    pub intermediate: usize,
-    /// Packed weight footprint (bytes).
-    pub weight_bytes: usize,
-    /// Offline build: synthesize + Sg-EM quantize + plane decode, all
-    /// layers (seconds).
-    pub quantize_s: f64,
-    /// Best-of-reps batched forward of the whole model (seconds).
-    pub forward_packed_s: f64,
-    /// Whole-model throughput of the batched forward (GMAC/s).
-    pub gmacs: f64,
-    /// One call of each of the seven per-kind projections at the batch's
-    /// token count through the packed layer forward, summed; fastest rep
-    /// (seconds).
-    pub proj_packed_s: f64,
-    /// The same calls through the grouped PE pipeline (`ActTensor`
-    /// encode + `qgemm`), summed; fastest rep (seconds).
-    pub proj_grouped_s: f64,
-    /// Hardware-normalized kernel ratio grouped over packed: the median
-    /// over reps of each rep's summed grouped time over its summed packed
-    /// time, the two sides timed back to back (see [`crate::timing`]).
-    pub speedup_packed: f64,
-    /// Over all seven per-kind projection shapes, the packed layer
-    /// forward, the grouped `qgemm` and the f64 `qgemm_reference` agree
-    /// bit for bit.
-    pub backends_exact: bool,
-    /// Decode throughput after a half-batch prefill (tokens/s).
-    pub decode_tokens_per_s: f64,
-    /// Whole-model output NRMSE vs the f32 reference.
-    pub nrmse: f64,
-    /// Per-layer residual-stream NMSE vs the f32 reference (quantized
-    /// trace vs reference trace, cumulative through the stack).
-    pub per_layer_nmse: Vec<f64>,
-}
-
 /// Minimum duration of one timed kernel sample: single projection calls
 /// at CI dims take microseconds, far inside timer noise, and the ratio
 /// built from them is hard-gated.
 const KERNEL_SAMPLE_S: f64 = 0.003;
-
-/// Token embeddings for the run: profile-calibrated activations squashed
-/// into an embedding-like range so deep stacks stay well-conditioned.
-pub fn token_embeddings(profile: &ModelProfile, tokens: usize, hidden: usize) -> Matrix {
-    activation_matrix(profile, 0, tokens, hidden).map(|v| (v * 0.25).tanh())
-}
 
 fn build(profile: &ModelProfile, cfg: &E2eConfig) -> QuantizedModel {
     ModelBuilder::scaled(profile, cfg.hidden, cfg.layers)
@@ -192,10 +144,11 @@ fn projection_kernels(
     (exact, Interleaved::run(reps, [&mut grouped, &mut packed]))
 }
 
-/// Runs the full measurement. Deterministic given the configuration.
-pub fn run(cfg: E2eConfig) -> E2eReport {
+/// Runs the full measurement and returns the `e2e_model` table.
+/// Deterministic given the configuration (timings aside).
+pub fn run(cfg: E2eConfig) -> Json {
     let profile = ModelProfile::llama3_8b();
-    let x = token_embeddings(&profile, cfg.tokens, cfg.hidden);
+    let x = prompt(0, cfg.tokens, cfg.hidden);
 
     let (quantize_s, mut model) = best_of(cfg.reps, || build(&profile, &cfg));
     let (forward_packed_s, _) = best_of(cfg.reps, || model.forward_batch(&x).expect("aligned"));
@@ -223,76 +176,65 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
         model.forward_batch_traced(&x).expect("aligned")
     };
     let (y_ref, trace_ref) = weights.reference_traced(&x).expect("reference kept");
-    let per_layer_nmse: Vec<f64> = trace_q
+    let per_layer = trace_q
         .iter()
         .zip(&trace_ref)
-        .map(|(a, b)| nmse(b.as_slice(), a.as_slice()))
+        .enumerate()
+        .map(|(i, (a, b))| {
+            let e = nmse(b.as_slice(), a.as_slice());
+            (format!("layer_{i}"), Json::Num(e, 8))
+        })
         .collect();
-    let nrmse = nmse(y_ref.as_slice(), y_q.as_slice()).sqrt();
 
     let (backends_exact, proj) = projection_kernels(&profile, &weights, cfg.tokens, cfg.reps);
     let macs = weights.forward_macs(cfg.tokens, 0) as f64;
-    E2eReport {
-        cfg,
-        heads: weights.heads(),
-        kv_heads: weights.kv_heads(),
-        intermediate: weights.intermediate(),
-        weight_bytes: weights.weight_bytes(),
-        quantize_s,
-        forward_packed_s,
-        gmacs: macs / forward_packed_s / 1e9,
-        proj_packed_s: proj.best(1),
-        proj_grouped_s: proj.best(0),
-        speedup_packed: proj.median(|s| s[0] / s[1]),
-        backends_exact,
-        decode_tokens_per_s: cfg.decode_steps as f64 / decode_s,
-        nrmse,
-        per_layer_nmse,
-    }
-}
-
-impl E2eReport {
-    /// The report's (name, value) table. Per-layer errors become
-    /// `per_layer.layer_<i>` keys.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("cfg", self.cfg.to_json()),
-            ("heads", self.heads.into()),
-            ("kv_heads", self.kv_heads.into()),
-            ("intermediate", self.intermediate.into()),
-            ("weight_bytes", self.weight_bytes.into()),
-            ("quantize_s", Json::Num(self.quantize_s, 6)),
-            (
-                "forward_batch_packed_s",
-                Json::Num(self.forward_packed_s, 6),
-            ),
-            ("gmacs", Json::Num(self.gmacs, 4)),
-            ("proj_grouped_s", Json::Num(self.proj_grouped_s, 6)),
-            ("proj_packed_s", Json::Num(self.proj_packed_s, 6)),
-            ("speedup_packed", Json::Num(self.speedup_packed, 3)),
-            ("backends_exact", self.backends_exact.into()),
-            (
-                "decode_tokens_per_s",
-                Json::Num(self.decode_tokens_per_s, 2),
-            ),
-            ("nrmse", Json::Num(self.nrmse, 6)),
-            (
-                "per_layer",
-                Json::Obj(
-                    self.per_layer_nmse
-                        .iter()
-                        .enumerate()
-                        .map(|(i, e)| (format!("layer_{i}"), Json::Num(*e, 8)))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
+    Json::obj([
+        ("cfg", cfg.to_json()),
+        ("heads", weights.heads().into()),
+        ("kv_heads", weights.kv_heads().into()),
+        ("intermediate", weights.intermediate().into()),
+        // Packed weight footprint in bytes.
+        ("weight_bytes", weights.weight_bytes().into()),
+        // Offline build of all layers: synthesize, Sg-EM quantize and
+        // decode the planes; best of reps.
+        ("quantize_s", Json::Num(quantize_s, 6)),
+        // Batched forward of the whole model, best of reps, and its
+        // throughput.
+        ("forward_batch_packed_s", Json::Num(forward_packed_s, 6)),
+        ("gmacs", Json::Num(macs / forward_packed_s / 1e9, 4)),
+        // One call of each of the seven per-kind projections at the
+        // batch's token count, summed, fastest rep: through the grouped
+        // PE pipeline (`ActTensor` encode + `qgemm`) and through the
+        // packed layer forward.
+        ("proj_grouped_s", Json::Num(proj.best(0), 6)),
+        ("proj_packed_s", Json::Num(proj.best(1), 6)),
+        // Hard gate: the median over reps of each rep's grouped over
+        // packed time, both sides timed back to back (see
+        // [`crate::timing`]).
+        ("speedup_packed", Json::Num(proj.median(|s| s[0] / s[1]), 3)),
+        // Hard gate: over all seven shapes, the packed layer forward,
+        // `qgemm` and `qgemm_reference` agree bit for bit.
+        ("backends_exact", backends_exact.into()),
+        // Decode throughput after a half-batch prefill.
+        (
+            "decode_tokens_per_s",
+            Json::Num(cfg.decode_steps as f64 / decode_s, 2),
+        ),
+        // Whole-model output NRMSE against the f32 reference.
+        (
+            "nrmse",
+            Json::Num(nmse(y_ref.as_slice(), y_q.as_slice()).sqrt(), 6),
+        ),
+        // Residual-stream NMSE against the f32 reference after each
+        // layer, cumulative through the stack.
+        ("per_layer", Json::Obj(per_layer)),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_baseline_keys;
 
     #[test]
     fn ci_run_is_exact_and_accurate() {
@@ -302,15 +244,21 @@ mod tests {
         cfg.reps = 1;
         cfg.decode_steps = 2;
         let r = run(cfg);
-        assert!(
-            r.backends_exact,
+        assert_eq!(
+            r.get("backends_exact"),
+            Some(&Json::Bool(true)),
             "packed projections diverged from the oracles"
         );
-        assert!(r.nrmse > 0.0 && r.nrmse < 0.3, "nrmse {}", r.nrmse);
-        assert_eq!(r.per_layer_nmse.len(), cfg.layers);
-        assert!(r.gmacs > 0.0 && r.speedup_packed > 0.0);
-        let json = r.to_json().render();
-        assert!(json.contains("\"backends_exact\": true"));
-        assert!(json.contains("\"layer_1\""));
+        let nrmse = r.num("nrmse").unwrap();
+        assert!(nrmse > 0.0 && nrmse < 0.3, "nrmse {nrmse}");
+        let layers = r
+            .leaves()
+            .iter()
+            .filter(|(k, _)| k.starts_with("per_layer."))
+            .count();
+        assert_eq!(layers, cfg.layers);
+        assert!(r.get("per_layer.layer_1").is_some());
+        assert!(r.num("gmacs").unwrap() > 0.0 && r.num("speedup_packed").unwrap() > 0.0);
+        assert_baseline_keys("e2e_model", &r);
     }
 }

@@ -23,13 +23,12 @@
 //! connect-to-last-byte latencies of the short generations measured
 //! **through** the gateway while the long streams are running — the
 //! head-of-line number a faster decode step ultimately buys.
+//! [`run_gateway_load`] returns the section's table.
 
 use crate::report::Json;
+use crate::serving::{prompt, shared_weights};
 use crate::timing::{bits_eq, percentile};
 use m2x_gateway::{client, Gateway, GatewayConfig};
-use m2x_nn::model::{ModelBuilder, ModelWeights};
-use m2x_nn::profile::ModelProfile;
-use m2x_nn::synth::activation_matrix;
 use m2x_serve::sync::lock_poisoned;
 use m2x_serve::{run_solo, ServeConfig, Server};
 use m2x_tensor::Matrix;
@@ -103,54 +102,21 @@ impl GatewayLoadConfig {
     }
 }
 
-/// Measured results of one gateway load run.
-#[derive(Debug, Clone)]
-pub struct GatewayLoadReport {
-    /// Configuration measured.
-    pub cfg: GatewayLoadConfig,
-    /// Every socket-reassembled token stream (long and short) was
-    /// bit-identical to its solo run. CI hard gate.
-    pub stream_exact: bool,
-    /// Every abandoned stream was cancelled and reaped, and zero sessions
-    /// survived the shutdown. CI hard gate.
-    pub zero_leak: bool,
-    /// Connect-to-last-byte p50 of the short generations (milliseconds).
-    pub e2e_p50_ms: f64,
-    /// Connect-to-last-byte p99 of the short generations (milliseconds).
-    pub e2e_p99_ms: f64,
-    /// Short connections completed per second (whole churn wave).
-    pub churn_req_per_s: f64,
-    /// Aggregate decode throughput of the long streams, measured at the
-    /// client end of the socket (tokens/s).
-    pub stream_tok_per_s: f64,
-    /// Wall time of the whole scenario (seconds).
-    pub wall_s: f64,
-    /// Requests the scheduler cancelled (== the mid-stream hangups).
-    pub cancelled: u64,
-    /// Generations that ran to completion (long + short).
-    pub finished: u64,
-}
-
-/// Runs the full load scenario. Deterministic workload (timings aside).
-pub fn run_gateway_load(cfg: GatewayLoadConfig) -> GatewayLoadReport {
-    let profile = ModelProfile::llama3_8b();
-    let weights: Arc<ModelWeights> = Arc::new(
-        ModelBuilder::scaled(&profile, cfg.hidden, cfg.layers)
-            .build_weights()
-            .expect("scaled dimensions are group-aligned"),
-    );
-    let prompt = |seed: usize, tokens: usize| {
-        activation_matrix(&profile, seed, tokens, cfg.hidden).map(|v| (v * 0.25).tanh())
-    };
+/// Runs the full load scenario and returns the `gateway` table.
+/// Deterministic workload (timings aside).
+pub fn run_gateway_load(cfg: GatewayLoadConfig) -> Json {
+    let weights = shared_weights(cfg.hidden, cfg.layers);
 
     // Solo oracles, computed up front so they don't pollute the timings.
-    let long_prompts: Vec<Matrix> = (0..cfg.long_streams).map(|i| prompt(1000 + i, 4)).collect();
+    let long_prompts: Vec<Matrix> = (0..cfg.long_streams)
+        .map(|i| prompt(1000 + i, 4, cfg.hidden))
+        .collect();
     let long_solo: Vec<Matrix> = long_prompts
         .iter()
         .map(|p| run_solo(&weights, p, cfg.long_decode_steps).expect("solo run"))
         .collect();
     let short_prompts: Vec<Matrix> = (0..cfg.short_prompt_pool.max(1))
-        .map(|i| prompt(2000 + i, 2))
+        .map(|i| prompt(2000 + i, 2, cfg.hidden))
         .collect();
     let short_solo: Vec<Matrix> = short_prompts
         .iter()
@@ -197,7 +163,7 @@ pub fn run_gateway_load(cfg: GatewayLoadConfig) -> GatewayLoadReport {
     // ── Mid-stream hangups: open a long stream, read a little, vanish. ──
     let disconnect_handles: Vec<_> = (0..cfg.disconnects)
         .map(|i| {
-            let p = prompt(3000 + i, 3);
+            let p = prompt(3000 + i, 3, cfg.hidden);
             std::thread::spawn(move || {
                 let body = client::generate_body(&p, 50_000, None, None);
                 let mut stream = TcpStream::connect(addr).expect("connect");
@@ -297,44 +263,39 @@ pub fn run_gateway_load(cfg: GatewayLoadConfig) -> GatewayLoadReport {
         .into_inner()
         .expect("latency lock");
     lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let short_gens = lat.len();
+    let churned = cfg.short_connections / cfg.clients.max(1) * cfg.clients.max(1);
 
-    GatewayLoadReport {
-        cfg,
-        stream_exact: exact.load(Ordering::SeqCst),
-        zero_leak,
-        e2e_p50_ms: percentile(&lat, 0.50),
-        e2e_p99_ms: percentile(&lat, 0.99),
-        churn_req_per_s: (cfg.short_connections / cfg.clients.max(1) * cfg.clients.max(1)) as f64
-            / churn_s,
-        stream_tok_per_s: streamed_long_tokens as f64 / wall_s,
-        wall_s,
-        cancelled: stats.cancelled,
-        finished: (cfg.long_streams + short_gens) as u64,
-    }
-}
-
-impl GatewayLoadReport {
-    /// The report's (name, value) table.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("cfg", self.cfg.to_json()),
-            ("stream_exact", self.stream_exact.into()),
-            ("zero_leak", self.zero_leak.into()),
-            ("e2e_p50_ms", Json::Num(self.e2e_p50_ms, 3)),
-            ("e2e_p99_ms", Json::Num(self.e2e_p99_ms, 3)),
-            ("churn_req_per_s", Json::Num(self.churn_req_per_s, 1)),
-            ("stream_tok_per_s", Json::Num(self.stream_tok_per_s, 1)),
-            ("wall_s", Json::Num(self.wall_s, 6)),
-            ("cancelled", self.cancelled.into()),
-            ("finished", self.finished.into()),
-        ])
-    }
+    Json::obj([
+        ("cfg", cfg.to_json()),
+        // Hard gate: every socket-reassembled token stream, long and short,
+        // was bit-identical to its solo run.
+        ("stream_exact", exact.load(Ordering::SeqCst).into()),
+        // Hard gate: every abandoned stream was cancelled and reaped, and
+        // no session survived the shutdown.
+        ("zero_leak", zero_leak.into()),
+        // Connect-to-last-byte latency of the short generations.
+        ("e2e_p50_ms", Json::Num(percentile(&lat, 0.50), 3)),
+        ("e2e_p99_ms", Json::Num(percentile(&lat, 0.99), 3)),
+        // Short connections completed per second over the churn wave.
+        ("churn_req_per_s", Json::Num(churned as f64 / churn_s, 1)),
+        // The long streams' aggregate decode throughput at the client end
+        // of the socket.
+        (
+            "stream_tok_per_s",
+            Json::Num(streamed_long_tokens as f64 / wall_s, 1),
+        ),
+        ("wall_s", Json::Num(wall_s, 6)),
+        // Requests the scheduler cancelled: the mid-stream hangups.
+        ("cancelled", stats.cancelled.into()),
+        // Generations that ran to completion, long and short.
+        ("finished", (cfg.long_streams + lat.len()).into()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_baseline_keys;
 
     /// A miniature load run end-to-end: both gates hold and the report's
     /// accounting matches the traffic that was actually driven.
@@ -353,13 +314,20 @@ mod tests {
             workers: 6,
         };
         let r = run_gateway_load(cfg);
-        assert!(r.stream_exact, "socket streams diverged from solo");
-        assert!(r.zero_leak, "sessions or outcomes leaked");
-        assert_eq!(r.cancelled, 1);
-        assert!(r.e2e_p99_ms >= r.e2e_p50_ms);
-        assert!(r.finished > 8); // 1 long + ceil(24/3)-ish short gens
-        let json = r.to_json().render();
-        assert!(json.contains("\"stream_exact\": true"));
-        assert!(json.contains("\"zero_leak\": true"));
+        let num = |k: &str| r.num(k).unwrap();
+        assert_eq!(
+            r.get("stream_exact"),
+            Some(&Json::Bool(true)),
+            "socket streams diverged from solo"
+        );
+        assert_eq!(
+            r.get("zero_leak"),
+            Some(&Json::Bool(true)),
+            "sessions or outcomes leaked"
+        );
+        assert_eq!(num("cancelled"), 1.0);
+        assert!(num("e2e_p99_ms") >= num("e2e_p50_ms"));
+        assert!(num("finished") > 8.0); // 1 long + ceil(24/3)-ish short gens
+        assert_baseline_keys("gateway", &r);
     }
 }

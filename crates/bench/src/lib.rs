@@ -25,6 +25,12 @@
 //! | `run_all` | everything above, into `results/` |
 //! | `bench_m2xfp_json` | the bench emitter: kernels through the gateway, one JSON schema (`--profile ci\|record`) |
 //! | `ci_perf_gate` | the CI gate: a `ci` report against the committed baseline, by naming rule |
+//!
+//! The emitter's section runners live in [`e2e`], [`serving`] and
+//! [`gateway_load`]; each takes its section's config struct and returns
+//! the section's [`report::Json`] table, so every leaf is named once, on
+//! the row that computes it. Each runner's module test checks its table's
+//! keys against the committed `results/BENCH_ci_baseline.json`.
 
 pub mod e2e;
 pub mod eval;

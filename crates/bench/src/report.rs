@@ -134,9 +134,10 @@ impl Report {
     }
 }
 
-/// One value of a bench emitter report. Every section builds its report
-/// as one (name, value) table, so each field is named once; objects nest
-/// and nothing is an array, which is the shape `ci_perf_gate` flattens.
+/// One value of a bench emitter report. Every section runner builds its
+/// section as one (name, value) table where the values are computed, so
+/// each leaf is named once; objects nest and nothing is an array, which is
+/// the shape `ci_perf_gate` flattens.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// A measurement this host cannot take.
@@ -216,6 +217,21 @@ impl Json {
             leaf => out.push((path.to_string(), leaf)),
         }
     }
+
+    /// The leaf at dotted `path`, as [`Json::leaves`] names it.
+    pub fn get(&self, path: &str) -> Option<&Json> {
+        self.leaves()
+            .into_iter()
+            .find_map(|(key, value)| (key == path).then_some(value))
+    }
+
+    /// The number at dotted `path`, if that leaf is one.
+    pub fn num(&self, path: &str) -> Option<f64> {
+        match self.get(path) {
+            Some(Json::Num(x, _)) => Some(*x),
+            _ => None,
+        }
+    }
 }
 
 impl From<bool> for Json {
@@ -250,6 +266,35 @@ pub fn results_dir() -> PathBuf {
         .map(|p| p.join("../.."))
         .unwrap_or_else(|_| PathBuf::from("."));
     base.join("results")
+}
+
+/// Asserts that a section table's leaf keys are the committed CI
+/// baseline's keys for that section, in order. `ci_perf_gate` does not
+/// compare advisory leaves, so this is what catches a renamed or dropped
+/// one.
+#[cfg(test)]
+pub(crate) fn assert_baseline_keys(section: &str, table: &Json) {
+    use m2x_gateway::json::{parse, Json as Parsed};
+    fn keys(v: &Parsed, path: &str, out: &mut Vec<String>) {
+        match v {
+            Parsed::Obj(fields) => {
+                for (name, v) in fields {
+                    keys(v, &format!("{path}{name}."), out);
+                }
+            }
+            _ => out.push(path.trim_end_matches('.').to_string()),
+        }
+    }
+    let baseline = parse(include_str!("../../../results/BENCH_ci_baseline.json"))
+        .expect("the committed baseline parses");
+    let mut want = Vec::new();
+    keys(
+        baseline.get(section).expect("section in the baseline"),
+        "",
+        &mut want,
+    );
+    let got: Vec<String> = table.leaves().into_iter().map(|(k, _)| k).collect();
+    assert_eq!(got, want, "`{section}` keys differ from the CI baseline's");
 }
 
 #[cfg(test)]
@@ -304,6 +349,9 @@ mod tests {
             keys,
             ["bench", "cfg.k", "exact", "zero_alloc", "speedup_1thread"]
         );
+        assert_eq!(j.get("cfg.k"), Some(&Json::Num(256.0, 0)));
+        assert_eq!(j.num("speedup_1thread"), Some(8.0196));
+        assert_eq!((j.get("cfg"), j.num("exact")), (None, None));
     }
 
     #[test]

@@ -28,44 +28,6 @@ impl BitBudget {
         self.elem_bits + (self.meta_bits + self.scale_bits) / self.group_size as f64
     }
 
-    /// Metadata bits amortized per element.
-    pub fn meta_bits_per_element(&self) -> f64 {
-        self.meta_bits / self.group_size as f64
-    }
-
-    /// MXFP4 (OCP): FP4 elements, E8M0 scale, group 32, no metadata.
-    pub fn mxfp4() -> Self {
-        BitBudget {
-            elem_bits: 4.0,
-            scale_bits: 8.0,
-            meta_bits: 0.0,
-            group_size: 32,
-        }
-    }
-
-    /// NVFP4: FP4 elements, FP8 scale, group 16 (tensor-level scale
-    /// amortizes to ~0 and is ignored, as in the paper).
-    pub fn nvfp4() -> Self {
-        BitBudget {
-            elem_bits: 4.0,
-            scale_bits: 8.0,
-            meta_bits: 0.0,
-            group_size: 16,
-        }
-    }
-
-    /// M2XFP production configuration: group 32, subgroup 8, 2 bits of
-    /// metadata per subgroup for both weights (Sg-EM) and activations
-    /// (Elem-EM-top1).
-    pub fn m2xfp() -> Self {
-        BitBudget {
-            elem_bits: 4.0,
-            scale_bits: 8.0,
-            meta_bits: 8.0, // 4 subgroups × 2 bits
-            group_size: 32,
-        }
-    }
-
     /// Budget for a metadata strategy spending `meta_bits_per_subgroup` on
     /// each of the `k / subgroup_size` subgroups.
     pub fn with_subgroup_meta(
@@ -88,21 +50,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mxfp4_is_4_25_bits() {
-        assert!((BitBudget::mxfp4().ebw() - 4.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nvfp4_is_4_5_bits() {
-        assert!((BitBudget::nvfp4().ebw() - 4.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn m2xfp_is_4_5_bits_with_quarter_bit_meta() {
-        let b = BitBudget::m2xfp();
+        // The production geometry: group 32, subgroup 8, 2 bits each.
+        let b = BitBudget::with_subgroup_meta(32, 8, 2.0);
         assert!((b.ebw() - 4.5).abs() < 1e-12);
         // "only 0.25 bits of metadata per element" (paper §1).
-        assert!((b.meta_bits_per_element() - 0.25).abs() < 1e-12);
+        assert!((b.meta_bits / b.group_size as f64 - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -44,9 +44,12 @@
 //! `dot as f64 * (xs * ws)` per group in ascending group order with the
 //! same operand values, so their output bits are identical.
 
+use crate::activation::{self, ActGroup};
 use crate::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
+use crate::weight::{self, WeightGroup};
 use m2x_formats::packing::{nibble_at, two_bits_at};
 use m2x_formats::tables::{top1_index, EXTRA_X8, FP4_X2, FP4_X8};
+use m2x_formats::E8M0;
 use m2x_tensor::matrix::par_row_chunks;
 use m2x_tensor::Matrix;
 
@@ -657,25 +660,52 @@ pub fn qgemv_packed(x: &PackedActTensor, w: &WeightPlane, scratch: &mut GemmScra
     qgemm_packed_planed_scratch(x, w, 1, scratch)
 }
 
-/// Floating-point reference: dequantizes both tensors and multiplies in
-/// f64. All quantized values are small dyadic rationals, so this is exact
-/// and must equal [`qgemm`] bit-for-bit after the final f32 rounding.
+/// Floating-point reference: dequantizes both tensors in f64 and
+/// multiplies in f64. All quantized values are small dyadic rationals, so
+/// this is exact and must equal [`qgemm`] bit-for-bit after the final f32
+/// rounding — ±inf included, since no element passes through f32 at its
+/// full scale.
 pub fn qgemm_reference(x: &ActTensor, w: &WeightTensor) -> Matrix {
-    let xd = x.dequantize();
-    let wd = w.dequantize();
+    let (xc, wc) = (x.config().group_config(), w.config().group_config());
+    let xd = dequantize_f64(x.groups(), |g| {
+        let unit = ActGroup {
+            scale: E8M0::ONE,
+            ..g.clone()
+        };
+        (g.scale, activation::dequantize_group(&unit, xc))
+    });
+    let wd = dequantize_f64(w.groups(), |g| {
+        let unit = WeightGroup {
+            scale: E8M0::ONE,
+            ..g.clone()
+        };
+        (g.scale, weight::dequantize_group(&unit, wc))
+    });
     let (m, k) = x.shape();
     let n = w.shape().0;
     let mut out = Matrix::zeros(m, n);
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0f64;
-            let xr = xd.row(i);
-            let wr = wd.row(j);
-            for kk in 0..k {
-                acc += xr[kk] as f64 * wr[kk] as f64;
+            for (a, b) in xd[i * k..(i + 1) * k].iter().zip(&wd[j * k..(j + 1) * k]) {
+                acc += a * b;
             }
             out[(i, j)] = acc as f32;
         }
+    }
+    out
+}
+
+/// A grouped tensor's elements in f64, row-major: each is its group's
+/// unit-scale value (exact in f32) times the group's `2^e`, so a scale
+/// byte near the top of the E8M0 range (0xFD, 0xFE) cannot overflow f32
+/// before the oracle's products.
+fn dequantize_f64<G>(groups: &[G], unit: impl Fn(&G) -> (E8M0, Vec<f32>)) -> Vec<f64> {
+    let mut out = Vec::new();
+    for g in groups {
+        let (scale, values) = unit(g);
+        let s = f64::from(scale.exponent()).exp2();
+        out.extend(values.iter().map(|&v| f64::from(v) * s));
     }
     out
 }

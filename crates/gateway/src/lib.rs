@@ -189,6 +189,11 @@ fn outcome_json(outcome: &RequestOutcome) -> String {
     }
 }
 
+/// The body of every plain error response: `{"error":"…"}` and a newline.
+fn error_body(msg: &str) -> String {
+    format!("{{\"error\":\"{}\"}}\n", json::escape(msg))
+}
+
 /// A running gateway: accept thread + worker pool over an
 /// [`m2x_serve::Server`]. Dropping it (or calling [`Gateway::shutdown`])
 /// stops accepting, drains the workers, and joins every thread; the
@@ -383,14 +388,13 @@ fn serve_connection(ctx: &Ctx, mut stream: TcpStream) -> u64 {
                 Err(e) => {
                     ctx.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
                     let (status, reason) = e.status();
-                    let body = format!("{{\"error\":\"{}\"}}\n", json::escape(&e.to_string()));
                     let _ = http::write_response(
                         &mut stream,
                         status,
                         reason,
                         "application/json",
                         &[],
-                        body.as_bytes(),
+                        error_body(&e.to_string()).as_bytes(),
                         false,
                     );
                     return served; // framing is unrecoverable after a parse error
@@ -453,7 +457,7 @@ fn route(ctx: &Ctx, stream: &mut TcpStream, req: &http::Request) -> bool {
                 "Method Not Allowed",
                 "application/json",
                 &[("allow", allow.to_string())],
-                b"{\"error\":\"method not allowed\"}\n",
+                error_body("method not allowed").as_bytes(),
                 req.keep_alive(),
             );
         }
@@ -465,7 +469,7 @@ fn route(ctx: &Ctx, stream: &mut TcpStream, req: &http::Request) -> bool {
                 "Not Found",
                 "application/json",
                 &[],
-                b"{\"error\":\"no such endpoint\"}\n",
+                error_body("no such endpoint").as_bytes(),
                 req.keep_alive(),
             );
         }
@@ -935,8 +939,7 @@ fn generate(ctx: &Ctx, stream: &mut TcpStream, req: &http::Request) -> bool {
         Ok(p) => p,
         Err(msg) => {
             ctx.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-            // m2x-lint: allow(alloc) error response path, not the streaming loop
-            let body = format!("{{\"error\":\"{}\"}}\n", json::escape(&msg));
+            let body = error_body(&msg);
             respond_json(stream, 400, "Bad Request", &body, req.keep_alive());
             return false;
         }
@@ -952,7 +955,7 @@ fn generate(ctx: &Ctx, stream: &mut TcpStream, req: &http::Request) -> bool {
                 ctx.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
             }
             // m2x-lint: allow(alloc) error response path, not the streaming loop
-            let body = format!("{{\"error\":\"{}\"}}\n", json::escape(&e.to_string()));
+            let body = error_body(&e.to_string());
             respond_json(stream, status, reason, &body, req.keep_alive());
             return false;
         }
@@ -962,70 +965,12 @@ fn generate(ctx: &Ctx, stream: &mut TcpStream, req: &http::Request) -> bool {
     // SSE stream; an immediate outcome (rejected / expired while queued /
     // failed before producing anything / zero-token finish) gets a plain
     // JSON response with the mapped status.
-    match ctx.server.next_token(id, 0) {
-        Ok(StreamEvent::Token { index, row }) => {
-            ctx.counters.streams_opened.fetch_add(1, Ordering::Relaxed);
-            let mut span = StreamSpan {
-                trace: &ctx.trace,
-                req: id as u32,
-                start_us: ctx.trace.now_us(),
-                tokens: 0,
-            };
-            // m2x-lint: allow(alloc) once per stream: the response head, not the token loop
-            let id_hdr = [("x-m2x-request-id", id.to_string())];
-            if http::write_stream_head(stream, 200, "OK", &id_hdr).is_err() {
-                abandon(ctx, id);
-                return true;
-            }
-            if http::write_chunk(stream, &token_frame(index, &row)).is_err() {
-                abandon(ctx, id);
-                return true;
-            }
-            span.tokens += 1;
-            let mut cursor = index + 1;
-            loop {
-                match ctx.server.next_token(id, cursor) {
-                    Ok(StreamEvent::Token { index, row }) => {
-                        if http::write_chunk(stream, &token_frame(index, &row)).is_err() {
-                            abandon(ctx, id);
-                            return true;
-                        }
-                        span.tokens += 1;
-                        cursor = index + 1;
-                    }
-                    Ok(StreamEvent::Done(outcome)) => {
-                        // m2x-lint: allow(alloc) once per stream: the terminal frame, not the token loop
-                        let done = format!("data: {{\"done\":{}}}\n\n", outcome_json(&outcome));
-                        // m2x-lint: allow(alloc) once per stream: the terminal frame, not the token loop
-                        let kind = outcome.kind().to_string();
-                        let _ = http::write_chunk(stream, done.as_bytes()).and_then(|()| {
-                            http::write_last_chunk(stream, &[(http::OUTCOME_TRAILER, kind)])
-                        });
-                        return true;
-                    }
-                    Err(e) => {
-                        // Engine died mid-stream: terminate with a trailer.
-                        // m2x-lint: allow(alloc) engine-death path, terminates the stream
-                        let done = format!(
-                            "data: {{\"done\":{{\"outcome\":\"error\",\"error\":\"{}\"}}}}\n\n",
-                            // m2x-lint: allow(alloc) engine-death path, terminates the stream
-                            json::escape(&e.to_string())
-                        );
-                        let _ = http::write_chunk(stream, done.as_bytes()).and_then(|()| {
-                            http::write_last_chunk(
-                                stream,
-                                // m2x-lint: allow(alloc) engine-death path, terminates the stream
-                                &[(http::OUTCOME_TRAILER, "error".to_string())],
-                            )
-                        });
-                        return true;
-                    }
-                }
-            }
-        }
+    let mut event = ctx.server.next_token(id, 0);
+    match &event {
+        Ok(StreamEvent::Token { .. }) => {}
         Ok(StreamEvent::Done(outcome)) => {
-            let (status, reason) = outcome_status(&outcome);
-            let mut body = outcome_json(&outcome);
+            let (status, reason) = outcome_status(outcome);
+            let mut body = outcome_json(outcome);
             body.push('\n');
             let _ = http::write_response(
                 stream,
@@ -1037,14 +982,67 @@ fn generate(ctx: &Ctx, stream: &mut TcpStream, req: &http::Request) -> bool {
                 body.as_bytes(),
                 req.keep_alive(),
             );
-            false
+            return false;
         }
         Err(e) => {
-            let (status, reason) = serve_error_status(&e);
+            let (status, reason) = serve_error_status(e);
             // m2x-lint: allow(alloc) error response path, not the streaming loop
-            let body = format!("{{\"error\":\"{}\"}}\n", json::escape(&e.to_string()));
+            let body = error_body(&e.to_string());
             respond_json(stream, status, reason, &body, req.keep_alive());
-            false
+            return false;
+        }
+    }
+
+    ctx.counters.streams_opened.fetch_add(1, Ordering::Relaxed);
+    let mut span = StreamSpan {
+        trace: &ctx.trace,
+        req: id as u32,
+        start_us: ctx.trace.now_us(),
+        tokens: 0,
+    };
+    // m2x-lint: allow(alloc) once per stream: the response head, not the token loop
+    let id_hdr = [("x-m2x-request-id", id.to_string())];
+    if http::write_stream_head(stream, 200, "OK", &id_hdr).is_err() {
+        abandon(ctx, id);
+        return true;
+    }
+    loop {
+        match event {
+            Ok(StreamEvent::Token { index, row }) => {
+                if http::write_chunk(stream, &token_frame(index, &row)).is_err() {
+                    abandon(ctx, id);
+                    return true;
+                }
+                span.tokens += 1;
+                event = ctx.server.next_token(id, index + 1);
+            }
+            Ok(StreamEvent::Done(outcome)) => {
+                // m2x-lint: allow(alloc) once per stream: the terminal frame, not the token loop
+                let done = format!("data: {{\"done\":{}}}\n\n", outcome_json(&outcome));
+                // m2x-lint: allow(alloc) once per stream: the terminal frame, not the token loop
+                let kind = outcome.kind().to_string();
+                let _ = http::write_chunk(stream, done.as_bytes()).and_then(|()| {
+                    http::write_last_chunk(stream, &[(http::OUTCOME_TRAILER, kind)])
+                });
+                return true;
+            }
+            Err(e) => {
+                // Engine died mid-stream: terminate with a trailer.
+                // m2x-lint: allow(alloc) engine-death path, terminates the stream
+                let done = format!(
+                    "data: {{\"done\":{{\"outcome\":\"error\",\"error\":\"{}\"}}}}\n\n",
+                    // m2x-lint: allow(alloc) engine-death path, terminates the stream
+                    json::escape(&e.to_string())
+                );
+                let _ = http::write_chunk(stream, done.as_bytes()).and_then(|()| {
+                    http::write_last_chunk(
+                        stream,
+                        // m2x-lint: allow(alloc) engine-death path, terminates the stream
+                        &[(http::OUTCOME_TRAILER, "error".to_string())],
+                    )
+                });
+                return true;
+            }
         }
     }
 }

@@ -543,8 +543,11 @@ impl KvPagePool {
     }
 
     /// Re-checksums every retained frozen page against the sum recorded
-    /// at freeze time. `true` means no shared page was ever mutated in
-    /// place — the property tests assert this after arbitrary churn.
+    /// at freeze time, and checks that each entry's score-GEMM plane is
+    /// still the one its packed K streams decode to (attention reads the
+    /// plane, not the streams). `true` means no shared page was ever
+    /// mutated in place — the property tests assert this after arbitrary
+    /// churn.
     pub fn verify_frozen(&self) -> bool {
         let retained: Vec<Arc<PageBox>> = {
             let g = lock_pool(&self.inner);
@@ -554,6 +557,9 @@ impl KvPagePool {
             p.meta
                 .get()
                 .is_some_and(|m| checksum_entries(&p.entries) == m.content_sum)
+                && p.entries
+                    .iter()
+                    .all(|e| e.k_plane == WeightPlane::decode(&e.k))
         })
     }
 
@@ -937,6 +943,25 @@ mod tests {
         assert_eq!(checksum_entries(&forked.entries), frozen_sum);
         assert!(pool.stats().cow_clones >= 1);
         assert!(pool.verify_frozen(), "frozen page mutated in place");
+    }
+
+    #[test]
+    fn verify_frozen_audits_the_score_plane() {
+        // Attention's score GEMM reads `k_plane`, which the content
+        // checksum does not cover: a frozen page whose plane no longer
+        // matches its K streams must fail the audit.
+        let pool = KvPagePool::new(geom()).unwrap();
+        let mut kv = PagedKv::new(Arc::clone(&pool));
+        append_all(&mut kv, &rows(40, 64, 0.0), &rows(40, 64, 1.0));
+        pool.register_prefix(&rows(40, 16, 0.5), &rows(40, 16, 4.0), &kv);
+        drop(kv);
+        assert!(pool.verify_frozen());
+        {
+            let mut g = lock_pool(&pool.inner);
+            let page = Arc::get_mut(&mut g.retained[0]).expect("the pool is the only holder");
+            page.entries[0].k_plane.clear_rows();
+        }
+        assert!(!pool.verify_frozen(), "a changed K plane passed the audit");
     }
 
     #[test]

@@ -376,6 +376,62 @@ fn decode_kernels_bit_exact() {
     });
 }
 
+/// On unpacked buffers whose scale bytes sit at the top of the E8M0 range
+/// — 0xFC, 0xFD and 0xFE (2^125 to 2^127), mixed with 0x7F (2^0) — the f64
+/// reference, the grouped pipeline and every packed kernel path still read
+/// the same bits, ±inf included. No encoder writes such scales, but
+/// `unpack` accepts them. NaN compares equal to NaN.
+#[test]
+fn reference_matches_kernels_on_extreme_scale_bytes() {
+    const SCALES: [u8; 4] = [0x7F, 0xFC, 0xFD, 0xFE];
+    let paths = supported_paths();
+    let mut scratch = GemmScratch::new();
+    let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    cases(200, |g| {
+        let cfg = M2xfpConfig {
+            subgroup_size: [8usize, 16][g.below(2)],
+            ..M2xfpConfig::default()
+        };
+        let (m, n, k) = (1 + g.below(3), 1 + g.below(20), 32 * (1 + g.below(3)));
+        let threads = 1 + g.below(4);
+        // The three streams in `pack`'s byte order: random codes, scale
+        // bytes drawn from SCALES, random metadata.
+        let mut buffer = |rows: usize| -> Vec<u8> {
+            let groups = rows * k / 32;
+            let meta_bytes = (groups * 2 * 32 / cfg.subgroup_size).div_ceil(8);
+            let mut buf: Vec<u8> = (0..groups * 16).map(|_| g.below(256) as u8).collect();
+            buf.extend((0..groups).map(|_| SCALES[g.below(4)]));
+            buf.extend((0..meta_bytes).map(|_| g.below(256) as u8));
+            buf
+        };
+        let x = ActTensor::unpack(&buffer(m), m, k, cfg).expect("well-formed buffer");
+        let w = WeightTensor::unpack(&buffer(n), n, k, cfg).expect("well-formed buffer");
+        let want = qgemm_reference(&x, &w);
+        let xp = PackedActTensor::from_grouped(&x);
+        let plane = WeightPlane::decode(&PackedWeightTensor::from_grouped(&w));
+        let mut got = vec![("grouped", qgemm(&x, &w))];
+        for &path in &paths {
+            got.push((
+                path.name(),
+                qgemm_on(path, &xp, &plane, threads, &mut scratch),
+            ));
+        }
+        for (name, y) in &got {
+            for i in 0..m {
+                for j in 0..n {
+                    assert!(
+                        same(y[(i, j)], want[(i, j)]),
+                        "case {} {name} ({i},{j}) m={m} n={n} k={k}: {} vs reference {}",
+                        g.case,
+                        y[(i, j)],
+                        want[(i, j)]
+                    );
+                }
+            }
+        }
+    });
+}
+
 /// Scale-rule laws: ceil never clips; floor is within one binade below
 /// ceil; RTNE == ceil for FP4.
 #[test]
