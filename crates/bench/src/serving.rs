@@ -239,8 +239,6 @@ pub struct ChaosBenchConfig {
     pub seed: u64,
     /// Injected step panics (each must fail exactly one request).
     pub panics: usize,
-    /// Injected engine stalls.
-    pub delays: usize,
     /// Injected mid-flight slot cancellations.
     pub cancels: usize,
     /// Last scheduler tick a fault may fire at. Keep it well below the
@@ -266,7 +264,6 @@ impl ChaosBenchConfig {
             queue_capacity: 6,
             seed: 0x00C0_FFEE,
             panics: 2,
-            delays: 3,
             cancels: 3,
             fault_horizon: 16,
         }
@@ -284,7 +281,6 @@ impl ChaosBenchConfig {
             ("queue_capacity", self.queue_capacity.into()),
             ("seed", self.seed.into()),
             ("panics", self.panics.into()),
-            ("delays", self.delays.into()),
             ("cancels", self.cancels.into()),
             ("fault_horizon", self.fault_horizon.into()),
         ])
@@ -305,9 +301,7 @@ pub fn run_chaos(cfg: ChaosBenchConfig) -> Json {
         cfg.fault_horizon,
         cfg.max_batch,
         cfg.panics,
-        cfg.delays,
         cfg.cancels,
-        300,
     );
     let mut server = Server::start_with_faults(
         Arc::clone(&weights),
@@ -417,7 +411,7 @@ pub fn run_chaos(cfg: ChaosBenchConfig) -> Json {
         // Two per fired panic injection: the batched attempt and the
         // isolated replay.
         ("panics_recovered", stats.panics_recovered.into()),
-        // Advisory: injected delays dominate the scenario's wall time.
+        // Advisory: both waves' wall time.
         ("wall_s", Json::Num(wall_s, 6)),
     ])
 }
@@ -939,7 +933,6 @@ mod tests {
             queue_capacity: 3,
             seed: 7,
             panics: 1,
-            delays: 1,
             cancels: 1,
             fault_horizon: 6,
         };

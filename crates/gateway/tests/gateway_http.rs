@@ -86,55 +86,26 @@ fn expired_deadline_maps_to_504() {
     assert_eq!(got.frames, 0);
 }
 
-/// Queue shedding → `429` carrying the observed queue depth. The engine is
-/// stalled with an injected delay so the burst deterministically overflows
-/// the size-1 arrival queue.
+/// Queue shedding → `429` carrying the observed queue depth. The server
+/// is never ticked, so the request queued directly holds its size-1
+/// arrival queue and the HTTP request is shed at submission.
 #[test]
 fn queue_overflow_maps_to_429_with_depth() {
     let w = weights(64);
-    let server = Arc::new(Server::start_with_faults(
+    let (server, _ticker) = Server::ticked(
         Arc::clone(&w),
         ServeConfig {
             max_batch: 1,
             queue_capacity: 1,
             ..ServeConfig::default()
         },
-        FaultPlan::new(vec![
-            Fault::Delay {
-                tick: 0,
-                micros: 300_000,
-            },
-            Fault::Delay {
-                tick: 1,
-                micros: 300_000,
-            },
-        ]),
-    ));
-    let gw = Gateway::bind(Arc::clone(&server), GatewayConfig::default()).unwrap();
-
-    // A concurrent burst while the engine sits in the injected stalls:
-    // one request is in flight, one occupies the size-1 queue, the rest
-    // are shed at submission.
-    let addr = gw.local_addr();
-    let results: Vec<_> = (0..4)
-        .map(|seed| {
-            std::thread::spawn(move || {
-                client::generate(addr, &prompt(1, seed, 64), 4, None, None).unwrap()
-            })
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|h| h.join().unwrap())
-        .collect();
-    assert!(
-        results.iter().any(|r| r.status == 200),
-        "statuses {:?}",
-        results.iter().map(|r| r.status).collect::<Vec<_>>()
+        FaultPlan::none(),
     );
-    let rejected = results
-        .into_iter()
-        .find(|r| r.status == 429)
-        .expect("a burst against a stalled size-1 queue must shed");
+    let server = Arc::new(server);
+    server.submit(prompt(1, 0, 64), 4).unwrap();
+    let gw = Gateway::bind(Arc::clone(&server), GatewayConfig::default()).unwrap();
+    let rejected = client::generate(gw.local_addr(), &prompt(1, 1, 64), 4, None, None).unwrap();
+    assert_eq!(rejected.status, 429);
     assert_eq!(rejected.outcome.as_deref(), Some("rejected"));
     let depth = rejected
         .done
@@ -142,7 +113,7 @@ fn queue_overflow_maps_to_429_with_depth() {
         .and_then(|d| d.get("queue_depth"))
         .and_then(m2x_gateway::Json::as_usize)
         .expect("429 body carries queue_depth");
-    assert!(depth >= 1, "queue depth {depth}");
+    assert_eq!(depth, 1);
 }
 
 /// A step panic pinned on the only in-flight request → `500` with the

@@ -2,22 +2,25 @@
 //! of the fault-tolerance story.
 //!
 //! A [`FaultPlan`] is a fixed, seed-reproducible schedule of faults fired
-//! by the engine thread at planned scheduler ticks:
+//! by the scheduler tick at planned scheduler steps:
 //!
 //! * [`Fault::StepPanic`] — panic out of the batched model step (after the
 //!   step's compute, so session state *has* advanced when the panic lands:
 //!   the worst case for the recovery path);
-//! * [`Fault::Delay`] — an artificial stall before the step, perturbing
-//!   every wall-clock race (arrival interleavings, deadline expiry, waiter
-//!   wakeups) without touching any computed bit;
 //! * [`Fault::CancelActive`] — a mid-flight cancellation of whatever
 //!   request occupies a batch slot at that tick, exercising the
 //!   release-between-steps path from inside the engine.
 //!
-//! Faults target **batch slots**, not request ids: a plan written before
-//! any request exists still lands on real in-flight work, and a slot that
-//! happens to be empty makes the fault a no-op (recorded nowhere — the
-//! chaos tests count *observed* outcomes, not planned faults).
+//! Faults target **batch slots**, not request ids, so a plan written
+//! before any request exists still lands on real in-flight work: a fault
+//! aimed at slot `s` lands on slot `s % batch`. A tick fires its due
+//! faults only with a non-empty batch, so a fault is skipped only when
+//! earlier cancels of the same tick emptied the batch. Cancels land in
+//! plan order; the panic is pinned on the batch that then steps.
+//!
+//! There is no stall fault: a test that needs an interleaving drives the
+//! scheduler tick itself (`Server::ticked`) instead of slowing the engine
+//! down until the interleaving happens.
 //!
 //! The plan is std-only and seeded through the in-repo xoshiro generator,
 //! so a failing chaos case reproduces from its seed alone. At most one
@@ -32,26 +35,20 @@ use m2x_tensor::Xoshiro;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Panic out of the batched step at `tick`, attributed to the request
-    /// in batch slot `slot` (no-op if the slot is empty that tick).
+    /// in batch slot `slot % batch` of the batch that steps.
     StepPanic {
         /// Scheduler step count the fault fires at.
         tick: u64,
-        /// Active-batch slot whose request the panic is pinned on.
+        /// Active-batch slot whose request the panic is pinned on, taken
+        /// modulo the batch size.
         slot: usize,
     },
-    /// Stall the engine for `micros` before the step at `tick`.
-    Delay {
-        /// Scheduler step count the fault fires at.
-        tick: u64,
-        /// Stall length in microseconds.
-        micros: u64,
-    },
-    /// Cancel the request in batch slot `slot` right before the step at
-    /// `tick` (no-op if the slot is empty).
+    /// Cancel the request in batch slot `slot % batch` right before the
+    /// step at `tick`.
     CancelActive {
         /// Scheduler step count the fault fires at.
         tick: u64,
-        /// Active-batch slot to cancel.
+        /// Active-batch slot to cancel, taken modulo the batch size.
         slot: usize,
     },
 }
@@ -59,9 +56,7 @@ pub enum Fault {
 impl Fault {
     fn tick(&self) -> u64 {
         match *self {
-            Fault::StepPanic { tick, .. }
-            | Fault::Delay { tick, .. }
-            | Fault::CancelActive { tick, .. } => tick,
+            Fault::StepPanic { tick, .. } | Fault::CancelActive { tick, .. } => tick,
         }
     }
 }
@@ -97,34 +92,19 @@ impl FaultPlan {
         FaultPlan { faults, next: 0 }
     }
 
-    /// A seed-reproducible random plan: `panics`/`delays`/`cancels` faults
-    /// scattered over ticks `0..horizon`, slots `0..max_slot`, delays up
-    /// to `max_delay_us`. Panic ticks are kept distinct (see
-    /// [`FaultPlan::new`]); a horizon smaller than `panics` caps the
-    /// panic count.
-    pub fn seeded(
-        seed: u64,
-        horizon: u64,
-        max_slot: usize,
-        panics: usize,
-        delays: usize,
-        cancels: usize,
-        max_delay_us: u64,
-    ) -> Self {
+    /// A seed-reproducible random plan: `panics`/`cancels` faults
+    /// scattered over ticks `0..horizon` and slots `0..max_slot`. Panic
+    /// ticks are kept distinct (see [`FaultPlan::new`]); a horizon smaller
+    /// than `panics` caps the panic count.
+    pub fn seeded(seed: u64, horizon: u64, max_slot: usize, panics: usize, cancels: usize) -> Self {
         let mut rng = Xoshiro::seed(seed ^ 0xFA_17_BD_5E);
         let horizon = horizon.max(1);
         let slots = max_slot.max(1);
-        let mut faults = Vec::with_capacity(panics + delays + cancels);
+        let mut faults = Vec::with_capacity(panics + cancels);
         for _ in 0..panics {
             faults.push(Fault::StepPanic {
                 tick: rng.below(horizon as usize) as u64,
                 slot: rng.below(slots),
-            });
-        }
-        for _ in 0..delays {
-            faults.push(Fault::Delay {
-                tick: rng.below(horizon as usize) as u64,
-                micros: 1 + rng.below(max_delay_us.max(1) as usize) as u64,
             });
         }
         for _ in 0..cancels {
@@ -164,7 +144,7 @@ mod tests {
     #[test]
     fn plan_sorts_and_consumes_in_tick_order() {
         let mut plan = FaultPlan::new(vec![
-            Fault::Delay { tick: 5, micros: 9 },
+            Fault::CancelActive { tick: 5, slot: 9 },
             Fault::CancelActive { tick: 1, slot: 0 },
             Fault::StepPanic { tick: 3, slot: 2 },
         ]);
@@ -172,7 +152,10 @@ mod tests {
         assert_eq!(plan.take_due(0), &[]);
         assert_eq!(plan.take_due(3).len(), 2); // ticks 1 and 3
         assert_eq!(plan.take_due(3), &[]); // consumed once
-        assert_eq!(plan.take_due(99), &[Fault::Delay { tick: 5, micros: 9 }]);
+        assert_eq!(
+            plan.take_due(99),
+            &[Fault::CancelActive { tick: 5, slot: 9 }]
+        );
         assert!(plan.is_empty());
     }
 
@@ -181,7 +164,7 @@ mod tests {
         let plan = FaultPlan::new(vec![
             Fault::StepPanic { tick: 2, slot: 0 },
             Fault::StepPanic { tick: 2, slot: 1 },
-            Fault::Delay { tick: 2, micros: 1 },
+            Fault::CancelActive { tick: 2, slot: 1 },
             Fault::StepPanic { tick: 4, slot: 1 },
         ]);
         let panics = plan
@@ -195,20 +178,16 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_reproducible_and_bounded() {
-        let a = FaultPlan::seeded(42, 20, 4, 3, 2, 2, 50);
-        let b = FaultPlan::seeded(42, 20, 4, 3, 2, 2, 50);
+        let a = FaultPlan::seeded(42, 20, 4, 3, 2);
+        let b = FaultPlan::seeded(42, 20, 4, 3, 2);
         assert_eq!(a.faults, b.faults);
-        assert!(a.len() <= 7);
+        assert!(a.len() <= 5);
         for f in &a.faults {
             assert!(f.tick() < 20);
-            match *f {
-                Fault::StepPanic { slot, .. } | Fault::CancelActive { slot, .. } => {
-                    assert!(slot < 4)
-                }
-                Fault::Delay { micros, .. } => assert!((1..=50).contains(&micros)),
-            }
+            let (Fault::StepPanic { slot, .. } | Fault::CancelActive { slot, .. }) = *f;
+            assert!(slot < 4);
         }
-        let c = FaultPlan::seeded(43, 20, 4, 3, 2, 2, 50);
+        let c = FaultPlan::seeded(43, 20, 4, 3, 2);
         assert_ne!(a.faults, c.faults, "different seeds, different plans");
     }
 }

@@ -12,7 +12,7 @@
 //!   **shared model** — every projection quantized and decoded once; N
 //!   concurrent requests cost N KV caches, never N weight copies.
 //! * A [`Server`] owns one engine thread running the continuous-batching
-//!   loop: requests are admitted from the arrival queue up to
+//!   scheduler tick: requests are admitted from the arrival queue up to
 //!   [`ServeConfig::max_batch`], every scheduler step stacks all active
 //!   requests' pending rows (prefill chunks and decode tokens mix freely)
 //!   into one batched
@@ -73,6 +73,8 @@ pub mod scheduler;
 pub mod sync;
 
 pub use fault::{Fault, FaultPlan};
+#[doc(hidden)]
+pub use scheduler::Ticker;
 pub use scheduler::{
     Completed, RequestOutcome, ServeError, ServeStats, Server, StreamEvent, TelemetrySnapshot,
 };
@@ -94,14 +96,18 @@ pub struct ServeConfig {
     /// attention work volume, up to the available cores (small steps stay
     /// inline). Any value computes identical bits.
     pub worker_threads: usize,
-    /// Arrival-queue bound; `0` = unbounded (the pre-robustness
-    /// behavior). When the queue holds this many waiting requests, later
-    /// submissions are **shed**: they resolve immediately to
-    /// [`RequestOutcome::Rejected`] instead of growing the queue.
+    /// Arrival-queue bound; `0` = unbounded. When the queue holds this
+    /// many waiting requests, later submissions are **shed**: they resolve
+    /// immediately to [`RequestOutcome::Rejected`] instead of growing the
+    /// queue.
     pub queue_capacity: usize,
-    /// Packed-KV admission budget in bytes; `0` = unlimited. While the
-    /// in-flight sessions' [`kv_bytes`](m2x_nn::model::SessionState::kv_bytes)
-    /// sum is at or past the budget, the engine stops admitting (graceful
+    /// Packed-KV admission budget in bytes; `0` = unlimited. Admission
+    /// charges the in-flight sessions'
+    /// [`kv_bytes`](m2x_nn::model::SessionState::kv_bytes), and each
+    /// request admitted in the same tick the packed K+V bytes of the
+    /// prompt rows its prefill will append (the rows past any adopted
+    /// prefix, whose shared pages it already holds). While that sum is at
+    /// or past the budget, the engine stops admitting (graceful
     /// degradation) but keeps serving — at least one request always runs,
     /// so the budget drains and admission resumes.
     ///
@@ -216,6 +222,7 @@ mod tests {
     use m2x_nn::model::ModelBuilder;
     use m2x_nn::profile::ModelProfile;
     use m2x_nn::synth::activation_matrix;
+    use std::time::Duration;
 
     fn weights() -> Arc<ModelWeights> {
         Arc::new(
@@ -242,6 +249,16 @@ mod tests {
             .unwrap()
             .finished()
             .unwrap_or_else(|| panic!("request {id} did not finish"))
+    }
+
+    fn ticked(w: &Arc<ModelWeights>, cfg: ServeConfig, faults: Vec<Fault>) -> (Server, Ticker) {
+        Server::ticked(Arc::clone(w), cfg, FaultPlan::new(faults))
+    }
+
+    /// Ticks at a frozen virtual instant until nothing is queued or in
+    /// flight.
+    fn drain(t: &mut Ticker) {
+        while t.tick(Duration::ZERO) {}
     }
 
     #[test]
@@ -455,19 +472,79 @@ mod tests {
     }
 
     #[test]
-    fn generous_wall_deadline_does_not_expire_a_short_request() {
+    fn step_deadline_past_the_counter_range_is_no_deadline() {
         let server = Server::start(weights(), ServeConfig::default());
+        let first = server.submit(prompt(2, 0), 1).unwrap();
+        wait_finished(&server, first);
+        // The step counter is past 0 now, so `steps + u64::MAX` overflows.
         let id = server
             .submit_with(
-                prompt(2, 0),
+                prompt(2, 1),
                 2,
                 RequestOptions {
-                    deadline: Some(std::time::Duration::from_secs(600)),
+                    deadline_steps: Some(u64::MAX),
                     ..RequestOptions::default()
                 },
             )
             .unwrap();
         assert_eq!(wait_finished(&server, id).decoded.rows(), 2);
+    }
+
+    #[test]
+    fn wall_deadline_and_queue_wait_follow_the_virtual_clock() {
+        let w = weights();
+        let (server, mut t) = ticked(&w, ServeConfig::default(), vec![]);
+        let ms = Duration::from_millis;
+        let opts = RequestOptions {
+            deadline: Some(ms(5)),
+            ..RequestOptions::default()
+        };
+        // Stamped at virtual 0, admitted and prefilled at 2 ms, one row
+        // decoded at 4 ms, expired at exactly 5 ms.
+        let id = server.submit_with(prompt(2, 0), 100, opts).unwrap();
+        assert!(t.tick(ms(2)));
+        assert!(t.tick(ms(4)));
+        assert!(!t.tick(ms(5)));
+        assert_eq!(
+            server.wait(id).unwrap(),
+            RequestOutcome::DeadlineExceeded { decoded_tokens: 1 }
+        );
+        assert_eq!(server.telemetry_snapshot().queue_wait_us.sum(), 2_000);
+    }
+
+    #[test]
+    fn dropping_the_ticker_fails_waiters_instead_of_hanging() {
+        let w = weights();
+        let (server, mut t) = ticked(&w, ServeConfig::default(), vec![]);
+        let id = server.submit(prompt(2, 0), 50).unwrap();
+        assert!(t.tick(Duration::ZERO));
+        assert_eq!(w.open_sessions(), 1);
+        drop(t);
+        assert_eq!(w.open_sessions(), 0, "the in-flight session is released");
+        assert!(matches!(
+            server.wait(id),
+            Err(ServeError::EngineDown { .. })
+        ));
+        assert!(!server.healthy());
+    }
+
+    #[test]
+    fn generous_wall_deadline_does_not_expire_a_short_request() {
+        let server = Server::start(weights(), ServeConfig::default());
+        // `Duration::MAX` is past the clock's range: no deadline at all.
+        for deadline in [Duration::from_secs(600), Duration::MAX] {
+            let id = server
+                .submit_with(
+                    prompt(2, 0),
+                    2,
+                    RequestOptions {
+                        deadline: Some(deadline),
+                        ..RequestOptions::default()
+                    },
+                )
+                .unwrap();
+            assert_eq!(wait_finished(&server, id).decoded.rows(), 2);
+        }
     }
 
     #[test]
@@ -528,6 +605,47 @@ mod tests {
             let out = wait_finished(&server, *id);
             assert_bits_eq(&out.decoded, &run_solo(&w, p, *d).unwrap());
         }
+        assert_eq!(server.stats().peak_batch, 1);
+    }
+
+    #[test]
+    fn kv_budget_admits_a_queued_burst_one_request_at_a_time() {
+        // Four requests queued before the first tick, under a 1-byte
+        // budget: the first admission's prefill charge already exhausts
+        // it, so the tick admits one, and each later request waits until
+        // the running one has released its pages.
+        let w = weights();
+        let cfg = ServeConfig {
+            max_batch: 4,
+            kv_budget_bytes: 1,
+            ..ServeConfig::default()
+        };
+        let (server, mut t) = ticked(&w, cfg, vec![]);
+        let reqs: Vec<(Matrix, usize)> = (0..4).map(|i| (prompt(2, i), 3)).collect();
+        let ids: Vec<u64> = reqs
+            .iter()
+            .map(|(p, d)| server.submit(p.clone(), *d).unwrap())
+            .collect();
+        assert!(t.tick(Duration::ZERO));
+        assert_eq!(w.open_sessions(), 1);
+        while t.tick(Duration::ZERO) {
+            assert!(w.open_sessions() <= 1);
+        }
+        assert_eq!(server.stats().peak_batch, 1);
+        for (id, (p, d)) in ids.iter().zip(&reqs) {
+            let out = wait_finished(&server, *id);
+            assert_bits_eq(&out.decoded, &run_solo(&w, p, *d).unwrap());
+        }
+    }
+
+    #[test]
+    fn admission_charges_the_packed_bytes_prefill_appends() {
+        let w = weights();
+        let (server, mut t) = ticked(&w, ServeConfig::default(), vec![]);
+        server.submit(prompt(3, 0), 4).unwrap();
+        assert!(t.tick(Duration::ZERO));
+        let charge = 3 * crate::scheduler::kv_token_bytes(w.kv_pool().geometry());
+        assert_eq!(server.stats().kv_packed_bytes, charge as u64);
     }
 
     #[test]
@@ -573,42 +691,55 @@ mod tests {
     }
 
     #[test]
-    fn injected_delay_and_cancel_leave_survivors_exact() {
+    fn injected_cancel_leaves_survivors_exact() {
         let w = weights();
-        let plan = FaultPlan::new(vec![
-            Fault::Delay {
-                tick: 1,
-                micros: 200,
-            },
-            Fault::CancelActive { tick: 5, slot: 1 },
-        ]);
-        let server = Server::start_with_faults(
-            Arc::clone(&w),
-            ServeConfig {
-                max_batch: 4,
-                ..ServeConfig::default()
-            },
-            plan,
-        );
+        let cfg = ServeConfig {
+            max_batch: 4,
+            ..ServeConfig::default()
+        };
+        let (server, mut t) = ticked(&w, cfg, vec![Fault::CancelActive { tick: 5, slot: 1 }]);
         let reqs: Vec<(Matrix, usize)> = (0..3).map(|i| (prompt(2, i), 10)).collect();
         let ids: Vec<u64> = reqs
             .iter()
             .map(|(p, d)| server.submit(p.clone(), *d).unwrap())
             .collect();
-        let mut cancelled = 0;
-        for (id, (p, d)) in ids.iter().zip(&reqs) {
-            match server.wait(*id).unwrap() {
-                RequestOutcome::Cancelled { .. } => cancelled += 1,
-                RequestOutcome::Finished(c) => {
-                    assert_bits_eq(&c.decoded, &run_solo(&w, p, *d).unwrap());
-                }
-                other => panic!("unexpected outcome {}", other.kind()),
+        drain(&mut t);
+        for (i, (id, (p, d))) in ids.iter().zip(&reqs).enumerate() {
+            let out = server.wait(*id).unwrap();
+            if i == 1 {
+                // Rows 1–4 were decoded at ticks 1–4; the cancel lands
+                // before tick 5's step.
+                assert_eq!(out, RequestOutcome::Cancelled { decoded_tokens: 4 });
+            } else {
+                let c = out.finished().expect("survivors finish");
+                assert_bits_eq(&c.decoded, &run_solo(&w, p, *d).unwrap());
             }
         }
-        assert_eq!(cancelled, 1, "exactly the targeted slot is cancelled");
         assert_eq!(server.stats().cancelled, 1);
-        drop(server);
+        drop(t);
         assert_eq!(w.open_sessions(), 0);
+    }
+
+    #[test]
+    fn cancel_aimed_past_the_batch_lands_modulo_its_size() {
+        let w = weights();
+        let (server, mut t) = ticked(
+            &w,
+            ServeConfig::default(),
+            vec![Fault::CancelActive { tick: 1, slot: 3 }],
+        );
+        let p = prompt(2, 0);
+        let keep = server.submit(p.clone(), 4).unwrap();
+        let victim = server.submit(prompt(2, 1), 4).unwrap();
+        drain(&mut t);
+        // Two in flight at tick 1: slot 3 lands on slot 3 % 2 = 1.
+        assert_eq!(
+            server.wait(victim).unwrap(),
+            RequestOutcome::Cancelled { decoded_tokens: 0 }
+        );
+        let done = wait_finished(&server, keep);
+        assert_bits_eq(&done.decoded, &run_solo(&w, &p, 4).unwrap());
+        assert_eq!(server.stats().cancelled, 1);
     }
 
     #[test]
@@ -748,29 +879,28 @@ mod tests {
         // the replay resolves with them, and the server keeps counting
         // every delivered row, the failed request's included.
         let w = weights();
-        let plan = FaultPlan::new(vec![
-            // Gives the second submission time to land before tick 6.
-            Fault::Delay {
-                tick: 1,
-                micros: 20_000,
-            },
-            Fault::StepPanic { tick: 6, slot: 1 },
-            Fault::CancelActive { tick: 7, slot: 0 },
-        ]);
         let cfg = ServeConfig {
             max_batch: 2,
             ..ServeConfig::default()
         };
-        let server = Server::start_with_faults(Arc::clone(&w), cfg, plan);
+        let (server, mut t) = ticked(
+            &w,
+            cfg,
+            vec![
+                Fault::StepPanic { tick: 6, slot: 1 },
+                Fault::CancelActive { tick: 7, slot: 0 },
+            ],
+        );
         let stream = RequestOptions {
             stream: true,
             ..RequestOptions::default()
         };
-        // Submitted first, so admitted at tick 0: prefilled then, and five
-        // rows streamed by the time slot 1's panic lands at tick 6.
+        // Both admitted and prefilled at tick 0, so each has streamed
+        // five rows when slot 1's panic lands at tick 6.
         let p = prompt(2, 5);
         let survivor = server.submit_with(p.clone(), 100, stream).unwrap();
         let victim = server.submit_with(prompt(2, 6), 100, stream).unwrap();
+        drain(&mut t);
         let mut streamed = Matrix::zeros(0, 64);
         let outcome = server
             .wait_streaming(survivor, |_, row| streamed.push_rows(row))
@@ -780,13 +910,10 @@ mod tests {
             .wait_streaming(victim, |_, _| victim_rows += 1)
             .unwrap();
         assert!(matches!(victim_outcome, RequestOutcome::Failed { .. }));
-        let RequestOutcome::Cancelled { decoded_tokens } = outcome else {
-            panic!("survivor resolved {}", outcome.kind());
-        };
-        assert_eq!(decoded_tokens, streamed.rows() as u64);
-        assert_eq!(streamed.rows(), 5);
+        assert_eq!(outcome, RequestOutcome::Cancelled { decoded_tokens: 5 });
+        assert_eq!((streamed.rows(), victim_rows), (5, 5));
         assert_bits_eq(&streamed, &run_solo(&w, &p, 5).unwrap());
-        assert_eq!(server.stats().decoded_tokens, 5 + victim_rows);
+        assert_eq!(server.stats().decoded_tokens, 10);
         // The failed request's sample stays 0 although it streamed rows.
         assert_eq!(server.telemetry_snapshot().tokens_per_request.sum(), 5);
     }

@@ -1,6 +1,6 @@
 //! The continuous-batching scheduler: an arrival queue with admission
-//! control, one engine thread stepping every in-flight request's rows
-//! through a single batched model call per scheduler step, and a
+//! control, one synchronous scheduler tick stepping every in-flight
+//! request's rows through a single batched model call, and a
 //! fault-tolerant request lifecycle ending in a typed [`RequestOutcome`].
 //!
 //! ```text
@@ -16,7 +16,20 @@
 //!                                                           │      │ panic?
 //!                                              Failed ◄── isolate ◄┘
 //!  wait(id) ◄── outcome map ◄── retire finished ◄───────────┘
+//!
+//!  engine thread: wait on work_cv (work, shutdown, abort) ─► tick(Instant::now())
+//!  tests:         Server::ticked ─► Ticker::tick(offset)  ─► tick(base + offset)
 //! ```
+//!
+//! A tick is one synchronous function of the queues, the state the
+//! engine owns (the in-flight requests, the step scratch, the pool
+//! counters of the last tick, the [`FaultPlan`]) and the instant `now` it
+//! runs at. Deadlines and queue wait compare against `now`, and a first
+//! token's TTFT is `now` plus the measured step time; no lifecycle
+//! decision reads the clock itself. [`Server::start`] runs ticks on an
+//! engine thread at the wall clock. `Server::ticked` hands tests the same
+//! engine with no thread, to tick at a virtual clock, so a test states
+//! each interleaving it needs instead of sleeping until it happens.
 //!
 //! Requests are admitted and stepped in arrival order, so a given request
 //! stream is reproducible run to run; and because every output row depends
@@ -32,7 +45,11 @@
 //!   is a typed [`ServeError`], not a panic or a hang.
 //! * Cancelled and deadline-expired requests release their session
 //!   **between** steps, so their KV memory is reclaimed before the next
-//!   admission and never mid-computation.
+//!   admission and never mid-computation. A deadline too far out to
+//!   represent is no deadline.
+//! * The KV budget charges each request admitted in a tick the packed
+//!   bytes of the prompt rows it will prefill, so a burst arriving in one
+//!   tick cannot slip past it before any prefill has run.
 //! * A panic inside the batched step (a worker thread, a kernel, or an
 //!   injected [`Fault::StepPanic`](crate::fault::Fault)) is caught with
 //!   `catch_unwind`. Generation is closed-loop deterministic from the
@@ -44,11 +61,15 @@
 //! * Locks poisoned by a panic are recovered (`lock_queues`); shared
 //!   state is only ever mutated under the lock in panic-free sections, so
 //!   recovered guards still see consistent data.
+//! * When the engine exits (its thread returns or dies, or a ticked
+//!   server's `Ticker` is dropped), its in-flight sessions are released
+//!   and a wait on an id that can no longer resolve returns
+//!   [`ServeError::EngineDown`] instead of hanging.
 
 use crate::fault::{Fault, FaultPlan};
 use crate::sync::{lock_poisoned, wait_poisoned};
 use crate::{feedback_token, RequestOptions, ServeConfig};
-use m2x_nn::kv_pool::PoolStats;
+use m2x_nn::kv_pool::{PoolGeometry, PoolStats};
 use m2x_nn::model::{ModelWeights, SessionState, StepScratch};
 use m2x_telemetry::{stage, Histogram, StageTally, Telemetry, TraceHandle};
 use m2x_tensor::Matrix;
@@ -159,9 +180,9 @@ pub enum ServeError {
     },
     /// The server was shut down; no new work is accepted.
     ShutDown,
-    /// The engine thread died without resolving this request — only
-    /// reachable if a panic escapes the engine's isolation, which the
-    /// chaos tests exist to rule out.
+    /// The engine exited without resolving this request: a panic escaped
+    /// the engine's isolation (which the chaos tests exist to rule out),
+    /// or a ticked server's `Ticker` was dropped.
     EngineDown {
         /// Why the engine is gone.
         reason: String,
@@ -344,13 +365,14 @@ struct Pending {
     deadline: Deadline,
     /// Publish decode rows incrementally ([`RequestOptions::stream`]).
     stream: bool,
-    /// When the request was submitted (queue-wait / TTFT base).
+    /// When the request was submitted, on the scheduler's clock
+    /// (queue-wait / TTFT base).
     submitted_at: Instant,
     /// Submission time on the telemetry clock, for lifecycle spans.
     submitted_us: u64,
 }
 
-/// One in-flight request, owned by the engine thread between steps.
+/// One in-flight request, owned by the engine between ticks.
 struct Active {
     id: u64,
     /// The original prompt, kept so a recovery pass can replay the request
@@ -502,8 +524,13 @@ struct Queues {
     /// Set (with a reason) if a panic escapes the engine's isolation —
     /// waiters then error out instead of blocking forever.
     engine_down: Option<String>,
-    /// Set when the engine thread exits for any reason.
+    /// Set when the engine exits for any reason.
     engine_exited: bool,
+    /// The virtual clock of a ticked server (`Server::ticked`): the
+    /// instant of its last tick, which submissions are stamped with.
+    /// `None` on a threaded server, whose submissions read the wall
+    /// clock.
+    virtual_now: Option<Instant>,
 }
 
 impl Queues {
@@ -557,6 +584,9 @@ struct Shared {
     /// Packed-KV admission budget in bytes (0 = unlimited): admission
     /// stops (but serving continues) while in-flight KV is at or past it.
     kv_budget: usize,
+    /// Packed K+V bytes one token adds to a session: what admission
+    /// charges a request per prompt row it will prefill.
+    kv_token_bytes: usize,
     q: Mutex<Queues>,
     /// Wakes the engine: new arrival, cancellation or shutdown.
     work_cv: Condvar,
@@ -570,6 +600,42 @@ struct Shared {
     engine_trace: TraceHandle,
     /// API-thread ring: submit/reject/inline-cancel instants.
     api_trace: TraceHandle,
+}
+
+impl Shared {
+    fn new(weights: Arc<ModelWeights>, cfg: ServeConfig) -> Arc<Self> {
+        let telemetry = Arc::new(Telemetry::new(cfg.telemetry));
+        let engine_trace = telemetry.register("engine", ENGINE_RING_EVENTS);
+        let api_trace = telemetry.register("api", API_RING_EVENTS);
+        Arc::new(Shared {
+            threads: cfg.worker_threads,
+            max_batch: cfg.max_batch.max(1),
+            queue_capacity: cfg.queue_capacity,
+            kv_budget: cfg.kv_budget_bytes,
+            kv_token_bytes: kv_token_bytes(weights.kv_pool().geometry()),
+            weights,
+            q: Mutex::new(Queues::default()),
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+            telemetry,
+            engine_trace,
+            api_trace,
+        })
+    }
+}
+
+/// Packed K+V bytes one token adds to a session over pool geometry `g`:
+/// per layer and KV head, one K row and one V row of `head_dim` values,
+/// each quantization group of which packs `group_size` FP4 codes two to a
+/// byte, one E8M0 scale byte and a 2-bit code per subgroup. Exact for
+/// subgroup counts that fill whole metadata bytes (the production 4 per
+/// group), rounded up otherwise.
+pub(crate) fn kv_token_bytes(g: &PoolGeometry) -> usize {
+    let cfg = g.cfg;
+    let groups = g.head_dim.div_ceil(cfg.group_size);
+    let meta_bits = groups * (cfg.group_size / cfg.subgroup_size) * 2;
+    let row = groups * (cfg.group_size.div_ceil(2) + 1) + meta_bits.div_ceil(8);
+    2 * g.layers * g.kv_heads * row
 }
 
 /// A running serving instance: one engine thread, one shared weight set,
@@ -600,32 +666,37 @@ impl Server {
         cfg: ServeConfig,
         plan: FaultPlan,
     ) -> Self {
-        let telemetry = Arc::new(Telemetry::new(cfg.telemetry));
-        let engine_trace = telemetry.register("engine", ENGINE_RING_EVENTS);
-        let api_trace = telemetry.register("api", API_RING_EVENTS);
-        let shared = Arc::new(Shared {
-            threads: cfg.worker_threads,
-            max_batch: cfg.max_batch.max(1),
-            queue_capacity: cfg.queue_capacity,
-            kv_budget: cfg.kv_budget_bytes,
-            weights,
-            q: Mutex::new(Queues::default()),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            telemetry,
-            engine_trace,
-            api_trace,
-        });
-        let engine_shared = Arc::clone(&shared);
-        let engine = std::thread::Builder::new()
+        let engine = Engine::new(Shared::new(weights, cfg), plan);
+        let shared = Arc::clone(&engine.shared);
+        let thread = std::thread::Builder::new()
             .name("m2x-serve-engine".into())
-            .spawn(move || engine_loop(&engine_shared, plan))
+            .spawn(move || engine_loop(engine))
             // m2x-lint: allow(panic) construction-time spawn fails only on OS thread exhaustion; surfacing it at startup is intentional
             .expect("spawning the serve engine thread");
         Server {
             shared,
-            engine: Some(engine),
+            engine: Some(thread),
         }
+    }
+
+    /// [`Server::start_with_faults`] with no engine thread: the returned
+    /// [`Ticker`] runs the same scheduler tick when the caller asks, at a
+    /// virtual clock, so a test writes out each interleaving it needs.
+    /// Until the first tick the clock reads the construction instant.
+    /// Blocking calls ([`Server::wait`], [`Server::next_token`]) return
+    /// once the caller has ticked the request to its outcome, or error
+    /// once the `Ticker` is dropped; [`Server::shutdown`] stops admission
+    /// but drains nothing.
+    #[doc(hidden)]
+    pub fn ticked(weights: Arc<ModelWeights>, cfg: ServeConfig, plan: FaultPlan) -> (Self, Ticker) {
+        let base = Instant::now();
+        let engine = Engine::new(Shared::new(weights, cfg), plan);
+        lock_queues(&engine.shared).virtual_now = Some(base);
+        let server = Server {
+            shared: Arc::clone(&engine.shared),
+            engine: None,
+        };
+        (server, Ticker { engine, base })
     }
 
     /// Enqueues a generation request (open-loop: returns immediately) and
@@ -696,12 +767,13 @@ impl Server {
             }));
         }
         crate::check_finite(&prompt)?;
-        let now = Instant::now();
+        let wall = Instant::now();
         let submitted_us = self.shared.telemetry.now_us();
         let mut q = self.lock();
         if q.shutdown {
             return Err(ServeError::ShutDown);
         }
+        let now = q.virtual_now.unwrap_or(wall);
         let id = q.next_id;
         q.next_id += 1;
         self.shared
@@ -717,9 +789,12 @@ impl Server {
             self.shared.done_cv.notify_all();
             return Ok(id);
         }
+        // A deadline past the representable range is no deadline.
         let deadline = Deadline {
-            step: opts.deadline_steps.map(|d| q.stats.steps + d),
-            at: opts.deadline.map(|d| now + d),
+            step: opts
+                .deadline_steps
+                .and_then(|d| q.stats.steps.checked_add(d)),
+            at: opts.deadline.and_then(|d| now.checked_add(d)),
         };
         q.pending.push_back(Pending {
             id,
@@ -816,8 +891,8 @@ impl Server {
     ///
     /// [`ServeError::UnknownRequest`] if `id` was never issued here,
     /// [`ServeError::AlreadyConsumed`] on a second wait for the same id,
-    /// [`ServeError::EngineDown`] if the engine thread died without
-    /// resolving the request (never blocks forever).
+    /// [`ServeError::EngineDown`] if the engine exited without resolving
+    /// the request (never blocks forever).
     pub fn wait(&self, id: u64) -> Result<RequestOutcome, ServeError> {
         // No stream ever holds a row at `usize::MAX`, so this blocking
         // read returns only the outcome.
@@ -878,7 +953,7 @@ impl Server {
             }
             if q.engine_exited {
                 return Err(ServeError::EngineDown {
-                    reason: "engine thread exited before the request resolved".to_string(),
+                    reason: "the engine exited before the request resolved".to_string(),
                 });
             }
             q = wait_poisoned(&self.shared.done_cv, q);
@@ -1064,16 +1139,30 @@ fn abort_all(shared: &Shared, q: &mut Queues, active: &mut Vec<Active>) {
     }
 }
 
-/// Publishes "the engine is gone" on every exit path of [`engine_loop`] —
-/// including a panic escaping its isolation — so waiters never block on an
-/// id that can no longer resolve.
-struct EngineExitGuard<'a> {
-    shared: &'a Shared,
+/// What the engine owns between ticks. Dropping it (the engine thread's
+/// exit, or a [`Ticker`]'s drop) releases the sessions still in flight
+/// and publishes "the engine is gone", also when a panic escaped the
+/// tick's isolation, so waiters never block on an id that can no longer
+/// resolve.
+struct Engine {
+    shared: Arc<Shared>,
+    active: Vec<Active>,
+    /// One activation scratch for the engine's lifetime: every scheduler
+    /// step's projection GEMMs (and, at one worker, the attention score
+    /// GEMVs) reuse it, so the decode hot loop stops allocating activation
+    /// planes per call. Reset after any failed step (stale contents are
+    /// harmless — see `GemmScratch` — but recovery discards them anyway).
+    scratch: StepScratch,
+    /// Previous tick's KV pool counter totals; phase 4 diffs against them
+    /// to emit page alloc/release trace instants.
+    last_pool: PoolStats,
+    plan: FaultPlan,
 }
 
-impl Drop for EngineExitGuard<'_> {
+impl Drop for Engine {
     fn drop(&mut self) {
-        let mut q = lock_queues(self.shared);
+        self.active.clear();
+        let mut q = lock_queues(&self.shared);
         q.engine_exited = true;
         if std::thread::panicking() {
             q.engine_down = Some("a panic escaped the engine's step isolation".to_string());
@@ -1082,45 +1171,88 @@ impl Drop for EngineExitGuard<'_> {
     }
 }
 
-/// The continuous-batching loop (runs on the engine thread).
-// m2x-lint: hot
-fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
-    // m2x-lint: allow(alloc) one-time loop state, allocated before the first tick
-    let mut active: Vec<Active> = Vec::new();
-    // One activation scratch for the engine's lifetime: every scheduler
-    // step's projection GEMMs (and, at one worker, the attention score
-    // GEMVs) reuse it, so the decode hot loop stops allocating activation
-    // planes per call. Reset after any failed step (stale contents are
-    // harmless — see `GemmScratch` — but recovery discards them anyway).
-    let mut scratch = StepScratch::new();
-    // Previous tick's KV pool counter totals; phase 4 diffs against them
-    // to emit page alloc/release trace instants.
-    let mut last_pool = shared.weights.kv_pool().stats();
-    let _exit_guard = EngineExitGuard { shared };
+/// A [`Server`]'s engine with no thread, from `Server::ticked`: the
+/// caller runs each scheduler tick, at a virtual clock that starts at the
+/// server's construction instant. Dropping it exits the engine.
+#[doc(hidden)]
+pub struct Ticker {
+    engine: Engine,
+    base: Instant,
+}
+
+impl Ticker {
+    /// Runs one scheduler tick at the virtual instant `at` past the
+    /// server's construction, and stamps later submissions with that
+    /// instant. Returns whether requests remain queued or in flight.
+    pub fn tick(&mut self, at: Duration) -> bool {
+        let now = self.base + at;
+        self.engine.tick(now);
+        let mut q = lock_queues(&self.engine.shared);
+        q.virtual_now = Some(now);
+        !self.engine.active.is_empty() || !q.pending.is_empty()
+    }
+}
+
+/// The engine thread: waits on `work_cv` for work, a shutdown or an
+/// abort, then runs one tick at the wall clock. Returns once shut down
+/// with nothing left queued or in flight (an abort cancels both first).
+/// With requests in flight it ticks straight on, so a decode tick takes
+/// the queue lock no more often than the tick itself does.
+fn engine_loop(mut engine: Engine) {
     loop {
+        if engine.active.is_empty() {
+            let shared = &engine.shared;
+            let mut q = lock_queues(shared);
+            while q.pending.is_empty() {
+                if q.shutdown {
+                    return;
+                }
+                q = wait_poisoned(&shared.work_cv, q);
+            }
+        }
+        engine.tick(Instant::now());
+    }
+}
+
+impl Engine {
+    fn new(shared: Arc<Shared>, plan: FaultPlan) -> Self {
+        let last_pool = shared.weights.kv_pool().stats();
+        Engine {
+            shared,
+            active: Vec::new(),
+            scratch: StepScratch::new(),
+            last_pool,
+            plan,
+        }
+    }
+
+    /// One scheduler tick at `now`: lifecycle and admission, the plan's
+    /// faults, one batched step with recovery, then bookkeeping and
+    /// retirement. Does nothing past phase 1 when no request is in
+    /// flight, so the step counter advances only on a step.
+    // m2x-lint: hot
+    fn tick(&mut self, now: Instant) {
+        let Engine {
+            shared,
+            active,
+            scratch,
+            last_pool,
+            plan,
+        } = self;
+        let shared: &Shared = shared;
+
         // ── Phase 1 (locked): lifecycle + admission ─────────────────────
         // Cancellations and deadline expiries resolve here, **between**
         // steps: the released sessions drop before the admission below,
         // so reclaimed KV memory immediately frees budget and batch slots.
         let tick = {
             let mut q = lock_queues(shared);
-            loop {
-                if q.abort {
-                    abort_all(shared, &mut q, &mut active);
-                    shared.done_cv.notify_all();
-                    return;
-                }
-                if active.is_empty() && q.pending.is_empty() {
-                    if q.shutdown {
-                        return;
-                    }
-                    q = wait_poisoned(&shared.work_cv, q);
-                    continue;
-                }
-                break;
+            if q.abort {
+                abort_all(shared, &mut q, active);
+                shared.done_cv.notify_all();
+                return;
             }
             let now_step = q.stats.steps;
-            let now = Instant::now();
             let mut resolved = false;
             for _ in 0..q.pending.len() {
                 let Some(p) = q.pending.pop_front() else {
@@ -1174,7 +1306,10 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                     q.pending.len() as u64,
                 );
                 let a = Active::admit(p, &shared.weights, now_step);
-                kv_used += a.session.kv_bytes();
+                // Charged before its prefill runs: the adopted prefix
+                // pages it already holds plus the packed K+V rows this
+                // tick's prefill appends.
+                kv_used += a.session.kv_bytes() + a.next_input.rows() * shared.kv_token_bytes;
                 active.push(a);
             }
             q.stats.peak_batch = q.stats.peak_batch.max(active.len());
@@ -1184,38 +1319,36 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
             now_step
         };
         if active.is_empty() {
-            continue;
+            return;
         }
 
         // ── Phase 2: scheduled faults for this tick ─────────────────────
-        let mut armed_panic: Option<u64> = None;
+        // Each fault lands modulo the batch. Cancels land in plan order;
+        // the panic is pinned on the batch that then steps. A fault is
+        // skipped only when this tick's earlier cancels emptied the batch.
+        let mut panic_slot: Option<usize> = None;
         for &fault in plan.take_due(tick) {
             match fault {
-                Fault::Delay { micros, .. } => {
-                    std::thread::sleep(Duration::from_micros(micros));
-                }
                 Fault::CancelActive { slot, .. } => {
-                    if slot < active.len() {
-                        let a = active.remove(slot);
-                        let decoded_tokens = a.reported as u64;
-                        lock_queues(shared).resolve(
-                            &shared.engine_trace,
-                            a.id,
-                            RequestOutcome::Cancelled { decoded_tokens },
-                        );
-                        shared.done_cv.notify_all();
+                    if active.is_empty() {
+                        continue;
                     }
+                    let a = active.remove(slot % active.len());
+                    let decoded_tokens = a.reported as u64;
+                    lock_queues(shared).resolve(
+                        &shared.engine_trace,
+                        a.id,
+                        RequestOutcome::Cancelled { decoded_tokens },
+                    );
+                    shared.done_cv.notify_all();
                 }
-                Fault::StepPanic { slot, .. } => {
-                    if slot < active.len() {
-                        armed_panic = Some(active[slot].id);
-                    }
-                }
+                Fault::StepPanic { slot, .. } => panic_slot = Some(slot),
             }
         }
         if active.is_empty() {
-            continue;
+            return;
         }
+        let armed_panic = panic_slot.map(|slot| active[slot % active.len()].id);
 
         // ── Phase 3: one batched step (isolated), recovery on failure ───
         // Arm the per-tick stage clocks inside the model's scratch: the
@@ -1229,13 +1362,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
         let mut caught_panics = 0u64;
         // m2x-lint: allow(alloc) empty Vec does not allocate; grows only on the recovery path
         let mut failed: Vec<(u64, String)> = Vec::new();
-        let batched = guarded_step(
-            shared,
-            &mut active,
-            armed_panic,
-            &mut scratch,
-            &mut caught_panics,
-        );
+        let batched = guarded_step(shared, active, armed_panic, scratch, &mut caught_panics);
         let batched_error = match batched {
             Ok(Ok(outs)) => {
                 // Feedback ("sampling") is the one tick stage living
@@ -1268,7 +1395,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                     shared,
                     std::slice::from_mut(a),
                     armed_panic,
-                    &mut scratch,
+                    scratch,
                     &mut caught_panics,
                 );
                 let error = match isolated {
@@ -1293,7 +1420,8 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                 false
             });
         }
-        let step_us = t0.elapsed().as_micros() as u64;
+        let step_time = t0.elapsed();
+        let step_us = step_time.as_micros() as u64;
 
         // ── Phase 4 (locked): bookkeeping + retire ──────────────────────
         let batch = active.len() + failed.len();
@@ -1331,7 +1459,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
         // re-freezes or re-traces. Pool lock only, taken before the queue
         // lock below (the lock order everywhere is queue → pool, never the
         // reverse).
-        for a in &mut active {
+        for a in active.iter_mut() {
             if !a.prefilling && !a.prefill_marked {
                 a.prefill_marked = true;
                 shared
@@ -1366,17 +1494,19 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                     .instant(stage::KV_PAGE_RELEASE, 0, released);
             }
         }
-        last_pool = pool_now;
+        *last_pool = pool_now;
         let page_tokens = shared.weights.kv_pool().page_tokens() as u64;
         let (mut kv_packed, mut kv_decoded, mut kv_tokens, mut kv_capacity) =
             (0u64, 0u64, 0u64, 0u64);
-        for a in &active {
+        for a in active.iter() {
             kv_packed += a.session.kv_bytes() as u64;
             kv_decoded += a.session.kv_decoded_bytes() as u64;
             kv_tokens += a.session.kv().tokens() as u64;
             kv_capacity += a.session.kv().page_count() as u64 * page_tokens;
         }
-        let wall = Instant::now();
+        // A first token lands when its step ends: `now` plus the
+        // measured step time.
+        let step_end = now + step_time;
         let mut q = lock_queues(shared);
         q.stats.steps += 1;
         q.stats.peak_batch = q.stats.peak_batch.max(batch);
@@ -1401,10 +1531,10 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
         // instant, re-records a TTFT sample, recounts a token or
         // republishes a row (it re-derives identical bits, so the
         // published prefix stays valid).
-        for a in &mut active {
+        for a in active.iter_mut() {
             let rows = a.decoded.rows();
             if a.reported == 0 && rows > 0 {
-                let ttft_us = wall
+                let ttft_us = step_end
                     .saturating_duration_since(a.submitted_at)
                     .as_micros()
                     .min(u64::MAX as u128) as u64;
@@ -1441,7 +1571,7 @@ fn engine_loop(shared: &Shared, mut plan: FaultPlan) {
                 rest.push(a);
             }
         }
-        active = rest;
+        *active = rest;
         shared.done_cv.notify_all();
     }
 }

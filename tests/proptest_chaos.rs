@@ -1,8 +1,7 @@
 //! Chaos property tests on the `m2x-serve` fault-tolerance layer: under a
-//! seeded [`FaultPlan`] of step panics, artificial delays and mid-flight
-//! cancels — mixed with per-request deadlines and arbitrary arrival
-//! interleavings — the server must degrade *per request*, never as a
-//! whole:
+//! seeded [`FaultPlan`] of step panics and mid-flight cancels — mixed
+//! with per-request deadlines and arbitrary arrival interleavings — the
+//! server must degrade *per request*, never as a whole:
 //!
 //! * every submitted id resolves to exactly one typed [`RequestOutcome`]
 //!   (no hangs, no engine death);
@@ -22,13 +21,13 @@ use m2xfp_repro::nn::model::{ModelBuilder, ModelWeights};
 use m2xfp_repro::nn::profile::ModelProfile;
 use m2xfp_repro::nn::synth::activation_matrix;
 use m2xfp_repro::serve::{
-    run_solo, FaultPlan, RequestOptions, RequestOutcome, ServeConfig, Server,
+    run_solo, FaultPlan, RequestOptions, RequestOutcome, ServeConfig, Server, Ticker,
 };
 use m2xfp_repro::telemetry::stage;
 use m2xfp_repro::tensor::Matrix;
 use m2xfp_repro::testkit::cases;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
     assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
@@ -39,6 +38,12 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
 
 fn prompt(tokens: usize, seed: usize, hidden: usize) -> Matrix {
     activation_matrix(&ModelProfile::llama3_8b(), seed, tokens, hidden).map(|v| (v * 0.25).tanh())
+}
+
+/// Ticks at a frozen virtual instant until nothing is queued or in
+/// flight.
+fn drain(ticker: &mut Ticker) {
+    while ticker.tick(Duration::ZERO) {}
 }
 
 fn tiny_weights(layers: usize) -> Arc<ModelWeights> {
@@ -71,8 +76,6 @@ fn chaos_plan_degrades_per_request_and_leaks_nothing() {
             max_batch, // slots
             1,         // step panics
             1 + g.below(2),
-            1 + g.below(2),
-            200, // ≤200µs delays
         );
         let planned_faults = plan.len();
         let server = Server::start_with_faults(
@@ -239,21 +242,24 @@ fn chaos_plan_degrades_per_request_and_leaks_nothing() {
     });
 }
 
-/// Satellite: join/leave/cancel churn over many ticks leaves the weights'
-/// session accounting at zero *while the server is still live*, and the
+/// Join/leave/cancel churn over many ticks leaves the weights' session
+/// accounting at zero *while the server is still live*, and the
 /// reclaimed capacity re-admits a full `max_batch` afterwards — the
-/// KV-reclaim path never strands a slot.
+/// KV-reclaim path never strands a slot. Runs on a ticked server, so
+/// which requests are in flight when the cancels land is part of the
+/// case, not a race.
 #[test]
 fn churn_returns_session_accounting_to_zero_and_readmits_full_batch() {
     cases(4, |g| {
         let weights = tiny_weights(1);
         let max_batch = 2 + g.below(3);
-        let server = Server::start(
+        let (server, mut ticker) = Server::ticked(
             Arc::clone(&weights),
             ServeConfig {
                 max_batch,
                 ..ServeConfig::default()
             },
+            FaultPlan::none(),
         );
         for wave in 0..3 {
             let n = 2 + g.below(4);
@@ -262,7 +268,7 @@ fn churn_returns_session_accounting_to_zero_and_readmits_full_batch() {
             for i in 0..n {
                 let p = prompt(1 + g.below(3), g.case * 131 + wave * 17 + i, 64);
                 match g.below(3) {
-                    // Long request we cancel mid-flight.
+                    // Long request we cancel, in flight or still queued.
                     0 => kill_list.push(server.submit(p, 10_000).unwrap()),
                     // Doomed: expires before it can ever be stepped.
                     1 => keep_list.push(
@@ -281,11 +287,15 @@ fn churn_returns_session_accounting_to_zero_and_readmits_full_batch() {
                     _ => keep_list.push(server.submit(p, 1 + g.below(4)).unwrap()),
                 }
             }
+            for _ in 0..g.below(3) {
+                ticker.tick(Duration::ZERO);
+            }
             for id in &kill_list {
                 server.cancel(*id).unwrap();
             }
+            drain(&mut ticker);
             for id in kill_list.into_iter().chain(keep_list) {
-                server.wait(id).unwrap(); // every outcome typed, none hang
+                server.wait(id).unwrap(); // every outcome typed
             }
             // All waves' sessions are released as soon as their outcomes
             // resolve — no shutdown needed to get the memory back.
@@ -297,36 +307,26 @@ fn churn_returns_session_accounting_to_zero_and_readmits_full_batch() {
             );
         }
 
-        // Post-churn, the whole admission window opens again: hold
-        // `max_batch` long requests in flight and wait until every one is
-        // admitted (a session each). Admission and the peak update share
-        // one lock hold, so the peak read after that cannot race a
-        // request's completion.
+        // Post-churn, the whole admission window opens again: one tick
+        // admits `max_batch` long requests (a session each).
         let holds: Vec<u64> = (0..max_batch)
             .map(|i| {
                 let p = prompt(2, g.case * 131 + 8000 + i, 64);
                 server.submit(p, 10_000).unwrap()
             })
             .collect();
-        let t0 = Instant::now();
-        while weights.open_sessions() < max_batch {
-            assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "case {}: churn stranded admission slots: {} of {max_batch} admitted after 10 s",
-                g.case,
-                weights.open_sessions()
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        ticker.tick(Duration::ZERO);
         assert_eq!(
-            server.stats().peak_batch,
+            weights.open_sessions(),
             max_batch,
-            "case {}: churn must not strand admission slots",
+            "case {}: churn stranded admission slots",
             g.case
         );
+        assert_eq!(server.stats().peak_batch, max_batch, "case {}", g.case);
         for id in &holds {
             server.cancel(*id).unwrap();
         }
+        drain(&mut ticker);
         for id in holds {
             let outcome = server.wait(id).unwrap();
             assert!(
@@ -344,6 +344,7 @@ fn churn_returns_session_accounting_to_zero_and_readmits_full_batch() {
             .iter()
             .map(|(p, d)| server.submit(p.clone(), *d).unwrap())
             .collect();
+        drain(&mut ticker);
         for (i, id) in ids.iter().enumerate() {
             let c = server
                 .wait(*id)
@@ -356,7 +357,6 @@ fn churn_returns_session_accounting_to_zero_and_readmits_full_batch() {
                 &format!("case {}: post-churn request {i}", g.case),
             );
         }
-        drop(server);
         assert_eq!(weights.open_sessions(), 0, "case {}: leak", g.case);
     });
 }
