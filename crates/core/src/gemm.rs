@@ -37,12 +37,12 @@
 //! [`qgemm_reference`], the f64 product of the dequantized tensors.
 //!
 //! Two kernels read the panel layout, and [`KernelPath::detect`] picks one
-//! at run time: an AVX2 micro-kernel (`_mm256_madd_epi16` over the
-//! interleaved k-pairs, the crate's only `unsafe` code) where the CPU has
-//! AVX2, and a safe portable kernel everywhere else (and under Miri,
-//! where std reports no CPU features). Both add
-//! `dot as f64 * (xs * ws)` per group in ascending group order with the
-//! same operand values, so their output bits are identical.
+//! at run time: an AVX2 micro-kernel (`_mm256_maddubs_epi16` over the
+//! k-quads, the crate's only `unsafe` code) where the CPU has AVX2, and a
+//! safe portable kernel everywhere else (and under Miri, where std reports
+//! no CPU features). Both add `dot as f64 * (xs * ws)` per group in
+//! ascending group order with the same operand values, so their output
+//! bits are identical.
 
 use crate::activation::{self, ActGroup};
 use crate::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
@@ -60,9 +60,20 @@ mod avx2;
 /// weight × 1/4 multiplier).
 const FIXED_POINT_UNIT: f64 = 1.0 / 64.0;
 
-/// Output columns per [`WeightPlane`] panel: one panel k-pair row is 16
-/// interleaved i16 pairs, two 256-bit registers.
+/// Output columns per [`WeightPlane`] panel: one panel k-quad row is 16
+/// columns of 4 weight bytes, two 256-bit registers.
 const PANEL: usize = 16;
+
+/// Reduction elements per k-quad: the 4 bytes one i32 lane of
+/// `_mm256_maddubs_epi16` then `_mm256_madd_epi16` sums (the per-block
+/// integer dot of OCP MX, and what AVX-VNNI `vpdpbusd` reads).
+const QUAD: usize = 4;
+
+/// The bias that makes every [`WeightPlane`] byte unsigned: a weight ×2
+/// with its multiplier folded in lies in −84..=84 (12 × 7), so its byte,
+/// the value plus 84, lies in 0..=168. A group's biased dot exceeds the
+/// true one by 84·Σx8, which the kernels subtract.
+const WEIGHT_BIAS: i32 = 84;
 
 /// An activation group decoded to integers: values ×8, plus the shared
 /// exponent.
@@ -195,7 +206,8 @@ pub fn qgemm_packed(x: &PackedActTensor, w: &PackedWeightTensor) -> Matrix {
 }
 
 /// The packed kernel's activation operand: the decoded fixed-point
-/// activation plane (`x8`) and its per-group scales (`xscale`), filled by
+/// activation plane (`x8`, i8 values ×8 with |x8| ≤ 56), each group's
+/// element sum (`xsum`) and per-group scales (`xscale`), filled by
 /// [`GemmScratch::load`] and read by [`qgemm_into`].
 ///
 /// The decode hot loop of a serving session calls a GEMM once per
@@ -215,7 +227,10 @@ pub fn qgemm_packed(x: &PackedActTensor, w: &PackedWeightTensor) -> Matrix {
 /// the stale contents eagerly.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
-    x8: Vec<i16>,
+    x8: Vec<i8>,
+    /// Σ x8 per (row, group): the share of each biased group dot that the
+    /// weight bias adds ([`WEIGHT_BIAS`]).
+    xsum: Vec<i32>,
     xscale: Vec<f64>,
     /// `(rows, cols)` of the loaded operand.
     shape: (usize, usize),
@@ -237,40 +252,44 @@ impl GemmScratch {
     /// can call it cheaply.
     pub fn reset(&mut self) {
         self.x8.clear();
+        self.xsum.clear();
         self.xscale.clear();
         self.shape = (0, 0);
         self.geometry = (0, 0);
     }
 
     /// Decodes `x` into the kernel's activation operand and records its
-    /// shape and group geometry: i16 LUT lookups straight from the code
+    /// shape and group geometry: i8 LUT lookups straight from the code
     /// bytes (no float round-trip), one slot per group rounded up to whole
-    /// k-pairs, then each subgroup's top-1 takes its refined value.
-    /// Padding with zeros keeps ragged trailing groups exact: zero codes
-    /// contribute nothing to any product.
+    /// k-quads, then each subgroup's top-1 takes its refined value, and
+    /// each group keeps its element sum. Padding with zeros keeps ragged
+    /// trailing groups exact: zero codes contribute nothing to any
+    /// product or sum.
     // m2x-lint: hot
     pub fn load(&mut self, x: &PackedActTensor) {
         let gs = x.config().group_size;
-        let gsp = pair_width(gs);
+        let gsq = quad_width(gs);
         let sgs = x.config().subgroup_size;
         let spg = gs / sgs;
         let gpr = x.groups_per_row();
         let m = x.shape().0;
         self.x8.clear();
-        self.x8.resize(m * gpr * gsp, 0);
+        self.x8.resize(m * gpr * gsq, 0);
+        self.xsum.clear();
+        self.xsum.resize(m * gpr, 0);
         self.xscale.clear();
         self.xscale.resize(m * gpr, 0.0);
         let meta = x.meta();
         let groups = self
             .x8
-            .chunks_exact_mut(gsp)
+            .chunks_exact_mut(gsq)
             .zip(x.codes().chunks_exact(gs.div_ceil(2)))
-            .zip(self.xscale.iter_mut());
-        for (g, ((xg, bytes), xs)) in groups.enumerate() {
+            .zip(self.xsum.iter_mut().zip(self.xscale.iter_mut()));
+        for (g, ((xg, bytes), (sum, xs))) in groups.enumerate() {
             let xg = &mut xg[..x.group_len(g)];
             for (pair, &b) in xg.chunks_mut(2).zip(bytes) {
                 for (o, code) in pair.iter_mut().zip([b & 0xF, b >> 4]) {
-                    *o = i16::from(FP4_X8[usize::from(code)]);
+                    *o = FP4_X8[usize::from(code)];
                 }
             }
             for (sg, sx) in xg.chunks_mut(sgs).enumerate() {
@@ -281,25 +300,36 @@ impl GemmScratch {
                 let top = sx.iter().position(|v| v.abs() == top_mag).unwrap_or(0);
                 let code = nibble_at(bytes, sg * sgs + top);
                 let extra = two_bits_at(meta, g * spg + sg);
-                sx[top] = EXTRA_X8[usize::from(code)][usize::from(extra)];
+                // |EXTRA_X8| <= 56, so the refined value fits an i8.
+                sx[top] = EXTRA_X8[usize::from(code)][usize::from(extra)] as i8;
             }
-            *xs = pow2(x.group_scale(g).exponent());
+            *sum = xg.iter().map(|&v| i32::from(v)).sum();
+            *xs = e8m0_value(scale_bits(x.group_scale(g)));
         }
         self.shape = x.shape();
         self.geometry = (gs, sgs);
     }
 }
 
-/// `2^e` for an E8M0 exponent (|e| <= 127), built from its bits: exact,
-/// and far inside f64's normal range.
-fn pow2(e: i32) -> f64 {
-    f64::from_bits(((e + 1023) as u64) << 52)
+/// The bits of a group's E8M0 scale. Panics on the NaN byte (0xFF), which
+/// has no power of two, as `E8M0::exponent` does.
+fn scale_bits(s: E8M0) -> u8 {
+    assert!(!s.is_nan(), "E8M0 NaN has no exponent");
+    s.to_bits()
+}
+
+/// `2^(b − 127)`, the value of the E8M0 scale byte `b` (never the NaN
+/// byte, which [`scale_bits`] refuses), built from its bits: the f64
+/// exponent field is `b − 127 + 1023`, so the value is exact and far
+/// inside f64's normal range.
+fn e8m0_value(b: u8) -> f64 {
+    f64::from_bits((u64::from(b) + 896) << 52)
 }
 
 /// Group width in the kernel planes: the group size rounded up to whole
-/// k-pairs, so every group starts on a pair boundary.
-fn pair_width(group_size: usize) -> usize {
-    group_size.div_ceil(2) * 2
+/// k-quads, so every group starts on a quad boundary.
+fn quad_width(group_size: usize) -> usize {
+    group_size.div_ceil(QUAD) * QUAD
 }
 
 /// Which kernel runs the packed GEMMs over a [`WeightPlane`]. Every path
@@ -308,7 +338,7 @@ fn pair_width(group_size: usize) -> usize {
 pub enum KernelPath {
     /// Safe Rust; runs on every target, and is what Miri runs.
     Portable,
-    /// The `_mm256_madd_epi16` micro-kernel; x86-64 CPUs with AVX2 only.
+    /// The `_mm256_maddubs_epi16` micro-kernel; x86-64 CPUs with AVX2 only.
     Avx2,
 }
 
@@ -348,18 +378,19 @@ impl KernelPath {
 }
 
 /// The operands of one kernel call: the decoded activation plane (`kp =
-/// gpr · gsp` i16 per row) with its per-group scales, and a
+/// gpr · gsq` i8 per row) with its per-group sums and scales, and a
 /// [`WeightPlane`]'s panels.
 #[derive(Clone, Copy)]
 struct Operands<'a> {
-    x8: &'a [i16],
+    x8: &'a [i8],
+    xsum: &'a [i32],
     xscale: &'a [f64],
-    w16: &'a [i16],
-    wscale: &'a [f64],
+    w8: &'a [u8],
+    wexp: &'a [u8],
     n: usize,
     gpr: usize,
-    /// Group width in the planes ([`pair_width`]).
-    gsp: usize,
+    /// Group width in the planes ([`quad_width`]).
+    gsq: usize,
 }
 
 /// Runs `path`'s kernel over the output rows `row0..` that `chunk` holds.
@@ -379,43 +410,45 @@ fn run_kernel(path: KernelPath, op: &Operands<'_>, row0: usize, chunk: &mut [f32
 
 /// The portable kernel over the output rows `row0..` that `chunk` holds:
 /// for each panel, one activation row at a time, each group's 16 column
-/// dots accumulate as `[i32; 16]` lane sums over the k-pairs, then the f64
-/// epilogue adds `dot as f64 * (xs * ws)` per column. The group sums are
-/// exact integers and the scale products exact powers of two, so this
-/// equals the AVX2 kernel and the f64 reference bit for bit. It runs only
-/// where AVX2 is missing, and under Miri; on baseline x86-64 the lane
-/// sums compile to scalar multiplies.
+/// dots accumulate as `[i32; 16]` lane sums over the k-quads, less the
+/// weight bias's 84·Σx8, then the f64 epilogue adds
+/// `dot as f64 * (xs * ws)` per column. The group sums are exact integers
+/// and the scale products exact powers of two, so this equals the AVX2
+/// kernel and the f64 reference bit for bit. It runs only where AVX2 is
+/// missing, and under Miri.
 // m2x-lint: hot
 fn portable_rows(op: &Operands<'_>, row0: usize, chunk: &mut [f32]) {
-    let (gpr, gsp, n) = (op.gpr, op.gsp, op.n);
-    let kp = gpr * gsp;
-    let blk = gsp * PANEL;
+    let (gpr, gsq, n) = (op.gpr, op.gsq, op.n);
+    let kp = gpr * gsq;
+    let blk = gsq * PANEL;
     let panels = op
-        .w16
+        .w8
         .chunks_exact(gpr * blk)
-        .zip(op.wscale.chunks_exact(gpr * PANEL));
-    for (pn, (wp, wsp)) in panels.enumerate() {
+        .zip(op.wexp.chunks_exact(gpr * PANEL));
+    for (pn, (wp, wep)) in panels.enumerate() {
         let j0 = pn * PANEL;
         let cols = PANEL.min(n - j0);
         for (li, orow) in chunk.chunks_exact_mut(n).enumerate() {
             let i = row0 + li;
             let xrow = &op.x8[i * kp..(i + 1) * kp];
-            let xsr = &op.xscale[i * gpr..(i + 1) * gpr];
+            let xsr = op.xsum[i * gpr..(i + 1) * gpr]
+                .iter()
+                .zip(&op.xscale[i * gpr..(i + 1) * gpr]);
             let mut acc = [0.0f64; PANEL];
-            let groups = wp.chunks_exact(blk).zip(wsp.chunks_exact(PANEL));
-            for ((wg, wsg), (xg, &xs)) in groups.zip(xrow.chunks_exact(gsp).zip(xsr)) {
+            let groups = wp.chunks_exact(blk).zip(wep.chunks_exact(PANEL));
+            for ((wg, weg), (xg, (&xsum, &xs))) in groups.zip(xrow.chunks_exact(gsq).zip(xsr)) {
                 let mut lanes = [0i32; PANEL];
-                for (wpair, xpair) in wg.chunks_exact(2 * PANEL).zip(xg.chunks_exact(2)) {
-                    let (x0, x1) = (i32::from(xpair[0]), i32::from(xpair[1]));
-                    for (l, w) in lanes.iter_mut().zip(wpair.chunks_exact(2)) {
-                        *l += x0 * i32::from(w[0]) + x1 * i32::from(w[1]);
+                for (wquad, xq) in wg.chunks_exact(QUAD * PANEL).zip(xg.chunks_exact(QUAD)) {
+                    let xq = [0, 1, 2, 3].map(|t| i32::from(xq[t]));
+                    for (l, w) in lanes.iter_mut().zip(wquad.chunks_exact(QUAD)) {
+                        *l += (0..QUAD).map(|t| i32::from(w[t]) * xq[t]).sum::<i32>();
                     }
                 }
                 // exp2(xe)·2^-6·exp2(we): exact powers of two, so the
                 // product is the same in any order.
-                let xs = xs * FIXED_POINT_UNIT;
-                for ((a, &l), &ws) in acc.iter_mut().zip(&lanes).zip(wsg) {
-                    *a += f64::from(l) * (xs * ws);
+                let (bias, xs) = (WEIGHT_BIAS * xsum, xs * FIXED_POINT_UNIT);
+                for ((a, &l), &we) in acc.iter_mut().zip(&lanes).zip(weg) {
+                    *a += f64::from(l - bias) * (xs * e8m0_value(we));
                 }
             }
             for (o, a) in orow[j0..j0 + cols].iter_mut().zip(acc) {
@@ -426,22 +459,25 @@ fn portable_rows(op: &Operands<'_>, row0: usize, chunk: &mut [f32]) {
 }
 
 /// A [`PackedWeightTensor`] LUT-decoded into the kernels' fixed-point
-/// panel form: FP4 decode ×2 with the subgroup's ×(4 + mult) shift-add
-/// refinement folded into every element (distributivity:
-/// Σ_s (4+mult_s)·Σ_t x·w == Σ_t x·(w·(4+mult)) — exact in integers).
-/// Folding eliminates the subgroup bookkeeping from the kernels, turning
-/// each group into one flat i16×i16→i32 dot product. Max magnitude
-/// 12×7 = 84.
+/// panel form, 8.25 bits per weight: FP4 decode ×2 with the subgroup's
+/// ×(4 + mult) shift-add refinement folded into every element
+/// (distributivity: Σ_s (4+mult_s)·Σ_t x·w == Σ_t x·(w·(4+mult)) — exact
+/// in integers), stored as the unsigned byte value + 84 (0..=168), plus
+/// one E8M0 scale byte per (group, column). Folding eliminates the
+/// subgroup bookkeeping from the kernels, turning each group into one flat
+/// u8×i8→i32 dot product; a `_mm256_maddubs_epi16` pair sum is at most
+/// 2·168·56 = 18,816 < 2^15, so it cannot saturate.
 ///
 /// **Layout.** Rows of `W` (output columns) are grouped into 16-column
 /// panels. For each (panel, group) the plane holds one block of
-/// `pair_width(group_size) / 2` k-pair rows; a k-pair row interleaves the
-/// 16 columns' values at elements `2p` and `2p + 1`
-/// (`[c0k0, c0k1, c1k0, c1k1, …, c15k1]`), so one broadcast activation
-/// pair multiply-adds against a whole panel row. `wscale` holds
-/// exp2(group exponent) per (panel, group, column). Lanes past the last
-/// row, and elements past a ragged trailing group, are zero and add
-/// nothing.
+/// `quad_width(group_size) / 4` k-quad rows; a k-quad row holds the 16
+/// columns' 4 consecutive values column by column
+/// (`[c0k0, c0k1, c0k2, c0k3, c1k0, …, c15k3]`, 64 bytes), so one
+/// broadcast activation quad multiply-adds against a whole panel row.
+/// `wexp` holds the E8M0 byte per (panel, group, column), which the
+/// epilogue turns into `2^(b − 127)` exactly. Bytes past the last row,
+/// past a ragged trailing group or in a group's quad padding hold the
+/// bias (a zero weight) and scale byte 0, and their activations are zero.
 ///
 /// Weights are static across inference calls, so decode once (e.g. at layer
 /// construction) and reuse via [`qgemm_into`] — [`qgemm_packed`]
@@ -453,63 +489,74 @@ pub struct WeightPlane {
     k: usize,
     group_size: usize,
     subgroup_size: usize,
-    /// Value ×2 with the subgroup multiplier folded in, in panels.
-    w16: Vec<i16>,
-    /// exp2(group exponent) per (panel, group, column).
-    wscale: Vec<f64>,
+    /// Value ×2 with the subgroup multiplier folded in, plus
+    /// [`WEIGHT_BIAS`], in panels.
+    w8: Vec<u8>,
+    /// E8M0 scale byte per (panel, group, column).
+    wexp: Vec<u8>,
 }
 
 /// Decodes `w`'s rows into plane rows `row0..` of the panels in
-/// `w16`/`wscale` (the fold-the-multiplier LUT decode of [`WeightPlane`]):
+/// `w8`/`wexp` (the fold-the-multiplier LUT decode of [`WeightPlane`]):
 /// the shared body of [`WeightPlane::decode`] and [`WeightPlane::append`].
-/// The vectors grow zero-filled by whole panels, so lanes no row has
-/// reached stay zero; rows decode independently, so decoding rows in
-/// several calls is bit-identical to decoding them in one.
+/// The vectors grow by whole panels of padding bytes, so lanes no row has
+/// reached hold a zero weight; rows decode independently, so decoding rows
+/// in several calls is bit-identical to decoding them in one.
+///
+/// # Panics
+///
+/// Panics on an E8M0 NaN scale byte.
 fn decode_weight_rows_into(
     w: &PackedWeightTensor,
     row0: usize,
-    w16: &mut Vec<i16>,
-    wscale: &mut Vec<f64>,
+    w8: &mut Vec<u8>,
+    wexp: &mut Vec<u8>,
 ) {
     let gs = w.config().group_size;
-    let gsp = pair_width(gs);
+    let gsq = quad_width(gs);
     let sgs = w.config().subgroup_size;
     let spg = gs / sgs;
     let gpr = w.groups_per_row();
     let panels = (row0 + w.shape().0).div_ceil(PANEL);
-    w16.resize(panels * gpr * gsp * PANEL, 0);
-    wscale.resize(panels * gpr * PANEL, 0.0);
+    w8.resize(panels * gpr * gsq * PANEL, WEIGHT_BIAS as u8);
+    wexp.resize(panels * gpr * PANEL, 0);
     let wmeta = w.meta();
     for g in 0..w.group_count() {
         let row = row0 + g / gpr;
         let (block, lane) = ((row / PANEL) * gpr + g % gpr, row % PANEL);
-        let out = &mut w16[block * gsp * PANEL..(block + 1) * gsp * PANEL];
+        let out = &mut w8[block * gsq * PANEL..(block + 1) * gsq * PANEL];
         let len = w.group_len(g);
         for sg in 0..len.div_ceil(sgs) {
-            let mult = (4 + two_bits_at(wmeta, g * spg + sg)) as i16;
+            let mult = 4 + i32::from(two_bits_at(wmeta, g * spg + sg));
             for i in sg * sgs..len.min((sg + 1) * sgs) {
-                let at = (i / 2) * 2 * PANEL + 2 * lane + i % 2;
-                out[at] = FP4_X2[w.code_at(g, i) as usize] as i16 * mult;
+                let at = (i / QUAD) * QUAD * PANEL + QUAD * lane + i % QUAD;
+                let v = i32::from(FP4_X2[usize::from(w.code_at(g, i))]) * mult;
+                // |v| <= 84, so the biased byte lies in 0..=168.
+                out[at] = (v + WEIGHT_BIAS) as u8;
             }
         }
-        wscale[block * PANEL + lane] = pow2(w.group_scale(g).exponent());
+        wexp[block * PANEL + lane] = scale_bits(w.group_scale(g));
     }
 }
 
 impl WeightPlane {
     /// Decodes the packed streams (walked in place, one pass).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an E8M0 NaN scale byte, which has no power of two.
     pub fn decode(w: &PackedWeightTensor) -> Self {
         let (n, k) = w.shape();
-        let mut w16 = Vec::new();
-        let mut wscale = Vec::new();
-        decode_weight_rows_into(w, 0, &mut w16, &mut wscale);
+        let mut w8 = Vec::new();
+        let mut wexp = Vec::new();
+        decode_weight_rows_into(w, 0, &mut w8, &mut wexp);
         WeightPlane {
             n,
             k,
             group_size: w.config().group_size,
             subgroup_size: w.config().subgroup_size,
-            w16,
-            wscale,
+            w8,
+            wexp,
         }
     }
 
@@ -519,12 +566,12 @@ impl WeightPlane {
     }
 
     /// Decode-on-append: decodes `delta`'s rows **directly into** the
-    /// lanes after the existing rows, zero-extending the plane by one
-    /// panel per 16 rows — O(delta) work, not O(total), and no temporary
-    /// plane per call (the KV cache calls this once per head per decode
-    /// step). Rows decode independently, so the grown plane is identical
-    /// to [`Self::decode`] of the row-concatenated tensor, which the tests
-    /// pin bit for bit.
+    /// lanes after the existing rows, extending the plane by one panel per
+    /// 16 rows — O(delta) work, not O(total), and no temporary plane per
+    /// call (the KV cache calls this once per head per decode step). Rows
+    /// decode independently, so the grown plane is identical to
+    /// [`Self::decode`] of the row-concatenated tensor, which the tests pin
+    /// bit for bit.
     ///
     /// # Panics
     ///
@@ -540,7 +587,7 @@ impl WeightPlane {
             (delta.config().group_size, delta.config().subgroup_size),
             "appended plane rows use a different group geometry"
         );
-        decode_weight_rows_into(delta, self.n, &mut self.w16, &mut self.wscale);
+        decode_weight_rows_into(delta, self.n, &mut self.w8, &mut self.wexp);
         self.n += delta.shape().0;
     }
 
@@ -549,16 +596,18 @@ impl WeightPlane {
     /// [`Self::decode`] of an empty tensor with the same geometry
     /// (equality ignores capacity).
     pub fn clear_rows(&mut self) {
-        self.w16.clear();
-        self.wscale.clear();
+        self.w8.clear();
+        self.wexp.clear();
         self.n = 0;
     }
 
-    /// Heap bytes of the decoded execution planes (`w16` + `wscale`,
-    /// padding lanes of a partial last panel included) — the working
-    /// state a packed-bytes KV accounting misses.
+    /// Heap bytes of the kernel operand: `ceil(n/16)·16 · gpr ·
+    /// (quad_width + 1)`, one byte per weight (groups padded to whole
+    /// k-quads, a partial last panel padded to 16 columns) plus one scale
+    /// byte per (group, column) — 8.25 bits per weight at group 32. The
+    /// working state a packed-bytes KV accounting misses.
     pub fn decoded_bytes(&self) -> usize {
-        self.w16.len() * std::mem::size_of::<i16>() + self.wscale.len() * std::mem::size_of::<f64>()
+        self.w8.len() + self.wexp.len()
     }
 }
 
@@ -613,12 +662,13 @@ pub fn qgemm_into_on(
     }
     let op = Operands {
         x8: &x.x8,
+        xsum: &x.xsum,
         xscale: &x.xscale,
-        w16: &w.w16,
-        wscale: &w.wscale,
+        w8: &w.w8,
+        wexp: &w.wexp,
         n: w.n,
         gpr: w.k.div_ceil(w.group_size),
-        gsp: pair_width(w.group_size),
+        gsq: quad_width(w.group_size),
     };
     par_row_chunks(out, w.n, threads, |row0, chunk| {
         run_kernel(path, &op, row0, chunk);
@@ -877,7 +927,7 @@ mod tests {
     fn appended_plane_matches_full_decode() {
         // Growing a plane row-chunk by row-chunk (the KV-cache pattern) is
         // identical to decoding the fully grown tensor — bit for bit on the
-        // raw w16/wscale state via PartialEq — including ragged K, chunks
+        // raw w8/wexp state via PartialEq — including ragged K, chunks
         // that start mid-panel and cross 16-row panel boundaries, and a
         // metadata granularity whose per-group run is not byte-aligned
         // (subgroup 16 → 4 bits/group). The append decodes straight into
@@ -917,6 +967,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn decoded_bytes_are_one_byte_per_padded_weight_plus_a_scale_byte() {
+        // ceil(n/16)·16 · gpr · (quad_width + 1): partial panels, ragged
+        // trailing groups and group sizes that are not whole k-quads
+        // (5 → 8, 6 → 8, 12 → 12), plus 8.25 bits per weight at the
+        // production group of 32.
+        for (gs, sgs) in [(5usize, 5usize), (6, 3), (12, 4), (32, 8), (64, 16)] {
+            let cfg = M2xfpConfig {
+                group_size: gs,
+                subgroup_size: sgs,
+                ..M2xfpConfig::default()
+            };
+            for (n, k) in [(1usize, 5usize), (16, 64), (17, 41), (35, 96)] {
+                let w = PackedWeightTensor::quantize_parallel(&mat(n, k, 1.0), cfg);
+                let want = n.div_ceil(PANEL) * PANEL * k.div_ceil(gs) * (quad_width(gs) + 1);
+                assert_eq!(
+                    WeightPlane::decode(&w).decoded_bytes(),
+                    want,
+                    "gs={gs} n={n} k={k}"
+                );
+            }
+        }
+        let w = PackedWeightTensor::quantize_parallel(&mat(64, 256, 2.0), M2xfpConfig::default());
+        let bits = WeightPlane::decode(&w).decoded_bytes() as f64 * 8.0 / (64.0 * 256.0);
+        assert_eq!(bits, 8.25);
+    }
+
+    #[test]
+    fn scale_bytes_rebuild_their_powers_of_two() {
+        // Every E8M0 byte but NaN reads back as 2^(b − 127) exactly, and
+        // the NaN byte, which has no power of two, is refused as
+        // `E8M0::exponent` refuses it.
+        for b in 0..=0xFEu8 {
+            let s = E8M0::from_bits(b);
+            assert_eq!(
+                e8m0_value(scale_bits(s)),
+                f64::from(s.exponent()).exp2(),
+                "{b:#x}"
+            );
+        }
+        assert!(std::panic::catch_unwind(|| scale_bits(E8M0::NAN)).is_err());
     }
 
     #[test]

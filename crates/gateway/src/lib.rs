@@ -692,7 +692,7 @@ fn render_metrics(ctx: &Ctx) -> String {
         o,
         "m2x_serve_kv_decoded_bytes",
         "gauge",
-        "Decoded f32 KV bytes held by in-flight sessions (not budgeted).",
+        "Decoded KV bytes held by in-flight sessions: K kernel operands and f32 V rows (not budgeted).",
         s.kv_decoded_bytes,
     );
     render_metric(
@@ -701,6 +701,20 @@ fn render_metrics(ctx: &Ctx) -> String {
         "gauge",
         "Unused token-row fraction of the KV pages in flight.",
         s.kv_fragmentation,
+    );
+    render_metric(
+        o,
+        "m2x_serve_weight_packed_bytes",
+        "gauge",
+        "Packed weight bytes of the served model.",
+        s.weight_packed_bytes,
+    );
+    render_metric(
+        o,
+        "m2x_serve_weight_operand_bytes",
+        "gauge",
+        "Kernel-operand weight bytes of the served model, resident next to the packed weights.",
+        s.weight_operand_bytes,
     );
     render_histogram(
         o,
@@ -1148,12 +1162,18 @@ m2x_serve_kv_free_pages 0
 # HELP m2x_serve_kv_packed_bytes Packed KV bytes held by in-flight sessions (the budgeted payload).
 # TYPE m2x_serve_kv_packed_bytes gauge
 m2x_serve_kv_packed_bytes 0
-# HELP m2x_serve_kv_decoded_bytes Decoded f32 KV bytes held by in-flight sessions (not budgeted).
+# HELP m2x_serve_kv_decoded_bytes Decoded KV bytes held by in-flight sessions: K kernel operands and f32 V rows (not budgeted).
 # TYPE m2x_serve_kv_decoded_bytes gauge
 m2x_serve_kv_decoded_bytes 0
 # HELP m2x_serve_kv_fragmentation Unused token-row fraction of the KV pages in flight.
 # TYPE m2x_serve_kv_fragmentation gauge
 m2x_serve_kv_fragmentation 0
+# HELP m2x_serve_weight_packed_bytes Packed weight bytes of the served model.
+# TYPE m2x_serve_weight_packed_bytes gauge
+m2x_serve_weight_packed_bytes 33408
+# HELP m2x_serve_weight_operand_bytes Kernel-operand weight bytes of the served model, resident next to the packed weights.
+# TYPE m2x_serve_weight_operand_bytes gauge
+m2x_serve_weight_operand_bytes 61248
 # HELP m2x_serve_step_latency_us Engine step (tick) wall latency in microseconds.
 # TYPE m2x_serve_step_latency_us histogram
 m2x_serve_step_latency_us_bucket{le=\"0\"} 0

@@ -727,8 +727,10 @@ impl PagedKv {
     }
 
     /// Decoded working state on top of the packed streams: the K
-    /// score-GEMM planes plus the dequantized V row cache. Unmetered by
-    /// the admission budget, reported separately so accounting is honest.
+    /// score-GEMM kernel operands (8.25-bit [`WeightPlane`]s,
+    /// [`WeightPlane::decoded_bytes`]) plus the dequantized f32 V row
+    /// cache. Unmetered by the admission budget, reported separately so
+    /// accounting is honest.
     pub fn decoded_bytes(&self) -> usize {
         self.pages
             .iter()

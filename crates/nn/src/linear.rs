@@ -144,6 +144,13 @@ impl QuantizedLinear {
     pub fn weight_bytes(&self) -> usize {
         self.packed.packed_bytes()
     }
+
+    /// Heap bytes of the kernel operand decoded from the packed weights
+    /// ([`WeightPlane::decoded_bytes`]: 8.25 bits per weight at group 32),
+    /// resident next to them.
+    pub(crate) fn operand_bytes(&self) -> usize {
+        self.plane.decoded_bytes()
+    }
 }
 
 #[cfg(test)]

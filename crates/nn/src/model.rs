@@ -272,9 +272,10 @@ impl SessionState {
         self.kv.packed_bytes()
     }
 
-    /// Decoded KV working state in bytes: the K execution planes plus the
-    /// dequantized V row cache. Not metered by the admission budget —
-    /// reported alongside [`Self::kv_bytes`] so accounting stays honest.
+    /// Decoded KV working state in bytes: the K pages' 8.25-bit kernel
+    /// operands plus the dequantized f32 V row cache. Not metered by the
+    /// admission budget — reported alongside [`Self::kv_bytes`] so
+    /// accounting stays honest.
     pub fn kv_decoded_bytes(&self) -> usize {
         self.kv.decoded_bytes()
     }
@@ -583,11 +584,22 @@ impl ModelWeights {
 
     /// Total packed weight footprint across all layers, in bytes.
     pub fn weight_bytes(&self) -> usize {
+        self.linears().map(QuantizedLinear::weight_bytes).sum()
+    }
+
+    /// Total kernel-operand bytes across all layers: the
+    /// [`WeightPlane`](m2xfp::gemm::WeightPlane)s the projections
+    /// multiply, decoded once at construction and resident next to the
+    /// packed streams [`Self::weight_bytes`] counts.
+    pub fn operand_bytes(&self) -> usize {
+        self.linears().map(QuantizedLinear::operand_bytes).sum()
+    }
+
+    /// Every projection of every layer, in engine order.
+    fn linears(&self) -> impl Iterator<Item = &QuantizedLinear> {
         self.blocks
             .iter()
             .flat_map(|b| [&b.qkv, &b.o, &b.up, &b.down])
-            .map(QuantizedLinear::weight_bytes)
-            .sum()
     }
 
     /// Multiply–accumulate count of one forward over `tokens` tokens
@@ -1331,6 +1343,20 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("heads"), "{err}");
+    }
+
+    #[test]
+    fn weight_operand_is_8_25_bits_per_weight() {
+        // The LLaMA3-8B profile scaled to hidden 256 × 2 layers: per layer
+        // qkv 384 × 256, o 256 × 256, gate+up 1792 × 256 and down
+        // 256 × 896, 851,968 weights. The kernel operand holds one byte per
+        // weight plus one scale byte per 32 (8.25 bits), against 4.5 bits
+        // in the packed streams.
+        let w = ModelBuilder::scaled(&ModelProfile::llama3_8b(), 256, 2)
+            .build_weights()
+            .unwrap();
+        assert_eq!(w.operand_bytes(), 1_757_184);
+        assert_eq!(w.weight_bytes(), 958_464);
     }
 
     #[test]

@@ -288,14 +288,23 @@ pub struct ServeStats {
     /// the admission sum.
     pub kv_packed_bytes: u64,
     /// **Decoded** KV bytes held by in-flight sessions (gauge): the K
-    /// score-GEMM planes decoded from the packed K streams plus the dequantized V
-    /// row cache. Reported for honest accounting — this memory exists —
-    /// but *not* gated: the budget meters the packed payload above.
+    /// score-GEMM kernel operands decoded from the packed K streams
+    /// (8.25-bit [`WeightPlane`](m2xfp::gemm::WeightPlane)s) plus the
+    /// dequantized f32 V row cache. Reported for honest accounting — this
+    /// memory exists — but *not* gated: the budget meters the packed
+    /// payload above.
     pub kv_decoded_bytes: u64,
     /// Unused token-row fraction of the pages in flight (gauge):
     /// `1 - tokens / (pages × page_tokens)`, 0.0 when no pages are held.
     /// High values mean many partially-filled tail pages.
     pub kv_fragmentation: f64,
+    /// Packed weight bytes of the served model (gauge): the three-stream
+    /// payload of every projection ([`ModelWeights::weight_bytes`]).
+    pub weight_packed_bytes: u64,
+    /// Kernel-operand weight bytes of the served model (gauge): the
+    /// decoded planes every projection multiplies, resident next to the
+    /// packed streams ([`ModelWeights::operand_bytes`]).
+    pub weight_operand_bytes: u64,
 }
 
 /// A point-in-time copy of the scheduler's latency histograms and
@@ -1036,6 +1045,8 @@ impl Server {
         // Pool counters are read live (the pool keeps its own totals),
         // so they are current even between engine ticks.
         stats.kv_pool = self.shared.weights.kv_pool().stats();
+        stats.weight_packed_bytes = self.shared.weights.weight_bytes() as u64;
+        stats.weight_operand_bytes = self.shared.weights.operand_bytes() as u64;
         stats
     }
 

@@ -238,6 +238,15 @@ fn supported_paths() -> Vec<KernelPath> {
     paths
 }
 
+/// A group size from {5, 6, 12, 32, 64}, so groups that are and are not
+/// whole k-quads of the kernel planes both occur, and a subgroup size
+/// drawn from its divisors.
+fn group_geometry(g: &mut Gen) -> (usize, usize) {
+    let group_size = [5usize, 6, 12, 32, 64][g.below(5)];
+    let divisors: Vec<usize> = (1..=group_size).filter(|d| group_size % d == 0).collect();
+    (group_size, divisors[g.below(divisors.len())])
+}
+
 /// Loads `x` and runs `path`'s kernel into a fresh matrix.
 fn qgemm_on(
     path: KernelPath,
@@ -255,19 +264,21 @@ fn qgemm_on(
 /// The packed qGEMM on every kernel path this CPU runs, the dispatched
 /// route and the grouped PE pipeline all equal the f64 reference bit for
 /// bit — for any thread count, row counts odd and even, output widths
-/// across several 16-column panels, ragged trailing groups, both metadata
-/// granularities (subgroup 8 and 16), every `ScaleRule`, fixed and
-/// adaptive weight scales, and weight magnitudes across three decades.
+/// across several 16-column panels, ragged trailing groups, group sizes
+/// that are and are not whole k-quads with every subgroup size that
+/// divides them, every `ScaleRule`, fixed and adaptive weight scales, and
+/// weight magnitudes across three decades.
 #[test]
 fn packed_qgemm_bit_exact() {
     let paths = supported_paths();
     let mut scratch = GemmScratch::new();
     cases(64, |g| {
+        let (group_size, subgroup_size) = group_geometry(g);
         let cfg = M2xfpConfig {
-            subgroup_size: [8usize, 16][g.below(2)],
+            group_size,
+            subgroup_size,
             scale_rule: ScaleRule::ALL[g.below(5)],
             adaptive_weight_scale: g.below(2) == 0,
-            ..M2xfpConfig::default()
         };
         let m = 1 + g.below(9);
         let n = 1 + g.below(40);
@@ -299,9 +310,10 @@ fn packed_qgemm_bit_exact() {
                     assert_eq!(
                         y[(i, j)].to_bits(),
                         want[(i, j)].to_bits(),
-                        "case {} {name} ({i},{j}) m={m} n={n} k={k} threads={threads} sg={} \
+                        "case {} {name} ({i},{j}) m={m} n={n} k={k} threads={threads} gs={} sg={} \
                          rule={:?} adaptive={}",
                         g.case,
+                        cfg.group_size,
                         cfg.subgroup_size,
                         cfg.scale_rule,
                         cfg.adaptive_weight_scale
@@ -316,16 +328,18 @@ fn packed_qgemm_bit_exact() {
 /// `WeightPlane` (with its scratch reused across cases, the serving
 /// pattern), the scratch-backed planed kernel, and the `m == 1` shape on
 /// every kernel path this CPU runs — are bit-identical to the f64
-/// reference: ragged trailing groups, both metadata granularities
-/// (subgroup 8 and 16), every `ScaleRule`, any thread count, and output
-/// widths that end mid-panel.
+/// reference: ragged trailing groups, group sizes that are and are not
+/// whole k-quads with every subgroup size that divides them, every
+/// `ScaleRule`, any thread count, and output widths that end mid-panel.
 #[test]
 fn decode_kernels_bit_exact() {
     let paths = supported_paths();
     let mut scratch = GemmScratch::new();
     cases(64, |g| {
+        let (group_size, subgroup_size) = group_geometry(g);
         let cfg = M2xfpConfig {
-            subgroup_size: [8usize, 16][g.below(2)],
+            group_size,
+            subgroup_size,
             scale_rule: ScaleRule::ALL[g.below(5)],
             ..M2xfpConfig::default()
         };
@@ -352,8 +366,9 @@ fn decode_kernels_bit_exact() {
             assert_eq!(
                 gemv[(0, j)].to_bits(),
                 w,
-                "case {} gemv j={j} n={n} k={k} sg={} rule={:?}",
+                "case {} gemv j={j} n={n} k={k} gs={} sg={} rule={:?}",
                 g.case,
+                cfg.group_size,
                 cfg.subgroup_size,
                 cfg.scale_rule
             );
@@ -376,32 +391,33 @@ fn decode_kernels_bit_exact() {
     });
 }
 
-/// On unpacked buffers whose scale bytes sit at the top of the E8M0 range
-/// — 0xFC, 0xFD and 0xFE (2^125 to 2^127), mixed with 0x7F (2^0) — the f64
-/// reference, the grouped pipeline and every packed kernel path still read
-/// the same bits, ±inf included. No encoder writes such scales, but
-/// `unpack` accepts them. NaN compares equal to NaN.
-#[test]
-fn reference_matches_kernels_on_extreme_scale_bytes() {
-    const SCALES: [u8; 4] = [0x7F, 0xFC, 0xFD, 0xFE];
+/// On unpacked buffers of 1–3 rows × 1–20 columns × 1–3 groups of 32, in
+/// `pack`'s byte order with every code byte, scale byte and metadata byte
+/// drawn by `code`, `scale` and `meta`, at a subgroup size drawn from
+/// `subgroups`: the f64 reference, the grouped pipeline and every packed
+/// kernel path read the same bits, NaN equal to NaN.
+fn kernels_match_reference_on_raw_buffers(
+    subgroups: [usize; 2],
+    code: fn(&mut Gen) -> u8,
+    scale: fn(&mut Gen) -> u8,
+    meta: fn(&mut Gen) -> u8,
+) {
     let paths = supported_paths();
     let mut scratch = GemmScratch::new();
     let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
     cases(200, |g| {
         let cfg = M2xfpConfig {
-            subgroup_size: [8usize, 16][g.below(2)],
+            subgroup_size: subgroups[g.below(2)],
             ..M2xfpConfig::default()
         };
         let (m, n, k) = (1 + g.below(3), 1 + g.below(20), 32 * (1 + g.below(3)));
         let threads = 1 + g.below(4);
-        // The three streams in `pack`'s byte order: random codes, scale
-        // bytes drawn from SCALES, random metadata.
         let mut buffer = |rows: usize| -> Vec<u8> {
             let groups = rows * k / 32;
             let meta_bytes = (groups * 2 * 32 / cfg.subgroup_size).div_ceil(8);
-            let mut buf: Vec<u8> = (0..groups * 16).map(|_| g.below(256) as u8).collect();
-            buf.extend((0..groups).map(|_| SCALES[g.below(4)]));
-            buf.extend((0..meta_bytes).map(|_| g.below(256) as u8));
+            let mut buf: Vec<u8> = (0..groups * 16).map(|_| code(g)).collect();
+            buf.extend((0..groups).map(|_| scale(g)));
+            buf.extend((0..meta_bytes).map(|_| meta(g)));
             buf
         };
         let x = ActTensor::unpack(&buffer(m), m, k, cfg).expect("well-formed buffer");
@@ -421,8 +437,9 @@ fn reference_matches_kernels_on_extreme_scale_bytes() {
                 for j in 0..n {
                     assert!(
                         same(y[(i, j)], want[(i, j)]),
-                        "case {} {name} ({i},{j}) m={m} n={n} k={k}: {} vs reference {}",
+                        "case {} {name} ({i},{j}) m={m} n={n} k={k} sg={}: {} vs reference {}",
                         g.case,
+                        cfg.subgroup_size,
                         y[(i, j)],
                         want[(i, j)]
                     );
@@ -430,6 +447,38 @@ fn reference_matches_kernels_on_extreme_scale_bytes() {
             }
         }
     });
+}
+
+/// Scale bytes at the top of the E8M0 range — 0xFC, 0xFD and 0xFE (2^125
+/// to 2^127), mixed with 0x7F (2^0) — under random codes and metadata, at
+/// subgroups 8 and 16: ±inf included, every path reads the reference's
+/// bits. No encoder writes such scales, but `unpack` accepts them.
+#[test]
+fn reference_matches_kernels_on_extreme_scale_bytes() {
+    const SCALES: [u8; 4] = [0x7F, 0xFC, 0xFD, 0xFE];
+    kernels_match_reference_on_raw_buffers(
+        [8, 16],
+        |g| g.below(256) as u8,
+        |g| SCALES[g.below(4)],
+        |g| g.below(256) as u8,
+    );
+}
+
+/// The kernels' integer edge: every weight at ±84 (FP4 codes 0x7/0xF, ±6
+/// ×2, with multiplier code 3, ×7) against activations at their largest
+/// refined magnitudes (codes 0x7/0xF with extra-mantissa code 3, ±56 ×8;
+/// at subgroup 1 every element is its subgroup's refined top-1), scale
+/// bytes around 2^0. A biased weight byte is then 0 or 168, so a
+/// `maddubs` pair sum reaches ±2·168·56 = ±18,816, the largest it can be
+/// and still below 2^15.
+#[test]
+fn kernels_exact_at_the_largest_operands() {
+    kernels_match_reference_on_raw_buffers(
+        [1, 8],
+        |g| [0x77, 0x7F, 0xF7, 0xFF][g.below(4)],
+        |g| 0x78 + g.below(16) as u8,
+        |_| 0xFF,
+    );
 }
 
 /// Scale-rule laws: ceil never clips; floor is within one binade below
